@@ -44,6 +44,8 @@ def _matrix(data, shape, what):
         raise BadInput(f"{what}: not a numeric array ({exc})")
     if arr.shape != shape:
         raise BadInput(f"{what}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise BadInput(f"{what}: entries must be finite")
     return arr
 
 
@@ -145,14 +147,6 @@ def _lift_report(lift: leray.LagrangianLift) -> dict:
     return {"theta": float(lift.theta), "n": lift.n}
 
 
-def _companion_report(f1, f2):
-    """The canonical scalar companion used for a non-transversal pair."""
-    if lagrangian.intersection_dim(f1, f2).k == 0:
-        return None
-    theta = lagrangian.companion_phase(f1, f2)
-    return {"scalar_phase": float(theta), "theta_lift": float(f1.n * theta)}
-
-
 def _planes_of(job, n, count):
     specs = job.get("planes")
     if not isinstance(specs, list) or len(specs) != count:
@@ -197,9 +191,6 @@ def compute_report(job: dict, tol_round: float) -> dict:
             "end": _lift_report(lifted.end_lift()),
             "reference_branch": 0,
         }
-        report["companion"] = _companion_report(lam.end(), ell) or _companion_report(
-            lam.start(), ell
-        )
         if kind == "rs":
             report["twice_value"] = value
         else:
@@ -224,11 +215,6 @@ def compute_report(job: dict, tol_round: float) -> dict:
             "start": _lift_report(lifted.start_lift()),
             "end": _lift_report(lifted.end_lift()),
         }
-        ends = (
-            lagrangian.frame_from_w(lifted.end_lift().w),
-            lagrangian.frame_from_w(lifted.start_lift().w),
-        )
-        report["companion"] = _companion_report(*ends)
     elif kind == "leray":
         lifts_raw = job.get("lifts")
         if not isinstance(lifts_raw, list) or len(lifts_raw) != 2:
@@ -237,9 +223,6 @@ def compute_report(job: dict, tol_round: float) -> dict:
         l2 = _lift_from_spec(lifts_raw[1], n)
         report["value"] = leray.mu_bar(l1, l2, tol_round=tol_round)
         report["lifts"] = {"first": _lift_report(l1), "second": _lift_report(l2)}
-        report["companion"] = _companion_report(
-            lagrangian.frame_from_w(l1.w), lagrangian.frame_from_w(l2.w)
-        )
     elif kind == "kashiwara":
         fs = _planes_of(job, n, 3)
         sig3 = signature.kashiwara_tau(*fs)
@@ -290,12 +273,8 @@ def _apply_overrides(args):
 
     if args.tol_rank is not None:
         override(lagrangian, "TOL_RANK_BASE", args.tol_rank)
-        override(leray, "TOL_RANK_BASE", args.tol_rank)
     if args.tol_sig is not None:
         override(signature, "TOL_SIG_BASE", args.tol_sig)
-        from . import derived
-
-        override(derived, "TOL_SIG_BASE", args.tol_sig)
     if args.refine_depth is not None:
         original = paths.lift_path
         depth = args.refine_depth

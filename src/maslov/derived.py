@@ -11,12 +11,12 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
+from .defaults import TOL_ROUND, TOL_SYM
 from .errors import BadInput, IllConditioned
 from .lagrangian import LagrangianFrame, SouriauMatrix, coordinate_x, frame_from_graph
 from .leray import LagrangianLift
 from .paths import LagrangianPath, SymplecticPath, mu_lagrangian
-from .signature import kashiwara_tau
+from .signature import kashiwara_tau, sign_counts
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,10 @@ class HalfInteger:
 def matrix_signature(A: np.ndarray, tol: float | None = None) -> int:
     """sign A via eigenvalue sign counts; errors near singularity."""
     vals = np.linalg.eigvalsh(np.asarray(A, dtype=float))
-    scale = max(1.0, float(np.abs(vals).max())) if len(vals) else 1.0
-    t = TOL_SIG_BASE * scale if tol is None else tol
-    if np.any(np.abs(vals) <= t * 10):
+    pos, neg, null = sign_counts(vals, tol, "a matrix signature")
+    if null:
         raise IllConditioned("matrix is singular or near-singular for signature")
-    return int(np.count_nonzero(vals > 0) - np.count_nonzero(vals < 0))
+    return pos - neg
 
 
 def spectral_flow(family: SymmetricFamily, tol: float | None = None) -> int:

@@ -184,9 +184,10 @@ def eigenphases(w: SouriauMatrix) -> np.ndarray:
     return np.sort(phases)
 
 
-def rank_tolerance(singular_values: np.ndarray, base: float = TOL_RANK_BASE) -> float:
+def rank_tolerance(singular_values: np.ndarray, base: float | None = None) -> float:
+    """base (TOL_RANK_BASE at call time) * max(1, largest singular value)."""
     top = float(singular_values[0]) if len(singular_values) else 0.0
-    return base * max(1.0, top)
+    return (TOL_RANK_BASE if base is None else base) * max(1.0, top)
 
 
 def _corank(sigma: np.ndarray, tol: float, what: str) -> int:

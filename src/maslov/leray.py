@@ -1,16 +1,16 @@
 """Points of the universal cover of the Lagrangian Grassmannian as pairs
-(w, theta) with det w = e^{i theta}, the closed formula for the index m on
-transversal pairs, and the canonical index mu_bar on arbitrary pairs.
+(w, theta) with det w = e^{i theta}, and the canonical index mu_bar on
+arbitrary pairs by Souriau's trace-log formula
 
-For transversal projections
+    mu_bar = (theta1 - theta2 - sum' arg(-lambda_j)) / pi
 
-    m = (theta1 - theta2 + i TrLog(-w1 w2^{-1})) / (2 pi) + n / 2
-
-where w2^{-1} = conj(w2) and TrLog is taken on the principal branch (the
-argument is unitary, hence normal, and has no eigenphase at +-pi when the
-pair is transversal).  mu_bar = 2m - n there; the general case reduces to
-the transversal one through a companion plane e^{i theta} I transversal to
-both arguments, with the correction term tau.
+over the eigenvalues lambda_j of the unitary w1 conj(w2) = w1 w2^{-1} away
+from 1; the eigenvalues at 1 are the dim(ell1 /\\ ell2) intersection
+directions.  Guard: k = corank(w1 - w2) by the rank rule of ``lagrangian``,
+and exactly k eigenvalues within that rule's threshold of 1.  The singular
+values of w1 - w2 are the |lambda_j - 1|, so the rule's ambiguity band keeps
+every other eigenvalue off the branch cut of arg(-lambda).  On transversal
+pairs mu_bar = 2m - n for Souriau's integer m.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND
+from .defaults import TOL_PHASE, TOL_ROUND
 from .errors import BadInput, IllConditioned
 from .lagrangian import (
     LagrangianFrame,
@@ -28,12 +28,9 @@ from .lagrangian import (
     _corank,
     _scalar_frame,
     companion_phase,
-    frame_from_w,
-    intersection_dim,
     rank_tolerance,
     souriau_w,
 )
-from .signature import kashiwara_tau
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,41 @@ def deck_apply(g: DeckAction, lift: LagrangianLift) -> LagrangianLift:
     return LagrangianLift(lift.w, lift.theta + 2 * math.pi * g.k)
 
 
-def _transversal(w1: SouriauMatrix, w2: SouriauMatrix) -> bool:
-    sigma = np.linalg.svd(w1.w - w2.w, compute_uv=False)
-    return _corank(sigma, rank_tolerance(sigma), "lift transversality") == 0
+def _pair_corank(l1: LagrangianLift, l2: LagrangianLift) -> tuple[int, float]:
+    """dim(ell1 /\\ ell2) as the corank of w1 - w2, and the threshold used."""
+    if l1.n != l2.n:
+        raise BadInput("lifts live in different dimensions")
+    sigma = np.linalg.svd(l1.w.w - l2.w.w, compute_uv=False)
+    t = rank_tolerance(sigma)
+    return _corank(sigma, t, "w-difference corank"), t
+
+
+def mu_bar(
+    l1: LagrangianLift,
+    l2: LagrangianLift,
+    tol_round: float = TOL_ROUND,
+) -> int:
+    """The canonical index, total on pairs of cover points, by the closed
+    form above.  Raises IllConditioned on an ambiguous corank, on a count of
+    eigenvalues at 1 other than the corank, and on a value farther than
+    tol_round from an integer."""
+    k, t = _pair_corank(l1, l2)
+    lam = np.linalg.eigvals(l1.w.w @ l2.w.w.conj())
+    at_one = np.abs(lam - 1) <= t
+    if np.count_nonzero(at_one) != k:
+        raise IllConditioned(
+            f"{np.count_nonzero(at_one)} eigenvalues within {t:g} of 1 "
+            f"but intersection dimension {k}"
+        )
+    phases = np.angle(-lam[~at_one])
+    value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
+    mu = round(value)
+    if abs(value - mu) > tol_round:
+        raise IllConditioned(
+            f"index residual {abs(value - mu):.3g} exceeds tol_round; "
+            "the pair is nearly non-transversal"
+        )
+    return int(mu)
 
 
 def souriau_m(
@@ -82,26 +111,10 @@ def souriau_m(
     l2: LagrangianLift,
     tol_round: float = TOL_ROUND,
 ) -> int:
-    """The integer m on transversal pairs via the principal trace-log."""
-    if l1.n != l2.n:
-        raise BadInput("lifts live in different dimensions")
-    n = l1.n
-    if not _transversal(l1.w, l2.w):
+    """The integer m = (mu_bar + n) / 2 on transversal pairs."""
+    if _pair_corank(l1, l2)[0] != 0:
         raise BadInput("m requires transversal projections")
-    # w2 symmetric unitary: w2^{-1} = conj(w2)
-    prod = -l1.w.w @ l2.w.w.conj()
-    phases = np.angle(np.linalg.eigvals(prod))
-    if np.any(math.pi - np.abs(phases) < TOL_RANK_BASE):
-        raise IllConditioned("eigenphase at the branch cut of the trace-log")
-    # i TrLog = i * (i * sum(phases)) = -sum(phases)
-    value = (l1.theta - l2.theta - float(phases.sum())) / (2 * math.pi) + n / 2
-    m = round(value)
-    if abs(value - m) > tol_round:
-        raise IllConditioned(
-            f"index residual {abs(value - m):.3g} exceeds tol_round; "
-            "the pair is nearly non-transversal"
-        )
-    return int(m)
+    return (mu_bar(l1, l2, tol_round) + l1.n) // 2
 
 
 def companion_lift(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianLift:
@@ -110,33 +123,3 @@ def companion_lift(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianLi
     n = ell1.n
     ell3 = _scalar_frame(theta, n)
     return LagrangianLift(souriau_w(ell3), n * theta)
-
-
-def mu_bar(
-    l1: LagrangianLift,
-    l2: LagrangianLift,
-    companion: LagrangianLift | None = None,
-    tol_round: float = TOL_ROUND,
-) -> int:
-    """The canonical index, total on pairs of cover points.
-
-    Transversal pairs: 2m - n.  Otherwise the pair is routed through a
-    companion plane transversal to both arguments; the result does not
-    depend on the companion chosen (checked by the test suite), and the
-    canonical scalar companion makes runs deterministic.
-    """
-    if l1.n != l2.n:
-        raise BadInput("lifts live in different dimensions")
-    n = l1.n
-    if companion is None and _transversal(l1.w, l2.w):
-        return 2 * souriau_m(l1, l2, tol_round) - n
-    f1 = frame_from_w(l1.w)
-    f2 = frame_from_w(l2.w)
-    l3 = companion if companion is not None else companion_lift(f1, f2)
-    f3 = frame_from_w(l3.w)
-    if intersection_dim(f1, f3).k != 0 or intersection_dim(f2, f3).k != 0:
-        raise BadInput("companion must be transversal to both arguments")
-    tau = kashiwara_tau(f1, f2, f3).tau
-    m13 = souriau_m(l1, l3, tol_round)
-    m23 = souriau_m(l2, l3, tol_round)
-    return (2 * m13 - n) - (2 * m23 - n) + tau

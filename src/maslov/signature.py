@@ -52,6 +52,25 @@ def triple_gram(
     return (B + B.T) / 2
 
 
+def sign_counts(
+    vals: np.ndarray, tol: float | None, what: str
+) -> tuple[int, int, int]:
+    """Positive, negative and null counts of eigenvalues at the threshold tol,
+    by default TOL_SIG_BASE * max(1, largest |eigenvalue|); a magnitude in
+    the ambiguity band (t, AMBIGUITY_DECADE * t) raises IllConditioned."""
+    scale = max(1.0, float(np.abs(vals).max())) if len(vals) else 1.0
+    t = TOL_SIG_BASE * scale if tol is None else tol
+    mags = np.abs(vals)
+    if np.any((mags > t) & (mags < t * AMBIGUITY_DECADE)):
+        raise IllConditioned(
+            f"eigenvalue inside the ambiguity band around tol={t:g} in {what}; "
+            "inputs are too close to a stratum change"
+        )
+    pos = int(np.count_nonzero(vals > t))
+    neg = int(np.count_nonzero(vals < -t))
+    return pos, neg, len(vals) - pos - neg
+
+
 def kashiwara_tau(
     ell1: LagrangianFrame,
     ell2: LagrangianFrame,
@@ -59,19 +78,8 @@ def kashiwara_tau(
     tol: float | None = None,
 ) -> TripleSignature:
     """Signature of the triple form as exact integer sign counts."""
-    G = triple_gram(ell1, ell2, ell3)
-    vals = np.linalg.eigvalsh(G)
-    scale = max(1.0, float(np.abs(vals).max())) if len(vals) else 1.0
-    t = TOL_SIG_BASE * scale if tol is None else tol
-    mags = np.abs(vals)
-    if np.any((mags > t) & (mags < t * AMBIGUITY_DECADE)):
-        raise IllConditioned(
-            "triple-form eigenvalue inside the ambiguity band; "
-            "inputs are too close to a stratum change"
-        )
-    pos = int(np.count_nonzero(vals > t))
-    neg = int(np.count_nonzero(vals < -t))
-    null = len(vals) - pos - neg
+    vals = np.linalg.eigvalsh(triple_gram(ell1, ell2, ell3))
+    pos, neg, null = sign_counts(vals, tol, "the triple form")
     return TripleSignature(pos - neg, pos, neg, null)
 
 

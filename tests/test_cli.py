@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maslov import cli, signature
+from maslov import BadInput, cli, defaults, signature
 from maslov.signature import TripleSignature
 
 
@@ -204,6 +204,65 @@ def test_tolerance_overrides(tmp_path, capsys):
     # overrides are undone afterwards
     code, _, _ = run(["compute", "--input", path], capsys)
     assert code == 4
+
+
+def test_tol_rank_reaches_corank_decisions(tmp_path, capsys):
+    # planes 1e-6 apart: transversal at the default rank tolerance, one
+    # plane (coincident pair) at a coarser one
+    job = {
+        "n": 1,
+        "index": "leray",
+        "lifts": [{"plane": {"graph": [[0.3]]}}, {"plane": {"graph": [[0.3 + 1e-6]]}}],
+    }
+    path = write_job(tmp_path, "j.json", job)
+    code, out, _ = run(["compute", "--input", path], capsys)
+    assert code == 0 and json.loads(out)["value"] == -1
+    code, out, _ = run(["compute", "--input", path, "--tol-rank", "1e-3"], capsys)
+    assert code == 0 and json.loads(out)["value"] == 0
+    code, out, _ = run(["compute", "--input", path], capsys)
+    assert code == 0 and json.loads(out)["value"] == -1
+
+
+def test_tol_sig_reaches_spectral_flow(tmp_path, capsys):
+    # A(0) = 5e-9 lies in the signature ambiguity band at the default tol_sig
+    job = {
+        "n": 1,
+        "index": "spectral-flow",
+        "family": {"coefficients": [[[5e-9]], [[1.0]]]},
+    }
+    path = write_job(tmp_path, "j.json", job)
+    code, _, err = run(["compute", "--input", path], capsys)
+    assert code == 4 and json.loads(err)["error"]["code"] == "ILL_CONDITIONED"
+    code, out, _ = run(["compute", "--input", path, "--tol-sig", "1e-12"], capsys)
+    assert code == 0 and json.loads(out)["value"] == 0
+
+
+NON_FINITE_JOBS = {
+    "spectral-flow-coefficients": {
+        "n": 1,
+        "index": "spectral-flow",
+        "family": {"coefficients": [[[math.nan]], [[1.0]]]},
+    },
+    "graph-plane": {
+        "n": 1,
+        "index": "kashiwara",
+        "planes": ["coordinate_xstar", {"graph": [[math.nan]]}, "coordinate_x"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_JOBS))
+def test_non_finite_entries_rejected(name):
+    with pytest.raises(BadInput):
+        cli.compute_report(NON_FINITE_JOBS[name], defaults.TOL_ROUND)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_JOBS))
+def test_non_finite_entries_exit_code(name, tmp_path, capsys):
+    path = write_job(tmp_path, "j.json", NON_FINITE_JOBS[name])
+    code, out, err = run(["compute", "--input", path], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
 def test_refine_depth_flag(tmp_path, capsys):

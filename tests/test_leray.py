@@ -7,10 +7,13 @@ import scipy.integrate
 from maslov import (
     BadInput,
     DeckAction,
+    IllConditioned,
     LagrangianLift,
+    SouriauMatrix,
     coordinate_x,
     coordinate_xstar,
     deck_apply,
+    frame_from_graph,
     frame_from_w,
     intersection_dim,
     kashiwara_tau,
@@ -21,6 +24,7 @@ from maslov import (
 )
 from maslov.leray import companion_lift
 from maslov.random_gen import random_frame, random_frame_intersecting, random_lift
+from maslov.verify import mu_bar_via_companion
 
 
 def test_lift_anchors():
@@ -152,14 +156,56 @@ def test_mu_bar_companion_independence(rng):
                 ):
                     continue
                 comp = lift_of(cand, int(rng.integers(-2, 3)))
-                assert mu_bar(l1, l2, companion=comp) == base
+                assert mu_bar_via_companion(l1, l2, comp) == base
 
 
 def test_mu_bar_rejects_bad_companion(rng):
     f1 = random_frame(rng, 2)
     f2 = random_frame_intersecting(rng, f1, 1)
     with pytest.raises(BadInput):
-        mu_bar(lift_of(f1, 0), lift_of(f2, 0), companion=lift_of(f1, 0))
+        mu_bar_via_companion(lift_of(f1, 0), lift_of(f2, 0), lift_of(f1, 0))
+
+
+def _phase_lift(O, phases, branch):
+    w = (O * np.exp(1j * phases)) @ O.T
+    return LagrangianLift(SouriauMatrix(w), float(phases.sum()) + 2 * math.pi * branch)
+
+
+def test_mu_bar_closed_form_strata(rng):
+    """Commuting pairs O diag(e^{i phi}) O^t and O diag(e^{i psi}) O^t with k
+    shared phases: each direction j contributes floor(d_j) + ceil(d_j) for
+    d_j = (phi_j - psi_j) / 2 pi, so 2 q_j + 1 when d_j lies in (q_j, q_j + 1)
+    and 2 q_j when d_j = q_j, an intersection direction."""
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for _ in range(10):
+                O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                psi = rng.uniform(-math.pi, math.pi, n)
+                q = rng.integers(-2, 3, n)
+                frac = rng.uniform(0.05, 0.95, n)
+                frac[rng.permutation(n)[:k]] = 0.0
+                phi = psi + 2 * math.pi * (q + frac)
+                b, c = (int(x) for x in rng.integers(-2, 3, 2))
+                expected = int(2 * q.sum()) + int(np.count_nonzero(frac)) + 2 * (b - c)
+                assert mu_bar(_phase_lift(O, phi, b), _phase_lift(O, psi, c)) == expected
+
+
+@pytest.mark.parametrize(
+    "eps, expected", [(0.0, 0), (1e-12, 0), (3e-8, IllConditioned), (1e-5, -1)]
+)
+def test_mu_bar_graph_perturbation(eps, expected):
+    """Graph planes A and A + eps e0 e0^t: coincident, coincident within the
+    rank threshold, inside the ambiguity band, transversal.  det w of A is
+    far from -1, so the principal lifts do not jump a branch."""
+    A = np.array([[2.0, 0.3], [0.3, 3.0]])
+    B = A.copy()
+    B[0, 0] += eps
+    l1, l2 = lift_of(frame_from_graph(A)), lift_of(frame_from_graph(B))
+    if expected is IllConditioned:
+        with pytest.raises(IllConditioned):
+            mu_bar(l1, l2)
+    else:
+        assert mu_bar(l1, l2) == expected
 
 
 def test_companion_lift_is_scalar_and_transversal(rng):
@@ -172,3 +218,5 @@ def test_companion_lift_is_scalar_and_transversal(rng):
         f3 = frame_from_w(comp.w)
         assert intersection_dim(f3, f1).k == 0
         assert intersection_dim(f3, f2).k == 0
+        l1, l2 = lift_of(f1, 0), lift_of(f2, 1)
+        assert mu_bar_via_companion(l1, l2) == mu_bar(l1, l2)
