@@ -18,10 +18,12 @@ import sys
 import numpy as np
 
 from . import defaults, lagrangian, leray, paths, signature, verify
-from .derived import SymmetricFamily, graph_path, shear_path, spectral_flow
+from .derived import SymmetricFamily, graph_path, hormander_xi, shear_path, spectral_flow
 from .errors import BadInput, IllConditioned, MaslovError, Undersampled
 
 EXIT_CODES = {"BAD_INPUT": 2, "UNDERSAMPLED": 3, "ILL_CONDITIONED": 4}
+
+PATH_KINDS = ("keller-maslov", "lagrangian", "symplectic", "mu-ell", "rs")
 
 INDEX_KINDS = (
     "keller-maslov",
@@ -40,13 +42,27 @@ INDEX_KINDS = (
 def _matrix(data, shape, what):
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"{what}: not a numeric array ({exc})")
     if arr.shape != shape:
         raise BadInput(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise BadInput(f"{what}: entries must be finite")
     return arr
+
+
+def _number(data, what, integer=False):
+    """A scalar job field: a finite number, integral if ``integer``."""
+    x = float(_matrix(data, (), what))
+    if integer and not x.is_integer():
+        raise BadInput(f"{what}: expected an integer, got {data!r}")
+    return int(x) if integer else x
+
+
+def _times(spec, count):
+    if "times" not in spec:
+        return tuple(np.linspace(0.0, 1.0, count))
+    return tuple(_matrix(spec["times"], (count,), "times"))
 
 
 def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
@@ -106,14 +122,15 @@ def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
                 raise
             except Exception as exc:
                 raise BadInput(f"frame sample {i}: {exc}")
-        times = spec.get("times", list(np.linspace(0.0, 1.0, len(frames))))
-        return paths.LagrangianPath(tuple(times), tuple(frames), None)
+        return paths.LagrangianPath(_times(spec, len(frames)), tuple(frames), None)
     if kind == "rotation":
         if n not in (1, 2):
             raise BadInput("rotation paths are defined for n = 1 or 2")
-        a0 = float(spec.get("alpha_start", 0.0))
-        a1 = float(spec.get("alpha_end", math.pi))
-        samples = int(spec.get("samples", 33))
+        a0 = _number(spec.get("alpha_start", 0.0), "alpha_start")
+        a1 = _number(spec.get("alpha_end", math.pi), "alpha_end")
+        samples = _number(spec.get("samples", 33), "samples", integer=True)
+        if not 2 <= samples <= paths.MAX_SAMPLES:
+            raise BadInput(f"samples must lie in [2, {paths.MAX_SAMPLES}]")
         return paths.rotation_path(n, a0, a1, samples)
     if kind == "graph_polynomial":
         return graph_path(_polynomial_family(spec.get("coefficients", []), n))
@@ -130,8 +147,7 @@ def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
             _matrix(m, (2 * n, 2 * n), f"matrix sample {i}")
             for i, m in enumerate(mats_raw)
         )
-        times = spec.get("times", list(np.linspace(0.0, 1.0, len(mats))))
-        return paths.SymplecticPath(tuple(times), mats, None)
+        return paths.SymplecticPath(_times(spec, len(mats)), mats, None)
     if kind == "shear":
         return shear_path(_polynomial_family(spec.get("coefficients", []), n))
     raise BadInput(f"unrecognized symplectic path kind: {kind!r}")
@@ -140,7 +156,8 @@ def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
 def _lift_from_spec(spec, n) -> leray.LagrangianLift:
     if not isinstance(spec, dict) or "plane" not in spec:
         raise BadInput('lift description must be {"plane": ..., "branch": k}')
-    return leray.lift_of(parse_plane(spec["plane"], n), int(spec.get("branch", 0)))
+    branch = _number(spec.get("branch", 0), "branch", integer=True)
+    return leray.lift_of(parse_plane(spec["plane"], n), branch)
 
 
 def _lift_report(lift: leray.LagrangianLift) -> dict:
@@ -154,7 +171,9 @@ def _planes_of(job, n, count):
     return [parse_plane(s, n) for s in specs]
 
 
-def compute_report(job: dict, tol_round: float) -> dict:
+def compute_report(
+    job: dict, tol_round: float, max_depth: int = paths.MAX_REFINE_DEPTH
+) -> dict:
     if not isinstance(job, dict):
         raise BadInput("job must be a JSON object")
     try:
@@ -169,52 +188,33 @@ def compute_report(job: dict, tol_round: float) -> dict:
 
     report: dict = {"index": kind, "n": n}
 
-    if kind == "keller-maslov":
-        lam = parse_lagrangian_path(job.get("path"), n)
-        lifted = paths.lift_path(lam)
-        if not paths.same_plane(lam.start(), lam.end()):
-            raise BadInput("loop index requires a closed path")
-        report["value"] = paths._integer(lifted.winding(), tol_round, "loop winding")
-        report["samples"] = lifted.sample_count
-        report["lifts"] = {
-            "start": _lift_report(lifted.start_lift()),
-            "end": _lift_report(lifted.end_lift()),
-        }
-    elif kind in ("lagrangian", "rs"):
-        lam = parse_lagrangian_path(job.get("path"), n)
-        ell = parse_plane(job.get("plane"), n)
-        value = paths.mu_lagrangian(lam, ell, tol_round)
-        lifted = paths.lift_path(lam)
-        report["samples"] = lifted.sample_count
-        report["lifts"] = {
-            "start": _lift_report(lifted.start_lift()),
-            "end": _lift_report(lifted.end_lift()),
-            "reference_branch": 0,
-        }
-        if kind == "rs":
-            report["twice_value"] = value
+    if kind in PATH_KINDS:
+        # every path index is read off one lift of the (induced) path
+        if kind in ("symplectic", "mu-ell"):
+            sig = parse_symplectic_path(job.get("path"), n)
+            ell = parse_plane(job.get("plane"), n)
+            if kind == "mu-ell":
+                paths.check_identity_start(sig)
+            lam = paths.induced_path(sig, ell)
         else:
-            report["value"] = value
-    elif kind == "symplectic":
-        sig = parse_symplectic_path(job.get("path"), n)
-        ell = parse_plane(job.get("plane"), n)
-        report["value"] = paths.mu_symplectic(sig, ell, tol_round)
-        lifted = paths.lift_path(paths.induced_path(sig, ell))
+            lam = parse_lagrangian_path(job.get("path"), n)
+            if kind != "keller-maslov":
+                ell = parse_plane(job.get("plane"), n)
+        lifted = paths.lift_path(lam, max_depth=max_depth)
+        if kind == "keller-maslov":
+            value = lifted.keller_maslov(tol_round)
+        elif kind == "mu-ell":
+            value = lifted.mu_ell(tol_round)
+        else:
+            value = lifted.mu_lagrangian(ell, tol_round)
+        report["twice_value" if kind == "rs" else "value"] = value
         report["samples"] = lifted.sample_count
         report["lifts"] = {
             "start": _lift_report(lifted.start_lift()),
             "end": _lift_report(lifted.end_lift()),
         }
-    elif kind == "mu-ell":
-        sig = parse_symplectic_path(job.get("path"), n)
-        ell = parse_plane(job.get("plane"), n)
-        report["value"] = paths.mu_ell(sig, ell, tol_round)
-        lifted = paths.lift_path(paths.induced_path(sig, ell))
-        report["samples"] = lifted.sample_count
-        report["lifts"] = {
-            "start": _lift_report(lifted.start_lift()),
-            "end": _lift_report(lifted.end_lift()),
-        }
+        if kind in ("lagrangian", "rs"):
+            report["lifts"]["reference_branch"] = 0
     elif kind == "leray":
         lifts_raw = job.get("lifts")
         if not isinstance(lifts_raw, list) or len(lifts_raw) != 2:
@@ -236,8 +236,6 @@ def compute_report(job: dict, tol_round: float) -> dict:
         fs = _planes_of(job, n, 3)
         report["value"] = signature.inert_index(*fs)
     elif kind == "hormander":
-        from .derived import hormander_xi
-
         fs = _planes_of(job, n, 4)
         report["twice_value"] = hormander_xi(*fs).twice_value
     elif kind == "spectral-flow":
@@ -252,8 +250,8 @@ def compute_report(job: dict, tol_round: float) -> dict:
 
     report["inputs"] = job
     report["tolerances"] = {
-        "tol_rank": defaults.TOL_RANK_BASE,
-        "tol_sig": defaults.TOL_SIG_BASE,
+        "tol_rank": lagrangian.TOL_RANK_BASE,
+        "tol_sig": signature.TOL_SIG_BASE,
         "tol_round": tol_round,
     }
     return report
@@ -264,58 +262,47 @@ def _serialize(report: dict) -> str:
 
 
 def _apply_overrides(args):
-    """Install tolerance/refinement overrides; returns an undo callable."""
-    saved = []
-
-    def override(module, name, value):
-        saved.append((module, name, getattr(module, name)))
-        setattr(module, name, value)
-
+    """Install the tolerance overrides; returns an undo callable."""
+    saved = lagrangian.TOL_RANK_BASE, signature.TOL_SIG_BASE
     if args.tol_rank is not None:
-        override(lagrangian, "TOL_RANK_BASE", args.tol_rank)
+        lagrangian.TOL_RANK_BASE = args.tol_rank
     if args.tol_sig is not None:
-        override(signature, "TOL_SIG_BASE", args.tol_sig)
-    if args.refine_depth is not None:
-        original = paths.lift_path
-        depth = args.refine_depth
-
-        def lift_with_depth(lam, branch=0, theta_start=None, max_depth=depth):
-            return original(lam, branch, theta_start, max_depth)
-
-        saved.append((paths, "lift_path", original))
-        paths.lift_path = lift_with_depth
+        signature.TOL_SIG_BASE = args.tol_sig
 
     def undo():
-        for module, name, value in reversed(saved):
-            setattr(module, name, value)
+        lagrangian.TOL_RANK_BASE, signature.TOL_SIG_BASE = saved
 
     return undo
 
 
-def _error_payload(code: str, message: str) -> str:
-    return _serialize({"error": {"code": code, "message": message}})
+def _fail(code: str, message: str) -> int:
+    sys.stderr.write(_serialize({"error": {"code": code, "message": message}}))
+    return EXIT_CODES[code]
 
 
 def cmd_compute(args) -> int:
+    for flag in ("tol_rank", "tol_sig", "tol_round"):
+        value = getattr(args, flag)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return _fail("BAD_INPUT", f"--{flag.replace('_', '-')} must be finite and > 0")
+    if args.refine_depth is not None and args.refine_depth < 0:
+        return _fail("BAD_INPUT", "--refine-depth must be >= 0")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             job = json.load(fh)
     except OSError as exc:
-        sys.stderr.write(_error_payload("BAD_INPUT", f"cannot read job file: {exc}"))
-        return 2
+        return _fail("BAD_INPUT", f"cannot read job file: {exc}")
     except json.JSONDecodeError as exc:
-        sys.stderr.write(_error_payload("BAD_INPUT", f"invalid JSON: {exc}"))
-        return 2
-    if args.index is not None:
-        job = dict(job)
-        job["index"] = args.index
+        return _fail("BAD_INPUT", f"invalid JSON: {exc}")
+    if args.index is not None and isinstance(job, dict):
+        job = dict(job, index=args.index)
     tol_round = args.tol_round if args.tol_round is not None else defaults.TOL_ROUND
+    depth = args.refine_depth if args.refine_depth is not None else paths.MAX_REFINE_DEPTH
     undo = _apply_overrides(args)
     try:
-        report = compute_report(job, tol_round)
+        report = compute_report(job, tol_round, depth)
     except MaslovError as exc:
-        sys.stderr.write(_error_payload(exc.code, str(exc)))
-        return EXIT_CODES[exc.code]
+        return _fail(exc.code, str(exc))
     finally:
         undo()
     text = _serialize(report)

@@ -30,6 +30,9 @@ MAX_PHASE_STEP = math.pi / 2
 #: hard cap on samples produced by refinement in a single lift
 MAX_SAMPLES = 10**6
 
+#: default bisection depth of lift_path
+MAX_REFINE_DEPTH = 40
+
 #: planes are considered equal when their w matrices agree to this
 PLANE_MATCH_TOL = 1e-8
 
@@ -179,6 +182,25 @@ class LiftedPath:
     def winding(self) -> float:
         return (self.thetas[-1] - self.thetas[0]) / (2 * math.pi)
 
+    def keller_maslov(self, tol_round: float = TOL_ROUND) -> int:
+        """Winding number of det w around the lifted path, which must be a loop."""
+        if not same_plane(self.frames[0], self.frames[-1]):
+            raise BadInput("loop index requires a closed path")
+        return _integer(self.winding(), tol_round, "loop winding")
+
+    def mu_lagrangian(self, ell: LagrangianFrame, tol_round: float = TOL_ROUND) -> int:
+        """Canonical intersection index of the path with ell: the difference of
+        the two-point index of the end and start lifts against any lift of
+        ell, which is independent of the branch choices."""
+        ell_inf = lift_of(ell, 0)
+        end = mu_bar(self.end_lift(), ell_inf, tol_round=tol_round)
+        return end - mu_bar(self.start_lift(), ell_inf, tol_round=tol_round)
+
+    def mu_ell(self, tol_round: float = TOL_ROUND) -> int:
+        """mu_ell when the path is t -> sig(t) ell with sig(0) = I: the
+        canonical two-point index between its end and start lifts."""
+        return mu_bar(self.end_lift(), self.start_lift(), tol_round=tol_round)
+
 
 def _det_angle(frame: LagrangianFrame):
     w = souriau_w(frame)
@@ -193,7 +215,7 @@ def lift_path(
     lam: LagrangianPath,
     branch: int = 0,
     theta_start: float | None = None,
-    max_depth: int = 40,
+    max_depth: int = MAX_REFINE_DEPTH,
 ) -> LiftedPath:
     """Phase unwrapping of det w along the path.
 
@@ -280,11 +302,10 @@ def _integer(value: float, tol_round: float, what: str) -> int:
 
 
 def keller_maslov(gamma: LagrangianPath, tol_round: float = TOL_ROUND) -> int:
-    """Winding number of det w around a Lagrangian loop."""
-    if not same_plane(gamma.start(), gamma.end()):
-        raise BadInput("loop index requires gamma(0) = gamma(1) as planes")
-    lifted = lift_path(gamma)
-    return _integer(lifted.winding(), tol_round, "loop winding")
+    """Winding number of det w around a Lagrangian loop.  The loop is lifted
+    before its closedness is checked (an open path that also fails to lift
+    raises Undersampled)."""
+    return lift_path(gamma).keller_maslov(tol_round)
 
 
 def mu_lagrangian(
@@ -292,17 +313,8 @@ def mu_lagrangian(
     ell: LagrangianFrame,
     tol_round: float = TOL_ROUND,
 ) -> int:
-    """Canonical intersection index of a Lagrangian path with a plane.
-
-    Lift the path on branch 0 and take the difference of the canonical
-    two-point index against any lift of ell; the difference is independent
-    of the branch choices.
-    """
-    lifted = lift_path(lam)
-    ell_inf = lift_of(ell, 0)
-    return mu_bar(lifted.end_lift(), ell_inf, tol_round=tol_round) - mu_bar(
-        lifted.start_lift(), ell_inf, tol_round=tol_round
-    )
+    """Canonical intersection index of a Lagrangian path with a plane."""
+    return lift_path(lam).mu_lagrangian(ell, tol_round)
 
 
 def _act(entries: np.ndarray, ell: LagrangianFrame) -> LagrangianFrame:
@@ -332,20 +344,20 @@ def mu_symplectic(
     return mu_lagrangian(induced_path(sig, ell), ell, tol_round)
 
 
+def check_identity_start(sig: SymplecticPath) -> None:
+    """BadInput unless the symplectic path starts at the identity."""
+    if float(np.abs(sig.start() - np.eye(2 * sig.n)).max()) > 1e-8:
+        raise BadInput("this index requires a path starting at the identity")
+
+
 def mu_ell(
     sig: SymplecticPath,
     ell: LagrangianFrame,
     tol_round: float = TOL_ROUND,
 ) -> int:
-    """Index of a symplectic path from the identity, relative to ell.
-
-    Equals the canonical two-point index between the endpoint and the start
-    of the lifted induced path t -> sig(t) ell.
-    """
-    if float(np.abs(sig.start() - np.eye(2 * sig.n)).max()) > 1e-8:
-        raise BadInput("this index requires a path starting at the identity")
-    lifted = lift_path(induced_path(sig, ell))
-    return mu_bar(lifted.end_lift(), lifted.start_lift(), tol_round=tol_round)
+    """Index of a symplectic path from the identity, relative to ell."""
+    check_identity_start(sig)
+    return lift_path(induced_path(sig, ell)).mu_ell(tol_round)
 
 
 # ---------------------------------------------------------------------------

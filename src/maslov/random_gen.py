@@ -9,7 +9,6 @@ is exactly symplectic up to rounding.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .lagrangian import (
     LagrangianFrame,

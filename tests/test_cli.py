@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maslov import BadInput, cli, defaults, signature
+from maslov import BadInput, Undersampled, cli, defaults, paths, signature
 from maslov.signature import TripleSignature
 
 
@@ -174,7 +174,12 @@ def test_undersampled_exit_code(tmp_path, capsys):
         },
         "plane": {"graph": [[0.5]]},
     }
-    code, _, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
+    path = write_job(tmp_path, "j.json", job)
+    code, _, err = run(["compute", "--input", path], capsys)
+    assert code == 3 and json.loads(err)["error"]["code"] == "UNDERSAMPLED"
+    # as a loop the path is also open: the loop index lifts before it checks
+    # closedness, so it stays undersampled
+    code, _, err = run(["compute", "--input", path, "--index", "keller-maslov"], capsys)
     assert code == 3 and json.loads(err)["error"]["code"] == "UNDERSAMPLED"
 
 
@@ -201,6 +206,7 @@ def test_tolerance_overrides(tmp_path, capsys):
     assert code == 4
     code, out, _ = run(["compute", "--input", path, "--tol-sig", "1e-12"], capsys)
     assert code == 0 and json.loads(out)["value"] == 1
+    assert json.loads(out)["tolerances"]["tol_sig"] == 1e-12
     # overrides are undone afterwards
     code, _, _ = run(["compute", "--input", path], capsys)
     assert code == 4
@@ -217,8 +223,10 @@ def test_tol_rank_reaches_corank_decisions(tmp_path, capsys):
     path = write_job(tmp_path, "j.json", job)
     code, out, _ = run(["compute", "--input", path], capsys)
     assert code == 0 and json.loads(out)["value"] == -1
+    assert json.loads(out)["tolerances"]["tol_rank"] == defaults.TOL_RANK_BASE
     code, out, _ = run(["compute", "--input", path, "--tol-rank", "1e-3"], capsys)
     assert code == 0 and json.loads(out)["value"] == 0
+    assert json.loads(out)["tolerances"]["tol_rank"] == 1e-3
     code, out, _ = run(["compute", "--input", path], capsys)
     assert code == 0 and json.loads(out)["value"] == -1
 
@@ -285,9 +293,119 @@ def test_refine_depth_flag(tmp_path, capsys):
     value = json.loads(out)["value"]
     code, _, err = run(["compute", "--input", path, "--refine-depth", "1"], capsys)
     assert code == 3 and json.loads(err)["error"]["code"] == "UNDERSAMPLED"
+    with pytest.raises(Undersampled):
+        cli.compute_report(job, defaults.TOL_ROUND, max_depth=1)
     # deeper refinement reproduces the default value
     code, out, _ = run(["compute", "--input", path, "--refine-depth", "12"], capsys)
     assert code == 0 and json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol-rank", "nan"),
+        ("--tol-rank", "-1"),
+        ("--tol-sig", "0"),
+        ("--tol-sig", "inf"),
+        ("--tol-round", "nan"),
+        ("--tol-round", "inf"),
+        ("--refine-depth", "-1"),
+    ],
+)
+def test_bad_flag_values(flag, value, tmp_path, capsys):
+    # with --tol-rank nan or -1 these equal planes used to give value 1
+    job = {
+        "n": 1,
+        "index": "leray",
+        "lifts": [{"plane": {"graph": [[0.3]]}}, {"plane": {"graph": [[0.3]]}}],
+    }
+    path = write_job(tmp_path, "j.json", job)
+    code, out, err = run(["compute", "--input", path, flag, value], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+def _rotation_job(**path):
+    return {
+        "n": 1,
+        "index": "lagrangian",
+        "path": dict({"kind": "rotation"}, **path),
+        "plane": "coordinate_x",
+    }
+
+
+BAD_SCALAR_JOBS = {
+    "branch": (
+        {
+            "n": 1,
+            "index": "leray",
+            "lifts": [
+                {"plane": "coordinate_x", "branch": "abc"},
+                {"plane": "coordinate_xstar"},
+            ],
+        },
+        [],
+    ),
+    "alpha_end": (_rotation_job(alpha_end="pi"), []),
+    "samples-string": (_rotation_job(samples="x"), []),
+    "samples-negative": (_rotation_job(samples=-1), []),
+    "times": (
+        {
+            "n": 1,
+            "index": "keller-maslov",
+            "path": {
+                "kind": "lagrangian_samples",
+                "frames": [[[0.0], [1.0]], [[0.0], [1.0]]],
+                "times": ["a", 1],
+            },
+        },
+        [],
+    ),
+    "non-object-job": ([1, 2], ["--index", "leray"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCALAR_JOBS))
+def test_bad_scalar_fields(name, tmp_path, capsys):
+    job, extra = BAD_SCALAR_JOBS[name]
+    path = write_job(tmp_path, "j.json", job)
+    code, out, err = run(["compute", "--input", path] + extra, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+ROTATION = {"kind": "rotation", "alpha_end": math.pi}
+
+LIFT_ONCE_JOBS = {
+    "keller-maslov": {"path": ROTATION},
+    "lagrangian": {"path": ROTATION, "plane": {"graph": [[1.0]]}},
+    "rs": {"path": ROTATION, "plane": {"graph": [[1.0]]}},
+    # shear paths from A(0) = -1 and, for mu-ell, from the identity (A(0) = 0)
+    "symplectic": {"path": {"kind": "shear", "coefficients": [[[-1.0]], [[2.0]]]}},
+    "mu-ell": {"path": {"kind": "shear", "coefficients": [[[0.0]], [[2.0]]]}},
+}
+
+
+@pytest.mark.parametrize("index", sorted(LIFT_ONCE_JOBS))
+def test_path_report_lifts_once(index, monkeypatch):
+    # the value and the report's samples/lifts come from one lift
+    calls = {"lift_path": 0, "induced_path": 0}
+
+    def counted(name):
+        original = getattr(paths, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(paths, name, wrapper)
+
+    counted("lift_path")
+    counted("induced_path")
+    job = dict({"plane": "coordinate_x"}, **LIFT_ONCE_JOBS[index], n=1, index=index)
+    report = cli.compute_report(job, defaults.TOL_ROUND)
+    assert report["samples"] >= 33
+    assert calls["lift_path"] == 1 and calls["induced_path"] <= 1
 
 
 def test_verify_passes(capsys):

@@ -77,6 +77,10 @@ def test_undersampled_without_generator():
     f1 = coordinate_x(1)
     with pytest.raises(Undersampled):
         lift_path(LagrangianPath((0.0, 1.0), (f0, f1), None))
+    # the loop index lifts before it checks closedness, so this open path
+    # is undersampled rather than rejected as open
+    with pytest.raises(Undersampled):
+        keller_maslov(LagrangianPath((0.0, 1.0), (f0, f1), None))
 
 
 def test_keller_maslov_anchors():
