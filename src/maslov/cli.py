@@ -17,13 +17,17 @@ import sys
 
 import numpy as np
 
-from . import defaults, lagrangian, leray, paths, signature, verify
+from . import lagrangian, leray, paths, signature, verify
+from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .derived import SymmetricFamily, graph_path, hormander_xi, shear_path, spectral_flow
-from .errors import BadInput, IllConditioned, MaslovError, Undersampled
+from .errors import BadInput, MaslovError
 
 EXIT_CODES = {"BAD_INPUT": 2, "UNDERSAMPLED": 3, "ILL_CONDITIONED": 4}
 
 PATH_KINDS = ("keller-maslov", "lagrangian", "symplectic", "mu-ell", "rs")
+
+#: largest accepted dimension, checked before anything is allocated
+MAX_N = 256
 
 INDEX_KINDS = (
     "keller-maslov",
@@ -40,8 +44,16 @@ INDEX_KINDS = (
 
 
 def _matrix(data, shape, what):
+    """A job array of JSON numbers; strings and booleans, which numpy would
+    convert, are rejected."""
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.asarray(data)
+        kind = arr.dtype.kind
+        if kind == "O" and {type(x) for x in arr.flat} <= {int, float}:
+            kind = "f"  # integer literals too large for int64
+        if kind not in "iuf":
+            raise BadInput(f"{what}: entries must be numbers")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"{what}: not a numeric array ({exc})")
     if arr.shape != shape:
@@ -88,6 +100,8 @@ def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
 
 
 def _polynomial_family(coefficients, n) -> SymmetricFamily:
+    if not isinstance(coefficients, (list, tuple)):
+        raise BadInput("polynomial coefficients: expected a list of matrices")
     coeffs = [
         _matrix(c, (n, n), f"polynomial coefficient {i}")
         for i, c in enumerate(coefficients)
@@ -95,7 +109,7 @@ def _polynomial_family(coefficients, n) -> SymmetricFamily:
     if not coeffs:
         raise BadInput("graph_polynomial needs at least one coefficient")
     for i, c in enumerate(coeffs):
-        if np.abs(c - c.T).max() > defaults.TOL_SYM * max(1.0, np.abs(c).max()):
+        if np.abs(c - c.T).max() > TOL_SYM * max(1.0, np.abs(c).max()):
             raise BadInput(f"polynomial coefficient {i} is not symmetric")
 
     def A(t: float) -> np.ndarray:
@@ -172,16 +186,19 @@ def _planes_of(job, n, count):
 
 
 def compute_report(
-    job: dict, tol_round: float, max_depth: int = paths.MAX_REFINE_DEPTH
+    job: dict,
+    tol_round: float = TOL_ROUND,
+    max_depth: int = paths.MAX_REFINE_DEPTH,
+    tol_rank: float = TOL_RANK_BASE,
+    tol_sig: float = TOL_SIG_BASE,
 ) -> dict:
+    """The report of one job; the tolerances are the bases of the rounding,
+    corank and signature decisions, and the report echoes them."""
     if not isinstance(job, dict):
         raise BadInput("job must be a JSON object")
-    try:
-        n = int(job["n"])
-    except (KeyError, TypeError, ValueError):
-        raise BadInput("job needs an integer field 'n'")
-    if n < 1:
-        raise BadInput("n must be positive")
+    n = _number(job.get("n"), "n", integer=True)
+    if not 1 <= n <= MAX_N:
+        raise BadInput(f"n must lie in [1, {MAX_N}]")
     kind = job.get("index")
     if kind not in INDEX_KINDS:
         raise BadInput(f"index must be one of {', '.join(INDEX_KINDS)}")
@@ -204,9 +221,9 @@ def compute_report(
         if kind == "keller-maslov":
             value = lifted.keller_maslov(tol_round)
         elif kind == "mu-ell":
-            value = lifted.mu_ell(tol_round)
+            value = lifted.mu_ell(tol_round, tol_rank)
         else:
-            value = lifted.mu_lagrangian(ell, tol_round)
+            value = lifted.mu_lagrangian(ell, tol_round, tol_rank)
         report["twice_value" if kind == "rs" else "value"] = value
         report["samples"] = lifted.sample_count
         report["lifts"] = {
@@ -221,11 +238,11 @@ def compute_report(
             raise BadInput("the two-point index needs exactly two lifts")
         l1 = _lift_from_spec(lifts_raw[0], n)
         l2 = _lift_from_spec(lifts_raw[1], n)
-        report["value"] = leray.mu_bar(l1, l2, tol_round=tol_round)
+        report["value"] = leray.mu_bar(l1, l2, tol_round, tol_rank)
         report["lifts"] = {"first": _lift_report(l1), "second": _lift_report(l2)}
     elif kind == "kashiwara":
         fs = _planes_of(job, n, 3)
-        sig3 = signature.kashiwara_tau(*fs)
+        sig3 = signature.kashiwara_tau(*fs, tol_sig=tol_sig)
         report["value"] = sig3.tau
         report["eigenvalue_counts"] = {
             "positive": sig3.positive_count,
@@ -234,10 +251,10 @@ def compute_report(
         }
     elif kind == "inert":
         fs = _planes_of(job, n, 3)
-        report["value"] = signature.inert_index(*fs)
+        report["value"] = signature.inert_index(*fs, tol_rank=tol_rank, tol_sig=tol_sig)
     elif kind == "hormander":
         fs = _planes_of(job, n, 4)
-        report["twice_value"] = hormander_xi(*fs).twice_value
+        report["twice_value"] = hormander_xi(*fs, tol_sig=tol_sig).twice_value
     elif kind == "spectral-flow":
         fam_spec = job.get("family") or job.get("path") or {}
         coeffs = fam_spec.get("coefficients") if isinstance(fam_spec, dict) else None
@@ -246,12 +263,12 @@ def compute_report(
                 'spectral-flow needs {"family": {"coefficients": [A0, A1, ...]}}'
             )
         fam = _polynomial_family(coeffs, n)
-        report["value"] = spectral_flow(fam)
+        report["value"] = spectral_flow(fam, tol_sig)
 
     report["inputs"] = job
     report["tolerances"] = {
-        "tol_rank": lagrangian.TOL_RANK_BASE,
-        "tol_sig": signature.TOL_SIG_BASE,
+        "tol_rank": tol_rank,
+        "tol_sig": tol_sig,
         "tol_round": tol_round,
     }
     return report
@@ -259,20 +276,6 @@ def compute_report(
 
 def _serialize(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(", ", ": ")) + "\n"
-
-
-def _apply_overrides(args):
-    """Install the tolerance overrides; returns an undo callable."""
-    saved = lagrangian.TOL_RANK_BASE, signature.TOL_SIG_BASE
-    if args.tol_rank is not None:
-        lagrangian.TOL_RANK_BASE = args.tol_rank
-    if args.tol_sig is not None:
-        signature.TOL_SIG_BASE = args.tol_sig
-
-    def undo():
-        lagrangian.TOL_RANK_BASE, signature.TOL_SIG_BASE = saved
-
-    return undo
 
 
 def _fail(code: str, message: str) -> int:
@@ -283,9 +286,9 @@ def _fail(code: str, message: str) -> int:
 def cmd_compute(args) -> int:
     for flag in ("tol_rank", "tol_sig", "tol_round"):
         value = getattr(args, flag)
-        if value is not None and not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             return _fail("BAD_INPUT", f"--{flag.replace('_', '-')} must be finite and > 0")
-    if args.refine_depth is not None and args.refine_depth < 0:
+    if args.refine_depth < 0:
         return _fail("BAD_INPUT", "--refine-depth must be >= 0")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -296,15 +299,12 @@ def cmd_compute(args) -> int:
         return _fail("BAD_INPUT", f"invalid JSON: {exc}")
     if args.index is not None and isinstance(job, dict):
         job = dict(job, index=args.index)
-    tol_round = args.tol_round if args.tol_round is not None else defaults.TOL_ROUND
-    depth = args.refine_depth if args.refine_depth is not None else paths.MAX_REFINE_DEPTH
-    undo = _apply_overrides(args)
     try:
-        report = compute_report(job, tol_round, depth)
+        report = compute_report(
+            job, args.tol_round, args.refine_depth, args.tol_rank, args.tol_sig
+        )
     except MaslovError as exc:
         return _fail(exc.code, str(exc))
-    finally:
-        undo()
     text = _serialize(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -339,11 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument(
         "--index", choices=INDEX_KINDS, help="override the job's index kind"
     )
-    comp.add_argument("--tol-rank", type=float, help="rank-decision tolerance base")
-    comp.add_argument("--tol-sig", type=float, help="signature tolerance base")
-    comp.add_argument("--tol-round", type=float, help="integer rounding tolerance")
+    for flag, default, what in (
+        ("--tol-rank", TOL_RANK_BASE, "rank-decision tolerance base"),
+        ("--tol-sig", TOL_SIG_BASE, "signature tolerance base"),
+        ("--tol-round", TOL_ROUND, "integer rounding tolerance"),
+    ):
+        comp.add_argument(flag, type=float, default=default, help=what)
     comp.add_argument(
-        "--refine-depth", type=int, help="maximum bisection depth for path lifting"
+        "--refine-depth",
+        type=int,
+        default=paths.MAX_REFINE_DEPTH,
+        help="maximum bisection depth for path lifting",
     )
     comp.set_defaults(func=cmd_compute)
 

@@ -2,7 +2,8 @@
 
 All tolerances are absolute unless noted.  Rank and signature thresholds are
 rescaled by the data at the point of use (see the corresponding functions);
-the values here are the base factors.
+the values here are the base factors and the defaults of the ``tol_rank``,
+``tol_sig`` and ``tol_round`` arguments, which nothing rewrites at runtime.
 """
 
 #: structural checks: symplecticity, unitarity, frame orthonormality (max-norm)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .defaults import TOL_ROUND, TOL_SYM
+from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .errors import BadInput, IllConditioned
 from .lagrangian import LagrangianFrame, SouriauMatrix, coordinate_x, frame_from_graph
 from .leray import LagrangianLift
@@ -81,19 +81,19 @@ class HalfInteger:
         return f"{self.twice_value}/2"
 
 
-def matrix_signature(A: np.ndarray, tol: float | None = None) -> int:
+def matrix_signature(A: np.ndarray, tol_sig: float = TOL_SIG_BASE) -> int:
     """sign A via eigenvalue sign counts; errors near singularity."""
     vals = np.linalg.eigvalsh(np.asarray(A, dtype=float))
-    pos, neg, null = sign_counts(vals, tol, "a matrix signature")
+    pos, neg, null = sign_counts(vals, tol_sig, "a matrix signature")
     if null:
         raise IllConditioned("matrix is singular or near-singular for signature")
     return pos - neg
 
 
-def spectral_flow(family: SymmetricFamily, tol: float | None = None) -> int:
+def spectral_flow(family: SymmetricFamily, tol_sig: float = TOL_SIG_BASE) -> int:
     """sign A(1) - sign A(0); endpoints must be nonsingular."""
-    return matrix_signature(family.matrices[-1], tol) - matrix_signature(
-        family.matrices[0], tol
+    return matrix_signature(family.matrices[-1], tol_sig) - matrix_signature(
+        family.matrices[0], tol_sig
     )
 
 
@@ -136,10 +136,11 @@ def hormander_xi(
     ell2: LagrangianFrame,
     ell3: LagrangianFrame,
     ell4: LagrangianFrame,
+    tol_sig: float = TOL_SIG_BASE,
 ) -> HalfInteger:
     """Half-difference of two triple signatures over a quadruple of planes."""
-    t3 = kashiwara_tau(ell1, ell2, ell3).tau
-    t4 = kashiwara_tau(ell1, ell2, ell4).tau
+    t3 = kashiwara_tau(ell1, ell2, ell3, tol_sig).tau
+    t4 = kashiwara_tau(ell1, ell2, ell4, tol_sig).tau
     return HalfInteger(t3 - t4)
 
 

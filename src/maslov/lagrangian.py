@@ -102,7 +102,7 @@ def coordinate_xstar(n: int) -> LagrangianFrame:
     return LagrangianFrame(np.zeros((n, n)), np.eye(n))
 
 
-def frame_from_graph(A: np.ndarray, tol: float = TOL_SYM) -> LagrangianFrame:
+def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
     """Orthonormal frame of the graph {(x, Ax)} of a symmetric matrix A.
 
     Uses the closed form X = (I + A^2)^(-1/2), P = A X.
@@ -110,7 +110,7 @@ def frame_from_graph(A: np.ndarray, tol: float = TOL_SYM) -> LagrangianFrame:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise BadInput("expected a square matrix")
-    if np.abs(A - A.T).max() > tol:
+    if np.abs(A - A.T).max() > TOL_SYM:
         raise BadInput("graph matrix must be symmetric")
     vals, vecs = np.linalg.eigh((A + A.T) / 2)
     X = (vecs / np.sqrt(1.0 + vals**2)) @ vecs.T
@@ -134,7 +134,7 @@ def souriau_w(ell: LagrangianFrame) -> SouriauMatrix:
     return SouriauMatrix(u @ u.T, tol=max(ell.tol * 10, TOL_SYM * 10))
 
 
-def _joint_phase_decomposition(w: SouriauMatrix, group_tol: float = 1e-7):
+def _joint_phase_decomposition(w: SouriauMatrix):
     """Real orthogonal O and phases phi with w = O diag(e^{i phi}) O^T.
 
     Re(w) and Im(w) are commuting real symmetric matrices; diagonalize Re(w)
@@ -148,7 +148,7 @@ def _joint_phase_decomposition(w: SouriauMatrix, group_tol: float = 1e-7):
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and avals[stop] - avals[stop - 1] <= group_tol:
+        while stop < n and avals[stop] - avals[stop - 1] <= 1e-7:
             stop += 1
         if stop - start > 1:
             block = O[:, start:stop]
@@ -184,25 +184,23 @@ def eigenphases(w: SouriauMatrix) -> np.ndarray:
     return np.sort(phases)
 
 
-def rank_tolerance(singular_values: np.ndarray, base: float | None = None) -> float:
-    """base (TOL_RANK_BASE at call time) * max(1, largest singular value)."""
-    top = float(singular_values[0]) if len(singular_values) else 0.0
-    return (TOL_RANK_BASE if base is None else base) * max(1.0, top)
-
-
-def _corank(sigma: np.ndarray, tol: float, what: str) -> int:
-    band = (sigma > tol / AMBIGUITY_DECADE) & (sigma < tol * AMBIGUITY_DECADE)
-    if np.any(band):
+def corank(m: np.ndarray, tol_rank: float, what: str) -> tuple[int, float]:
+    """Corank of m and the threshold t = tol_rank * max(1, largest singular
+    value) it was decided at; a singular value inside the ambiguity band
+    (t / AMBIGUITY_DECADE, t * AMBIGUITY_DECADE) raises IllConditioned."""
+    sigma = np.linalg.svd(m, compute_uv=False)
+    t = tol_rank * max(1.0, float(sigma.max(initial=0.0)))
+    if np.any((sigma > t / AMBIGUITY_DECADE) & (sigma < t * AMBIGUITY_DECADE)):
         raise IllConditioned(
-            f"singular value inside the ambiguity band around tol={tol:g} in {what}"
+            f"singular value inside the ambiguity band around tol={t:g} in {what}"
         )
-    return int(np.count_nonzero(sigma <= tol))
+    return int(np.count_nonzero(sigma <= t)), t
 
 
 def intersection_dim(
     ell1: LagrangianFrame,
     ell2: LagrangianFrame,
-    tol: float | None = None,
+    tol_rank: float = TOL_RANK_BASE,
 ) -> StratumLabel:
     """dim(ell1 /\\ ell2), computed as the corank of w1 - w2.
 
@@ -212,14 +210,9 @@ def intersection_dim(
     if ell1.n != ell2.n:
         raise BadInput("planes live in different dimensions")
     d = souriau_w(ell1).w - souriau_w(ell2).w
-    sigma = np.linalg.svd(d, compute_uv=False)
-    t = rank_tolerance(sigma) if tol is None else tol
-    k_w = _corank(sigma, t, "w-difference corank")
-
+    k_w, _ = corank(d, tol_rank, "w-difference corank")
     stacked = np.hstack([ell1.stacked(), -ell2.stacked()])
-    sigma_f = np.linalg.svd(stacked, compute_uv=False)
-    t_f = rank_tolerance(sigma_f) if tol is None else tol
-    k_f = _corank(sigma_f, t_f, "frame-kernel corank")
+    k_f, _ = corank(stacked, tol_rank, "frame-kernel corank")
     if k_w != k_f:
         raise IllConditioned(
             f"corank disagreement between routes ({k_w} vs {k_f})"

@@ -6,7 +6,7 @@ arbitrary pairs by Souriau's trace-log formula
 
 over the eigenvalues lambda_j of the unitary w1 conj(w2) = w1 w2^{-1} away
 from 1; the eigenvalues at 1 are the dim(ell1 /\\ ell2) intersection
-directions.  Guard: k = corank(w1 - w2) by the rank rule of ``lagrangian``,
+directions.  Guard: k = corank(w1 - w2) by ``lagrangian.corank``,
 and exactly k eigenvalues within that rule's threshold of 1.  The singular
 values of w1 - w2 are the |lambda_j - 1|, so the rule's ambiguity band keeps
 every other eigenvalue off the branch cut of arg(-lambda).  On transversal
@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL_PHASE, TOL_ROUND
+from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND
 from .errors import BadInput, IllConditioned
 from .lagrangian import (
     LagrangianFrame,
     SouriauMatrix,
-    _corank,
     _scalar_frame,
     companion_phase,
-    rank_tolerance,
+    corank,
     souriau_w,
 )
 
@@ -39,11 +38,10 @@ class LagrangianLift:
 
     w: SouriauMatrix
     theta: float
-    tol_phase: float = TOL_PHASE
 
     def __post_init__(self):
         det = np.linalg.det(self.w.w)
-        if abs(det - np.exp(1j * self.theta)) > self.tol_phase:
+        if abs(det - np.exp(1j * self.theta)) > TOL_PHASE:
             raise BadInput("theta is not an argument of det w within tolerance")
 
     @property
@@ -69,25 +67,26 @@ def deck_apply(g: DeckAction, lift: LagrangianLift) -> LagrangianLift:
     return LagrangianLift(lift.w, lift.theta + 2 * math.pi * g.k)
 
 
-def _pair_corank(l1: LagrangianLift, l2: LagrangianLift) -> tuple[int, float]:
+def _pair_corank(
+    l1: LagrangianLift, l2: LagrangianLift, tol_rank: float
+) -> tuple[int, float]:
     """dim(ell1 /\\ ell2) as the corank of w1 - w2, and the threshold used."""
     if l1.n != l2.n:
         raise BadInput("lifts live in different dimensions")
-    sigma = np.linalg.svd(l1.w.w - l2.w.w, compute_uv=False)
-    t = rank_tolerance(sigma)
-    return _corank(sigma, t, "w-difference corank"), t
+    return corank(l1.w.w - l2.w.w, tol_rank, "w-difference corank")
 
 
 def mu_bar(
     l1: LagrangianLift,
     l2: LagrangianLift,
     tol_round: float = TOL_ROUND,
+    tol_rank: float = TOL_RANK_BASE,
 ) -> int:
     """The canonical index, total on pairs of cover points, by the closed
-    form above.  Raises IllConditioned on an ambiguous corank, on a count of
-    eigenvalues at 1 other than the corank, and on a value farther than
-    tol_round from an integer."""
-    k, t = _pair_corank(l1, l2)
+    form above.  Raises IllConditioned on an ambiguous corank (at tol_rank),
+    on a count of eigenvalues at 1 other than the corank, and on a value
+    farther than tol_round from an integer."""
+    k, t = _pair_corank(l1, l2, tol_rank)
     lam = np.linalg.eigvals(l1.w.w @ l2.w.w.conj())
     at_one = np.abs(lam - 1) <= t
     if np.count_nonzero(at_one) != k:
@@ -112,7 +111,7 @@ def souriau_m(
     tol_round: float = TOL_ROUND,
 ) -> int:
     """The integer m = (mu_bar + n) / 2 on transversal pairs."""
-    if _pair_corank(l1, l2)[0] != 0:
+    if _pair_corank(l1, l2, TOL_RANK_BASE)[0] != 0:
         raise BadInput("m requires transversal projections")
     return (mu_bar(l1, l2, tol_round) + l1.n) // 2
 

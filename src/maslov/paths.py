@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .defaults import TOL_ROUND
+from .defaults import TOL_RANK_BASE, TOL_ROUND
 from .errors import BadInput, Undersampled
 from .lagrangian import LagrangianFrame, frame_from_unitary, frame_unitary, souriau_w
 from .leray import LagrangianLift, lift_of, mu_bar
@@ -105,8 +105,8 @@ class SymplecticPath:
         return self.matrices[-1]
 
 
-def same_plane(f1: LagrangianFrame, f2: LagrangianFrame, tol: float = PLANE_MATCH_TOL) -> bool:
-    return float(np.abs(souriau_w(f1).w - souriau_w(f2).w).max()) <= tol
+def same_plane(f1: LagrangianFrame, f2: LagrangianFrame) -> bool:
+    return float(np.abs(souriau_w(f1).w - souriau_w(f2).w).max()) <= PLANE_MATCH_TOL
 
 
 def _rescale(times: Sequence[float], a: float, b: float) -> list[float]:
@@ -188,18 +188,23 @@ class LiftedPath:
             raise BadInput("loop index requires a closed path")
         return _integer(self.winding(), tol_round, "loop winding")
 
-    def mu_lagrangian(self, ell: LagrangianFrame, tol_round: float = TOL_ROUND) -> int:
+    def mu_lagrangian(
+        self,
+        ell: LagrangianFrame,
+        tol_round: float = TOL_ROUND,
+        tol_rank: float = TOL_RANK_BASE,
+    ) -> int:
         """Canonical intersection index of the path with ell: the difference of
         the two-point index of the end and start lifts against any lift of
         ell, which is independent of the branch choices."""
         ell_inf = lift_of(ell, 0)
-        end = mu_bar(self.end_lift(), ell_inf, tol_round=tol_round)
-        return end - mu_bar(self.start_lift(), ell_inf, tol_round=tol_round)
+        end = mu_bar(self.end_lift(), ell_inf, tol_round, tol_rank)
+        return end - mu_bar(self.start_lift(), ell_inf, tol_round, tol_rank)
 
-    def mu_ell(self, tol_round: float = TOL_ROUND) -> int:
+    def mu_ell(self, tol_round: float = TOL_ROUND, tol_rank: float = TOL_RANK_BASE) -> int:
         """mu_ell when the path is t -> sig(t) ell with sig(0) = I: the
         canonical two-point index between its end and start lifts."""
-        return mu_bar(self.end_lift(), self.start_lift(), tol_round=tol_round)
+        return mu_bar(self.end_lift(), self.start_lift(), tol_round, tol_rank)
 
 
 def _det_angle(frame: LagrangianFrame):

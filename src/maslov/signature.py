@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .defaults import AMBIGUITY_DECADE, TOL_SIG_BASE
+from .defaults import AMBIGUITY_DECADE, TOL_RANK_BASE, TOL_SIG_BASE
 from .errors import BadInput, IllConditioned
 from .lagrangian import LagrangianFrame, intersection_dim
 from .symplectic import omega_matrix
@@ -52,15 +52,12 @@ def triple_gram(
     return (B + B.T) / 2
 
 
-def sign_counts(
-    vals: np.ndarray, tol: float | None, what: str
-) -> tuple[int, int, int]:
-    """Positive, negative and null counts of eigenvalues at the threshold tol,
-    by default TOL_SIG_BASE * max(1, largest |eigenvalue|); a magnitude in
-    the ambiguity band (t, AMBIGUITY_DECADE * t) raises IllConditioned."""
-    scale = max(1.0, float(np.abs(vals).max())) if len(vals) else 1.0
-    t = TOL_SIG_BASE * scale if tol is None else tol
+def sign_counts(vals: np.ndarray, tol_sig: float, what: str) -> tuple[int, int, int]:
+    """Positive, negative and null counts of eigenvalues at the threshold
+    t = tol_sig * max(1, largest |eigenvalue|); a magnitude in the ambiguity
+    band (t, AMBIGUITY_DECADE * t) raises IllConditioned."""
     mags = np.abs(vals)
+    t = tol_sig * max(1.0, float(mags.max(initial=0.0)))
     if np.any((mags > t) & (mags < t * AMBIGUITY_DECADE)):
         raise IllConditioned(
             f"eigenvalue inside the ambiguity band around tol={t:g} in {what}; "
@@ -75,22 +72,26 @@ def kashiwara_tau(
     ell1: LagrangianFrame,
     ell2: LagrangianFrame,
     ell3: LagrangianFrame,
-    tol: float | None = None,
+    tol_sig: float = TOL_SIG_BASE,
 ) -> TripleSignature:
     """Signature of the triple form as exact integer sign counts."""
     vals = np.linalg.eigvalsh(triple_gram(ell1, ell2, ell3))
-    pos, neg, null = sign_counts(vals, tol, "the triple form")
+    pos, neg, null = sign_counts(vals, tol_sig, "the triple form")
     return TripleSignature(pos - neg, pos, neg, null)
 
 
 def inert_index(
-    ell1: LagrangianFrame, ell2: LagrangianFrame, ell3: LagrangianFrame
+    ell1: LagrangianFrame,
+    ell2: LagrangianFrame,
+    ell3: LagrangianFrame,
+    tol_rank: float = TOL_RANK_BASE,
+    tol_sig: float = TOL_SIG_BASE,
 ) -> int:
     """Index of inertia (tau + n) / 2; requires pairwise transversality."""
     for a, b in ((ell1, ell2), (ell2, ell3), (ell3, ell1)):
-        if intersection_dim(a, b).k != 0:
+        if intersection_dim(a, b, tol_rank).k != 0:
             raise BadInput("inertia index needs a pairwise-transversal triple")
-    tau = kashiwara_tau(ell1, ell2, ell3).tau
+    tau = kashiwara_tau(ell1, ell2, ell3, tol_sig).tau
     n = ell1.n
     if (tau + n) % 2 != 0:
         raise IllConditioned("tau + n is odd on a transversal triple")

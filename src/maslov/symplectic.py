@@ -93,7 +93,6 @@ class UnitaryEmbedding:
 
     a: np.ndarray
     b: np.ndarray
-    tol: float = TOL_SYM
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -102,8 +101,8 @@ class UnitaryEmbedding:
             raise BadInput("real and imaginary parts must be equal-shape square matrices")
         n = a.shape[0]
         if (
-            np.abs(a.T @ a + b.T @ b - np.eye(n)).max() > self.tol
-            or np.abs(a.T @ b - b.T @ a).max() > self.tol
+            np.abs(a.T @ a + b.T @ b - np.eye(n)).max() > TOL_SYM
+            or np.abs(a.T @ b - b.T @ a).max() > TOL_SYM
         ):
             raise BadInput("a + ib is not unitary within tolerance")
         a = a.copy()
@@ -114,9 +113,9 @@ class UnitaryEmbedding:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_complex(cls, u: np.ndarray, tol: float = TOL_SYM) -> "UnitaryEmbedding":
+    def from_complex(cls, u: np.ndarray) -> "UnitaryEmbedding":
         u = np.asarray(u, dtype=complex)
-        return cls(u.real, u.imag, tol)
+        return cls(u.real, u.imag)
 
     @property
     def n(self) -> int:
@@ -126,7 +125,7 @@ class UnitaryEmbedding:
 def embed_unitary(u: UnitaryEmbedding) -> SymplecticMatrix:
     """The block matrix [[A, -B], [B, A]] of the U(n) action."""
     S = np.block([[u.a, -u.b], [u.b, u.a]])
-    return SymplecticMatrix(S, tol=max(u.tol, TOL_SYM) * 10)
+    return SymplecticMatrix(S, tol=TOL_SYM * 10)
 
 
 def _interleave_indices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:

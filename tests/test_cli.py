@@ -231,6 +231,25 @@ def test_tol_rank_reaches_corank_decisions(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"] == -1
 
 
+def test_compute_report_is_reentrant():
+    # the tolerances are arguments: a call with a coarse rank base leaves the
+    # next default call at the default decision
+    job = {
+        "n": 1,
+        "index": "leray",
+        "lifts": [{"plane": {"graph": [[0.3]]}}, {"plane": {"graph": [[0.3 + 1e-6]]}}],
+    }
+    coarse = cli.compute_report(job, tol_rank=1e-3)
+    assert coarse["value"] == 0 and coarse["tolerances"]["tol_rank"] == 1e-3
+    report = cli.compute_report(job)
+    assert report["value"] == -1
+    assert report["tolerances"] == {
+        "tol_rank": defaults.TOL_RANK_BASE,
+        "tol_sig": defaults.TOL_SIG_BASE,
+        "tol_round": defaults.TOL_ROUND,
+    }
+
+
 def test_tol_sig_reaches_spectral_flow(tmp_path, capsys):
     # A(0) = 5e-9 lies in the signature ambiguity band at the default tol_sig
     job = {
@@ -334,18 +353,31 @@ def _rotation_job(**path):
     }
 
 
+def _leray_job(n, plane="coordinate_x", branch=0):
+    return {
+        "n": n,
+        "index": "leray",
+        "lifts": [
+            {"plane": plane, "branch": branch},
+            {"plane": "coordinate_xstar"},
+        ],
+    }
+
+
+def _coefficients_job(index, path_kind=None):
+    spec = {"coefficients": 5}
+    if path_kind is None:
+        return {"n": 1, "index": index, "family": spec}
+    return {
+        "n": 1,
+        "index": index,
+        "path": dict(spec, kind=path_kind),
+        "plane": "coordinate_x",
+    }
+
+
 BAD_SCALAR_JOBS = {
-    "branch": (
-        {
-            "n": 1,
-            "index": "leray",
-            "lifts": [
-                {"plane": "coordinate_x", "branch": "abc"},
-                {"plane": "coordinate_xstar"},
-            ],
-        },
-        [],
-    ),
+    "branch": (_leray_job(1, branch="abc"), []),
     "alpha_end": (_rotation_job(alpha_end="pi"), []),
     "samples-string": (_rotation_job(samples="x"), []),
     "samples-negative": (_rotation_job(samples=-1), []),
@@ -362,6 +394,19 @@ BAD_SCALAR_JOBS = {
         [],
     ),
     "non-object-job": ([1, 2], ["--index", "leray"]),
+    "n-fraction": (_leray_job(1.5), []),
+    "n-bool": (_leray_job(True), []),
+    "n-string": (_leray_job("2"), []),
+    "n-over-cap": (_leray_job(cli.MAX_N + 1), []),
+    "coefficients-family": (_coefficients_job("spectral-flow"), []),
+    "coefficients-graph-polynomial": (
+        _coefficients_job("lagrangian", "graph_polynomial"),
+        [],
+    ),
+    "coefficients-shear": (_coefficients_job("symplectic", "shear"), []),
+    "graph-string": (_leray_job(1, plane={"graph": [["0.5"]]}), []),
+    "graph-bool": (_leray_job(1, plane={"graph": [[True]]}), []),
+    "branch-string": (_leray_job(1, branch="1"), []),
 }
 
 
@@ -372,6 +417,15 @@ def test_bad_scalar_fields(name, tmp_path, capsys):
     code, out, err = run(["compute", "--input", path] + extra, capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+def test_matrix_reads_every_json_number():
+    # integer literals beyond int64 (an object array in numpy) still read
+    # as floats
+    got = cli._matrix([[10**20, 1], [2**63, 0.5]], (2, 2), "m")
+    assert got.dtype == float
+    assert got.tolist() == [[1e20, 1.0], [2.0**63, 0.5]]
+    assert cli._number(10**20, "x") == 1e20
 
 
 ROTATION = {"kind": "rotation", "alpha_end": math.pi}

@@ -67,6 +67,15 @@ def test_spectral_flow_near_singular_endpoint():
         spectral_flow(linear_family([[0.0]], [[1.0]]))
 
 
+def test_tol_sig_reaches_spectral_flow():
+    # A(0) = 5e-9 lies in the ambiguity band at the default signature base
+    # and is cleanly positive at a finer one
+    fam = linear_family([[5e-9]], [[1.0]])
+    with pytest.raises(IllConditioned):
+        spectral_flow(fam)
+    assert spectral_flow(fam, tol_sig=1e-12) == 0
+
+
 def test_graph_path_anchors():
     fam = linear_family([[-1.0]], [[1.0]])
     lam = graph_path(fam)

@@ -208,6 +208,18 @@ def test_mu_bar_graph_perturbation(eps, expected):
         assert mu_bar(l1, l2) == expected
 
 
+def test_tol_rank_reaches_mu_bar():
+    # planes 1e-6 apart: transversal at the default rank base, one plane
+    # (coincident pair) at a coarser one
+    f1 = frame_from_graph(np.array([[0.3]]))
+    f2 = frame_from_graph(np.array([[0.3 + 1e-6]]))
+    l1, l2 = lift_of(f1), lift_of(f2)
+    assert mu_bar(l1, l2) == -1
+    assert mu_bar(l1, l2, tol_rank=1e-3) == 0
+    assert intersection_dim(f1, f2).k == 0
+    assert intersection_dim(f1, f2, tol_rank=1e-3).k == 1
+
+
 def test_companion_lift_is_scalar_and_transversal(rng):
     for n in (1, 2, 3):
         f1 = random_frame(rng, n)

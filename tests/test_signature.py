@@ -101,9 +101,11 @@ def test_tau_direct_sum(rng):
 
 
 def test_tau_ambiguity_band_raises():
-    A = np.array([[5e-9]])
+    planes = coordinate_xstar(1), frame_from_graph(np.array([[5e-9]])), coordinate_x(1)
     with pytest.raises(IllConditioned):
-        kashiwara_tau(coordinate_xstar(1), frame_from_graph(A), coordinate_x(1))
+        kashiwara_tau(*planes)
+    # a finer signature base classifies the same triple
+    assert kashiwara_tau(*planes, tol_sig=1e-12).tau == 1
 
 
 def test_inert_anchors():
@@ -120,6 +122,11 @@ def test_inert_anchors():
 def test_inert_requires_transversality():
     with pytest.raises(BadInput):
         inert_index(coordinate_x(1), coordinate_x(1), coordinate_xstar(1))
+    # graph(1e-6) is transversal to X at the default rank base, not at 1e-3
+    planes = coordinate_xstar(1), frame_from_graph(np.array([[1e-6]])), coordinate_x(1)
+    assert inert_index(*planes) == 1
+    with pytest.raises(BadInput):
+        inert_index(*planes, tol_rank=1e-3)
 
 
 def test_coboundary_examples(rng):
