@@ -90,12 +90,7 @@ def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
             raise BadInput("frame plane: expected [X, P]")
         X = _matrix(pair[0], (n, n), "frame plane X")
         P = _matrix(pair[1], (n, n), "frame plane P")
-        try:
-            return lagrangian.LagrangianFrame(X, P)
-        except MaslovError:
-            raise
-        except Exception as exc:
-            raise BadInput(f"frame plane: {exc}")
+        return lagrangian.LagrangianFrame(X, P)
     raise BadInput(f"unrecognized plane description: {spec!r}")
 
 
@@ -130,12 +125,7 @@ def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
         frames = []
         for i, fr in enumerate(frames_raw):
             arr = _matrix(fr, (2 * n, n), f"frame sample {i}")
-            try:
-                frames.append(lagrangian.LagrangianFrame(arr[:n], arr[n:]))
-            except MaslovError:
-                raise
-            except Exception as exc:
-                raise BadInput(f"frame sample {i}: {exc}")
+            frames.append(lagrangian.LagrangianFrame(arr[:n], arr[n:]))
         return paths.LagrangianPath(_times(spec, len(frames)), tuple(frames), None)
     if kind == "rotation":
         if n not in (1, 2):
@@ -278,6 +268,21 @@ def _serialize(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
+def _has_boolean(data) -> bool:
+    """Whether a decoded JSON value holds a boolean anywhere.  No job field
+    is boolean, and numpy would read one mixed into a numeric array as 0/1."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, bool):
+            return True
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+    return False
+
+
 def _fail(code: str, message: str) -> int:
     sys.stderr.write(_serialize({"error": {"code": code, "message": message}}))
     return EXIT_CODES[code]
@@ -297,6 +302,8 @@ def cmd_compute(args) -> int:
         return _fail("BAD_INPUT", f"cannot read job file: {exc}")
     except json.JSONDecodeError as exc:
         return _fail("BAD_INPUT", f"invalid JSON: {exc}")
+    if _has_boolean(job):
+        return _fail("BAD_INPUT", "job: booleans are not accepted")
     if args.index is not None and isinstance(job, dict):
         job = dict(job, index=args.index)
     try:
@@ -315,6 +322,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        return _fail("BAD_INPUT", "--seed must be >= 0")
+    if args.n_max < 1:
+        return _fail("BAD_INPUT", "--n-max must be >= 1")
     results = verify.run_all(seed=args.seed, n_max=args.n_max)
     for r in results:
         if r.passed:

@@ -106,7 +106,11 @@ class SymplecticPath:
 
 
 def same_plane(f1: LagrangianFrame, f2: LagrangianFrame) -> bool:
-    return float(np.abs(souriau_w(f1).w - souriau_w(f2).w).max()) <= PLANE_MATCH_TOL
+    return _same_w(souriau_w(f1), souriau_w(f2))
+
+
+def _same_w(w1, w2) -> bool:
+    return float(np.abs(w1.w - w2.w).max()) <= PLANE_MATCH_TOL
 
 
 def _rescale(times: Sequence[float], a: float, b: float) -> list[float]:
@@ -165,7 +169,6 @@ class LiftedPath:
     """A path together with a continuous argument of det w along it."""
 
     times: tuple
-    frames: tuple
     ws: tuple
     thetas: tuple
 
@@ -184,7 +187,7 @@ class LiftedPath:
 
     def keller_maslov(self, tol_round: float = TOL_ROUND) -> int:
         """Winding number of det w around the lifted path, which must be a loop."""
-        if not same_plane(self.frames[0], self.frames[-1]):
+        if not _same_w(self.ws[0], self.ws[-1]):
             raise BadInput("loop index requires a closed path")
         return _integer(self.winding(), tol_round, "loop winding")
 
@@ -238,23 +241,20 @@ def lift_path(
     """
     pairs = [_det_angle(f) for f in lam.frames]
     times = list(lam.times)
-    frames = list(lam.frames)
     ws = [p[0] for p in pairs]
     angs = [p[1] for p in pairs]
 
     out_t = [times[0]]
-    out_f = [frames[0]]
     out_w = [ws[0]]
     out_a = [angs[0]]
 
-    def descend(t0, a0, t1, f1, w1, a1, depth):
+    def descend(t0, a0, t1, w1, a1, depth):
         if len(out_t) > MAX_SAMPLES:
             raise Undersampled("sample cap exceeded during refinement")
         d = _wrap(a1 - a0)
         if lam.generator is None:
             if abs(d) < MAX_PHASE_STEP:
                 out_t.append(t1)
-                out_f.append(f1)
                 out_w.append(w1)
                 out_a.append(a1)
                 return
@@ -264,28 +264,25 @@ def lift_path(
         # with a generator, guard nearest-argument continuation against
         # aliasing: the midpoint split must reproduce the whole step
         tm = (t0 + t1) / 2
-        fm = lam.generator(tm)
-        wm, am = _det_angle(fm)
+        wm, am = _det_angle(lam.generator(tm))
         d1 = _wrap(am - a0)
         d2 = _wrap(a1 - am)
         consistent = abs(d1 + d2 - d) < 1e-9
         if consistent and max(abs(d), abs(d1), abs(d2)) < MAX_PHASE_STEP:
             out_t.append(tm)
-            out_f.append(fm)
             out_w.append(wm)
             out_a.append(am)
             out_t.append(t1)
-            out_f.append(f1)
             out_w.append(w1)
             out_a.append(a1)
             return
         if depth >= max_depth:
             raise Undersampled("refinement depth exceeded; path may be discontinuous")
-        descend(t0, a0, tm, fm, wm, am, depth + 1)
-        descend(tm, am, t1, f1, w1, a1, depth + 1)
+        descend(t0, a0, tm, wm, am, depth + 1)
+        descend(tm, am, t1, w1, a1, depth + 1)
 
     for i in range(1, len(times)):
-        descend(out_t[-1], out_a[-1], times[i], frames[i], ws[i], angs[i], 0)
+        descend(out_t[-1], out_a[-1], times[i], ws[i], angs[i], 0)
 
     if theta_start is None:
         theta0 = out_a[0] + 2 * math.pi * branch
@@ -296,7 +293,7 @@ def lift_path(
     thetas = [theta0]
     for i in range(1, len(out_a)):
         thetas.append(thetas[-1] + _wrap(out_a[i] - out_a[i - 1]))
-    return LiftedPath(tuple(out_t), tuple(out_f), tuple(out_w), tuple(thetas))
+    return LiftedPath(tuple(out_t), tuple(out_w), tuple(thetas))
 
 
 def _integer(value: float, tol_round: float, what: str) -> int:

@@ -1,10 +1,14 @@
 """Named exact-identity checks over seeded random instances.
 
-Each check draws its own instances from a seeded generator, asserts an
+Each check draws its own instances from a seeded generator and asserts an
 identity exactly (integer or half-integer comparisons; floats only where a
-winding integral is cross-checked), and returns the number of instances
-exercised.  The registry is consumed by the command-line ``verify``
-subcommand and by the test suite.
+winding integral is cross-checked).  Most checks are a per-instance body
+``check_*(rng, n)`` registered with ``per_dimension(check_id, count)``;
+the registry supplies the dimension loop and the instance count, and the
+acceptance tests run the same bodies over their own dimensions.  The few
+checks with their own dimension pattern are ``runner(check_id)``
+functions ``(rng, n_max) -> instances``.  ``CHECKS`` is consumed by the
+command-line ``verify`` subcommand and by the test suite.
 
 Checks deliberately call the library through module attributes (for
 example ``signature.kashiwara_tau``) so that an injected corruption of a
@@ -23,7 +27,6 @@ import scipy.linalg
 from . import derived, lagrangian, leray, paths, signature, symplectic
 from .errors import BadInput
 from .random_gen import (
-    random_algebra_element,
     random_frame,
     random_frame_intersecting,
     random_lagrangian_path,
@@ -55,6 +58,40 @@ class CheckResult:
 
 def _dims(n_max: int) -> range:
     return range(1, max(1, n_max) + 1)
+
+
+#: check id -> runner (rng, n_max) -> number of instances exercised
+CHECKS: dict[str, Callable] = {}
+
+
+def per_dimension(check_id: str, count: int):
+    """Register ``body(rng, n)``, which draws and asserts one instance in
+    dimension n, as a check of ``count`` instances in each dimension
+    1..n_max.  The body is returned unchanged, so a test can run it over
+    dimensions of its own."""
+
+    def register(body):
+        def run(rng, n_max):
+            for n in _dims(n_max):
+                for _ in range(count):
+                    body(rng, n)
+            return count * len(_dims(n_max))
+
+        CHECKS[check_id] = run
+        return body
+
+    return register
+
+
+def runner(check_id: str):
+    """Register a check that draws its own dimensions and counts its own
+    instances: ``fn(rng, n_max) -> instances``."""
+
+    def register(fn):
+        CHECKS[check_id] = fn
+        return fn
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +180,22 @@ def _admissible_companion(rng, f1, f2):
 # symplectic core
 
 
-def check_omega_antisymmetry(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(50):
-            z = symplectic.SymplecticVector(rng.standard_normal(n), rng.standard_normal(n))
-            zp = symplectic.SymplecticVector(rng.standard_normal(n), rng.standard_normal(n))
-            assert abs(symplectic.omega(z, zp) + symplectic.omega(zp, z)) <= 1e-12
-            assert abs(symplectic.omega(z, z)) <= 1e-12
-            count += 1
-    return count
+@per_dimension("omega-antisymmetry", 50)
+def check_omega_antisymmetry(rng, n):
+    z = symplectic.SymplecticVector(rng.standard_normal(n), rng.standard_normal(n))
+    zp = symplectic.SymplecticVector(rng.standard_normal(n), rng.standard_normal(n))
+    assert abs(symplectic.omega(z, zp) + symplectic.omega(zp, z)) <= 1e-12
+    assert abs(symplectic.omega(z, z)) <= 1e-12
 
 
-def check_embed_unitary_symplectic(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(30):
-            u = random_unitary(rng, n)
-            S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
-            assert symplectic.is_symplectic(S.entries, 1e-10)
-            count += 1
-    return count
+@per_dimension("embed-unitary-symplectic", 30)
+def check_embed_unitary_symplectic(rng, n):
+    u = random_unitary(rng, n)
+    S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
+    assert symplectic.is_symplectic(S.entries, 1e-10)
 
 
+@runner("direct-sum-symplectic")
 def check_direct_sum_symplectic(rng, n_max):
     count = 0
     for n1 in _dims(min(n_max, 2)):
@@ -191,17 +221,14 @@ def check_direct_sum_symplectic(rng, n_max):
 # lagrangian
 
 
-def check_souriau_roundtrip(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(30):
-            w = lagrangian.souriau_w(random_frame(rng, n))
-            back = lagrangian.souriau_w(lagrangian.frame_from_w(w))
-            assert np.abs(back.w - w.w).max() <= 1e-8
-            count += 1
-    return count
+@per_dimension("souriau-roundtrip", 30)
+def check_souriau_roundtrip(rng, n):
+    w = lagrangian.souriau_w(random_frame(rng, n))
+    back = lagrangian.souriau_w(lagrangian.frame_from_w(w))
+    assert np.abs(back.w - w.w).max() <= 1e-8
 
 
+@runner("intersection-dim")
 def check_intersection_dim(rng, n_max):
     count = 0
     for n in _dims(n_max):
@@ -219,77 +246,53 @@ def check_intersection_dim(rng, n_max):
     return count
 
 
-def check_unitary_action(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(20):
-            u = random_unitary(rng, n)
-            S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
-            img = lagrangian.apply_symplectic(S, lagrangian.coordinate_xstar(n))
-            expected = lagrangian.frame_from_unitary(u)
-            assert paths.same_plane(img, expected)
-            count += 1
-    return count
+@per_dimension("unitary-action", 20)
+def check_unitary_action(rng, n):
+    u = random_unitary(rng, n)
+    S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
+    img = lagrangian.apply_symplectic(S, lagrangian.coordinate_xstar(n))
+    expected = lagrangian.frame_from_unitary(u)
+    assert paths.same_plane(img, expected)
 
 
-def check_transversal_companion(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(15):
-            f1 = random_frame(rng, n)
-            f2 = random_frame_intersecting(rng, f1, int(rng.integers(0, n + 1)))
-            f3 = lagrangian.transversal_companion(f1, f2)
-            assert lagrangian.intersection_dim(f3, f1).k == 0
-            assert lagrangian.intersection_dim(f3, f2).k == 0
-            count += 1
-    return count
+@per_dimension("transversal-companion", 15)
+def check_transversal_companion(rng, n):
+    f1 = random_frame(rng, n)
+    f2 = random_frame_intersecting(rng, f1, int(rng.integers(0, n + 1)))
+    f3 = lagrangian.transversal_companion(f1, f2)
+    assert lagrangian.intersection_dim(f3, f1).k == 0
+    assert lagrangian.intersection_dim(f3, f2).k == 0
 
 
 # ---------------------------------------------------------------------------
 # signature
 
 
-def check_tau_antisymmetry(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(20):
-            fs = [random_frame(rng, n) for _ in range(3)]
-            base = signature.kashiwara_tau(*fs).tau
-            for perm, sign in _PERM_SIGNS:
-                got = signature.kashiwara_tau(*(fs[i] for i in perm)).tau
-                assert got == sign * base, (perm, got, base)
-            count += 1
-    return count
+@per_dimension("tau-antisymmetry", 20)
+def check_tau_antisymmetry(rng, n):
+    fs = [random_frame(rng, n) for _ in range(3)]
+    base = signature.kashiwara_tau(*fs).tau
+    for perm, sign in _PERM_SIGNS:
+        got = signature.kashiwara_tau(*(fs[i] for i in perm)).tau
+        assert got == sign * base, (perm, got, base)
 
 
-def check_tau_cocycle(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(30):
-            fs = [random_frame(rng, n) for _ in range(4)]
-            tau = signature.Cochain(
-                2, lambda a, b, c: signature.kashiwara_tau(a, b, c).tau
-            )
-            assert signature.coboundary(tau, fs) == 0
-            count += 1
-    return count
+@per_dimension("tau-cocycle", 30)
+def check_tau_cocycle(rng, n):
+    fs = [random_frame(rng, n) for _ in range(4)]
+    tau = signature.Cochain(2, lambda a, b, c: signature.kashiwara_tau(a, b, c).tau)
+    assert signature.coboundary(tau, fs) == 0
 
 
-def check_tau_sp_invariance(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(20):
-            fs = [random_frame(rng, n) for _ in range(3)]
-            S = random_symplectic(rng, n)
-            moved = [lagrangian.apply_symplectic(S, f) for f in fs]
-            assert (
-                signature.kashiwara_tau(*moved).tau
-                == signature.kashiwara_tau(*fs).tau
-            )
-            count += 1
-    return count
+@per_dimension("tau-sp-invariance", 20)
+def check_tau_sp_invariance(rng, n):
+    fs = [random_frame(rng, n) for _ in range(3)]
+    S = random_symplectic(rng, n)
+    moved = [lagrangian.apply_symplectic(S, f) for f in fs]
+    assert signature.kashiwara_tau(*moved).tau == signature.kashiwara_tau(*fs).tau
 
 
+@runner("tau-direct-sum")
 def check_tau_direct_sum(rng, n_max):
     count = 0
     for n1 in _dims(min(n_max, 2)):
@@ -309,139 +312,112 @@ def check_tau_direct_sum(rng, n_max):
     return count
 
 
-def check_tau_local_constancy(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(15):
-            fs = _random_transversal_triple(rng, n)
-            base = signature.kashiwara_tau(*fs).tau
-            eps = 1e-5
-            u = scipy.linalg.expm(
-                1j * eps * (lambda z: (z + z.conj().T) / 2)(
-                    rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                )
-            )
-            S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
-            moved = [lagrangian.apply_symplectic(S, f) for f in fs]
-            dims_ok = all(
-                lagrangian.intersection_dim(moved[i], moved[j]).k
-                == lagrangian.intersection_dim(fs[i], fs[j]).k
-                for i, j in ((0, 1), (0, 2), (1, 2))
-            )
-            assert dims_ok and signature.kashiwara_tau(*moved).tau == base
-            count += 1
-    return count
+@per_dimension("tau-local-constancy", 15)
+def check_tau_local_constancy(rng, n):
+    fs = _random_transversal_triple(rng, n)
+    base = signature.kashiwara_tau(*fs).tau
+    eps = 1e-5
+    u = scipy.linalg.expm(
+        1j * eps * (lambda z: (z + z.conj().T) / 2)(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        )
+    )
+    S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
+    moved = [lagrangian.apply_symplectic(S, f) for f in fs]
+    dims_ok = all(
+        lagrangian.intersection_dim(moved[i], moved[j]).k
+        == lagrangian.intersection_dim(fs[i], fs[j]).k
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    assert dims_ok and signature.kashiwara_tau(*moved).tau == base
 
 
 # ---------------------------------------------------------------------------
 # leray
 
 
-def check_mu_bar_antisymmetry(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(20):
-            l1, l2 = random_lift(rng, n), random_lift(rng, n)
-            assert leray.mu_bar(l1, l2) == -leray.mu_bar(l2, l1)
-            l3 = random_lift(rng, n)
-            assert leray.mu_bar(l3, l3) == 0
-            count += 1
-    return count
+@per_dimension("mu-bar-antisymmetry", 20)
+def check_mu_bar_antisymmetry(rng, n):
+    l1, l2 = random_lift(rng, n), random_lift(rng, n)
+    assert leray.mu_bar(l1, l2) == -leray.mu_bar(l2, l1)
+    l3 = random_lift(rng, n)
+    assert leray.mu_bar(l3, l3) == 0
 
 
-def check_mu_bar_coboundary(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(25):
-            lifts = [random_lift(rng, n) for _ in range(3)]
-            frames = [lagrangian.frame_from_w(l.w) for l in lifts]
-            lhs = (
-                leray.mu_bar(lifts[0], lifts[1])
-                - leray.mu_bar(lifts[0], lifts[2])
-                + leray.mu_bar(lifts[1], lifts[2])
+@per_dimension("mu-bar-coboundary", 25)
+def check_mu_bar_coboundary(rng, n):
+    lifts = [random_lift(rng, n) for _ in range(3)]
+    frames = [lagrangian.frame_from_w(l.w) for l in lifts]
+    lhs = (
+        leray.mu_bar(lifts[0], lifts[1])
+        - leray.mu_bar(lifts[0], lifts[2])
+        + leray.mu_bar(lifts[1], lifts[2])
+    )
+    assert lhs == signature.kashiwara_tau(*frames).tau
+
+
+@per_dimension("deck-equivariance", 10)
+def check_deck_equivariance(rng, n):
+    l1, l2 = random_lift(rng, n), random_lift(rng, n)
+    base = leray.mu_bar(l1, l2)
+    for k1 in range(-3, 4):
+        for k2 in (-3, 0, 2):
+            shifted = leray.mu_bar(
+                leray.deck_apply(leray.DeckAction(k1), l1),
+                leray.deck_apply(leray.DeckAction(k2), l2),
             )
-            assert lhs == signature.kashiwara_tau(*frames).tau
-            count += 1
-    return count
+            assert shifted - base == 2 * (k1 - k2)
 
 
-def check_deck_equivariance(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            l1, l2 = random_lift(rng, n), random_lift(rng, n)
-            base = leray.mu_bar(l1, l2)
-            for k1 in range(-3, 4):
-                for k2 in (-3, 0, 2):
-                    shifted = leray.mu_bar(
-                        leray.deck_apply(leray.DeckAction(k1), l1),
-                        leray.deck_apply(leray.DeckAction(k2), l2),
-                    )
-                    assert shifted - base == 2 * (k1 - k2)
-            count += 1
-    return count
+@per_dimension("companion-independence", 8)
+def check_companion_independence(rng, n):
+    f1 = random_frame(rng, n)
+    f2 = random_frame_intersecting(rng, f1, int(rng.integers(1, n + 1)))
+    l1 = leray.lift_of(f1, int(rng.integers(-2, 3)))
+    l2 = leray.lift_of(f2, int(rng.integers(-2, 3)))
+    base = leray.mu_bar(l1, l2)
+    for _ in range(6):
+        comp = _admissible_companion(rng, f1, f2)
+        assert mu_bar_via_companion(l1, l2, comp) == base
 
 
-def check_companion_independence(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(8):
-            f1 = random_frame(rng, n)
-            f2 = random_frame_intersecting(rng, f1, int(rng.integers(1, n + 1)))
-            l1 = leray.lift_of(f1, int(rng.integers(-2, 3)))
-            l2 = leray.lift_of(f2, int(rng.integers(-2, 3)))
-            base = leray.mu_bar(l1, l2)
-            for _ in range(6):
-                comp = _admissible_companion(rng, f1, f2)
-                assert mu_bar_via_companion(l1, l2, comp) == base
-            count += 1
-    return count
+@per_dimension("inert-cocycle", 15)
+def check_inert_cocycle(rng, n):
+    fs = _random_transversal_triple(rng, n)
+    lifts = [leray.lift_of(f, int(rng.integers(-1, 2))) for f in fs]
+    lhs = (
+        leray.souriau_m(lifts[0], lifts[1])
+        - leray.souriau_m(lifts[0], lifts[2])
+        + leray.souriau_m(lifts[1], lifts[2])
+    )
+    assert lhs == signature.inert_index(*fs)
 
 
-def check_inert_cocycle(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(15):
-            fs = _random_transversal_triple(rng, n)
-            lifts = [leray.lift_of(f, int(rng.integers(-1, 2))) for f in fs]
-            lhs = (
-                leray.souriau_m(lifts[0], lifts[1])
-                - leray.souriau_m(lifts[0], lifts[2])
-                + leray.souriau_m(lifts[1], lifts[2])
-            )
-            assert lhs == signature.inert_index(*fs)
-            count += 1
-    return count
-
-
-def check_mu_bar_local_constancy(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            f1, f2 = _random_transversal_pair(rng, n)
-            l1 = leray.lift_of(f1, 0)
-            l2 = leray.lift_of(f2, 0)
-            base = leray.mu_bar(l1, l2)
-            u = lagrangian.frame_unitary(f1)
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = (z + z.conj().T) / 2
-            up = u @ scipy.linalg.expm(1e-5j * h)
-            f1p = lagrangian.frame_from_unitary(up)
-            w1p = lagrangian.souriau_w(f1p)
-            # continuous update of theta: nearest argument to the old one
-            ang = float(np.angle(np.linalg.det(w1p.w)))
-            theta = l1.theta + (ang - l1.theta + math.pi) % (2 * math.pi) - math.pi
-            l1p = leray.LagrangianLift(w1p, theta)
-            assert lagrangian.intersection_dim(f1p, f2).k == 0
-            assert leray.mu_bar(l1p, l2) == base
-            count += 1
-    return count
+@per_dimension("mu-bar-local-constancy", 10)
+def check_mu_bar_local_constancy(rng, n):
+    f1, f2 = _random_transversal_pair(rng, n)
+    l1 = leray.lift_of(f1, 0)
+    l2 = leray.lift_of(f2, 0)
+    base = leray.mu_bar(l1, l2)
+    u = lagrangian.frame_unitary(f1)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (z + z.conj().T) / 2
+    up = u @ scipy.linalg.expm(1e-5j * h)
+    f1p = lagrangian.frame_from_unitary(up)
+    w1p = lagrangian.souriau_w(f1p)
+    # continuous update of theta: nearest argument to the old one
+    ang = float(np.angle(np.linalg.det(w1p.w)))
+    theta = l1.theta + (ang - l1.theta + math.pi) % (2 * math.pi) - math.pi
+    l1p = leray.LagrangianLift(w1p, theta)
+    assert lagrangian.intersection_dim(f1p, f2).k == 0
+    assert leray.mu_bar(l1p, l2) == base
 
 
 # ---------------------------------------------------------------------------
 # paths
 
 
+@runner("loop-axioms")
 def check_loop_axioms(rng, n_max):
     count = 0
     for n in (1, 2) if n_max >= 2 else (1,):
@@ -462,57 +438,43 @@ def check_loop_axioms(rng, n_max):
     return count
 
 
-def check_concat_additivity(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            lam1 = random_lagrangian_path(rng, n)
-            lam2 = paths.path_joining(lam1.end(), random_frame(rng, n))
-            ell = random_frame(rng, n)
-            assert paths.mu_lagrangian(
-                paths.concat(lam1, lam2), ell
-            ) == paths.mu_lagrangian(lam1, ell) + paths.mu_lagrangian(lam2, ell)
-            assert paths.mu_lagrangian(paths.reverse(lam1), ell) == -paths.mu_lagrangian(
-                lam1, ell
-            )
-            count += 1
-    return count
+@per_dimension("concat-additivity", 10)
+def check_concat_additivity(rng, n):
+    lam1 = random_lagrangian_path(rng, n)
+    lam2 = paths.path_joining(lam1.end(), random_frame(rng, n))
+    ell = random_frame(rng, n)
+    assert paths.mu_lagrangian(
+        paths.concat(lam1, lam2), ell
+    ) == paths.mu_lagrangian(lam1, ell) + paths.mu_lagrangian(lam2, ell)
+    back = paths.reverse(lam1)
+    assert paths.mu_lagrangian(back, ell) == -paths.mu_lagrangian(lam1, ell)
 
 
-def check_reparametrization(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(8):
-            lam = random_lagrangian_path(rng, n)
-            ell = random_frame(rng, n)
-            base = paths.mu_lagrangian(lam, ell)
-            g = lam.generator
-            warp = lambda t: t * t * (3 - 2 * t)  # monotone, fixes 0 and 1
-            ts = tuple(np.linspace(0.0, 1.0, 21))
-            warped = paths.LagrangianPath(
-                ts, tuple(g(warp(t)) for t in ts), lambda t: g(warp(t))
-            )
-            assert paths.mu_lagrangian(warped, ell) == base
-            count += 1
-    return count
+@per_dimension("reparametrization", 8)
+def check_reparametrization(rng, n):
+    lam = random_lagrangian_path(rng, n)
+    ell = random_frame(rng, n)
+    base = paths.mu_lagrangian(lam, ell)
+    g = lam.generator
+    warp = lambda t: t * t * (3 - 2 * t)  # monotone, fixes 0 and 1
+    ts = tuple(np.linspace(0.0, 1.0, 21))
+    warped = paths.LagrangianPath(ts, tuple(g(warp(t)) for t in ts), lambda t: g(warp(t)))
+    assert paths.mu_lagrangian(warped, ell) == base
 
 
-def check_change_of_reference(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(15):
-            lam = random_lagrangian_path(rng, n)
-            ell, ellp = random_frame(rng, n), random_frame(rng, n)
-            lhs = paths.mu_lagrangian(lam, ell) - paths.mu_lagrangian(lam, ellp)
-            rhs = (
-                signature.kashiwara_tau(lam.end(), ell, ellp).tau
-                - signature.kashiwara_tau(lam.start(), ell, ellp).tau
-            )
-            assert lhs == rhs
-            count += 1
-    return count
+@per_dimension("change-of-reference", 15)
+def check_change_of_reference(rng, n):
+    lam = random_lagrangian_path(rng, n)
+    ell, ellp = random_frame(rng, n), random_frame(rng, n)
+    lhs = paths.mu_lagrangian(lam, ell) - paths.mu_lagrangian(lam, ellp)
+    rhs = (
+        signature.kashiwara_tau(lam.end(), ell, ellp).tau
+        - signature.kashiwara_tau(lam.start(), ell, ellp).tau
+    )
+    assert lhs == rhs
 
 
+@runner("triple-signature-paths")
 def check_triple_signature_paths(rng, n_max):
     """Triangle of connecting paths: the index sum around the triangle,
     corrected by twice the loop index of the closure, is twice the
@@ -536,103 +498,81 @@ def check_triple_signature_paths(rng, n_max):
     return count
 
 
-def check_symplectic_invariance(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            lam = random_lagrangian_path(rng, n)
-            ell = random_frame(rng, n)
-            S = random_symplectic(rng, n)
-            moved = transported_path(S, lam)
-            assert paths.mu_lagrangian(moved, lagrangian.apply_symplectic(S, ell)) == paths.mu_lagrangian(lam, ell)
-            count += 1
-    return count
+@per_dimension("symplectic-invariance", 10)
+def check_symplectic_invariance(rng, n):
+    lam = random_lagrangian_path(rng, n)
+    ell = random_frame(rng, n)
+    S = random_symplectic(rng, n)
+    moved = transported_path(S, lam)
+    moved_ell = lagrangian.apply_symplectic(S, ell)
+    assert paths.mu_lagrangian(moved, moved_ell) == paths.mu_lagrangian(lam, ell)
 
 
-def check_sp_cover_invariance(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(8):
-            sig = random_symplectic_path(rng, n)
-            l1, l2 = random_lift(rng, n), random_lift(rng, n)
-            moved1 = sp_lift_action(sig, l1)
-            moved2 = sp_lift_action(sig, l2)
-            assert leray.mu_bar(moved1, moved2) == leray.mu_bar(l1, l2)
-            count += 1
-    return count
+@per_dimension("sp-cover-invariance", 8)
+def check_sp_cover_invariance(rng, n):
+    sig = random_symplectic_path(rng, n)
+    l1, l2 = random_lift(rng, n), random_lift(rng, n)
+    moved1 = sp_lift_action(sig, l1)
+    moved2 = sp_lift_action(sig, l2)
+    assert leray.mu_bar(moved1, moved2) == leray.mu_bar(l1, l2)
 
 
-def check_mu_ell_product(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            ell = random_frame(rng, n)
-            s1p = random_symplectic_path(rng, n)
-            s2p = random_symplectic_path(rng, n)
-            s1 = s1p.end()
-            prod = paths.concat_symplectic(s1p, paths.left_translate(s1, s2p))
-            f1 = lagrangian.apply_symplectic(
-                symplectic.SymplecticMatrix(s1, tol=1e-7), ell
-            )
-            f12 = lagrangian.apply_symplectic(
-                symplectic.SymplecticMatrix(s1 @ s2p.end(), tol=1e-6), ell
-            )
-            assert paths.mu_ell(prod, ell) == (
-                paths.mu_ell(s1p, ell)
-                + paths.mu_ell(s2p, ell)
-                + signature.kashiwara_tau(ell, f1, f12).tau
-            )
-            count += 1
-    return count
+@per_dimension("mu-ell-product", 10)
+def check_mu_ell_product(rng, n):
+    ell = random_frame(rng, n)
+    s1p = random_symplectic_path(rng, n)
+    s2p = random_symplectic_path(rng, n)
+    s1 = s1p.end()
+    prod = paths.concat_symplectic(s1p, paths.left_translate(s1, s2p))
+    f1 = lagrangian.apply_symplectic(symplectic.SymplecticMatrix(s1, tol=1e-7), ell)
+    f12 = lagrangian.apply_symplectic(
+        symplectic.SymplecticMatrix(s1 @ s2p.end(), tol=1e-6), ell
+    )
+    assert paths.mu_ell(prod, ell) == (
+        paths.mu_ell(s1p, ell)
+        + paths.mu_ell(s2p, ell)
+        + signature.kashiwara_tau(ell, f1, f12).tau
+    )
 
 
-def check_mu_ell_base_change(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            ell, ellp = random_frame(rng, n), random_frame(rng, n)
-            sp = random_symplectic_path(rng, n)
-            Sm = symplectic.SymplecticMatrix(sp.end(), tol=1e-7)
-            sl = lagrangian.apply_symplectic(Sm, ell)
-            slp = lagrangian.apply_symplectic(Sm, ellp)
-            lhs = paths.mu_ell(sp, ell) - paths.mu_ell(sp, ellp)
-            rhs = (
-                signature.kashiwara_tau(sl, ell, ellp).tau
-                - signature.kashiwara_tau(sl, slp, ellp).tau
-            )
-            assert lhs == rhs
-            count += 1
-    return count
+@per_dimension("mu-ell-base-change", 10)
+def check_mu_ell_base_change(rng, n):
+    ell, ellp = random_frame(rng, n), random_frame(rng, n)
+    sp = random_symplectic_path(rng, n)
+    Sm = symplectic.SymplecticMatrix(sp.end(), tol=1e-7)
+    sl = lagrangian.apply_symplectic(Sm, ell)
+    slp = lagrangian.apply_symplectic(Sm, ellp)
+    lhs = paths.mu_ell(sp, ell) - paths.mu_ell(sp, ellp)
+    rhs = (
+        signature.kashiwara_tau(sl, ell, ellp).tau
+        - signature.kashiwara_tau(sl, slp, ellp).tau
+    )
+    assert lhs == rhs
 
 
-def check_mu_symplectic_endpoint_form(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(8):
-            ell, ellp = random_frame(rng, n), random_frame(rng, n)
-            s01 = random_symplectic_path(rng, n)
-            s12 = random_symplectic_path(rng, n, start=s01.end())
-            lhs = paths.mu_symplectic(s12, ell)
-            assert lhs == paths.mu_ell(
-                paths.concat_symplectic(s01, s12), ell
-            ) - paths.mu_ell(s01, ell)
+@per_dimension("mu-symplectic-endpoint-form", 8)
+def check_mu_symplectic_endpoint_form(rng, n):
+    ell, ellp = random_frame(rng, n), random_frame(rng, n)
+    s01 = random_symplectic_path(rng, n)
+    s12 = random_symplectic_path(rng, n, start=s01.end())
+    lhs = paths.mu_symplectic(s12, ell)
+    prod = paths.concat_symplectic(s01, s12)
+    assert lhs == paths.mu_ell(prod, ell) - paths.mu_ell(s01, ell)
 
-            def correction(s):
-                Sm = symplectic.SymplecticMatrix(s, tol=1e-6)
-                a = lagrangian.apply_symplectic(Sm, ell)
-                b = lagrangian.apply_symplectic(Sm, ellp)
-                return (
-                    signature.kashiwara_tau(a, ell, ellp).tau
-                    - signature.kashiwara_tau(a, b, ellp).tau
-                )
+    def correction(s):
+        Sm = symplectic.SymplecticMatrix(s, tol=1e-6)
+        a = lagrangian.apply_symplectic(Sm, ell)
+        b = lagrangian.apply_symplectic(Sm, ellp)
+        return (
+            signature.kashiwara_tau(a, ell, ellp).tau
+            - signature.kashiwara_tau(a, b, ellp).tau
+        )
 
-            assert lhs - paths.mu_symplectic(s12, ellp) == correction(
-                s12.end()
-            ) - correction(s12.start())
-            count += 1
-    return count
+    rhs = correction(s12.end()) - correction(s12.start())
+    assert lhs - paths.mu_symplectic(s12, ellp) == rhs
 
 
+@runner("winding-integral")
 def check_winding_integral(rng, n_max):
     count = 0
     for n in (1, 2) if n_max >= 2 else (1,):
@@ -655,6 +595,7 @@ def check_winding_integral(rng, n_max):
 # derived
 
 
+@runner("spectral-flow")
 def check_spectral_flow(rng, n_max):
     count = 0
     for n in _dims(n_max):
@@ -677,6 +618,7 @@ def check_spectral_flow(rng, n_max):
     return count
 
 
+@runner("robbin-salamon")
 def check_robbin_salamon(rng, n_max):
     count = 0
     for n in _dims(n_max):
@@ -704,22 +646,19 @@ def check_robbin_salamon(rng, n_max):
     return count
 
 
-def check_hormander(rng, n_max):
-    count = 0
-    for n in _dims(n_max):
-        for _ in range(10):
-            f1, f2, f3, f4 = (random_frame(rng, n) for _ in range(4))
-            xi = derived.hormander_xi(f1, f2, f3, f4)
-            lam34 = paths.path_joining(f3, f4)
-            path_form = (
-                derived.robbin_salamon(lam34, f2).twice_value
-                - derived.robbin_salamon(lam34, f1).twice_value
-            )
-            assert xi.twice_value == path_form
-            count += 1
-    return count
+@per_dimension("hormander", 10)
+def check_hormander(rng, n):
+    f1, f2, f3, f4 = (random_frame(rng, n) for _ in range(4))
+    xi = derived.hormander_xi(f1, f2, f3, f4)
+    lam34 = paths.path_joining(f3, f4)
+    path_form = (
+        derived.robbin_salamon(lam34, f2).twice_value
+        - derived.robbin_salamon(lam34, f1).twice_value
+    )
+    assert xi.twice_value == path_form
 
 
+@runner("direct-sums")
 def check_direct_sums(rng, n_max):
     count = 0
     for n1 in _dims(min(n_max, 2)):
@@ -745,43 +684,6 @@ def check_direct_sums(rng, n_max):
                 ) == paths.mu_lagrangian(lamA, ellA) + paths.mu_lagrangian(lamB, ellB)
                 count += 1
     return count
-
-
-CHECKS: dict[str, Callable] = {
-    "omega-antisymmetry": check_omega_antisymmetry,
-    "embed-unitary-symplectic": check_embed_unitary_symplectic,
-    "direct-sum-symplectic": check_direct_sum_symplectic,
-    "souriau-roundtrip": check_souriau_roundtrip,
-    "intersection-dim": check_intersection_dim,
-    "unitary-action": check_unitary_action,
-    "transversal-companion": check_transversal_companion,
-    "tau-antisymmetry": check_tau_antisymmetry,
-    "tau-cocycle": check_tau_cocycle,
-    "tau-sp-invariance": check_tau_sp_invariance,
-    "tau-direct-sum": check_tau_direct_sum,
-    "tau-local-constancy": check_tau_local_constancy,
-    "mu-bar-antisymmetry": check_mu_bar_antisymmetry,
-    "mu-bar-coboundary": check_mu_bar_coboundary,
-    "deck-equivariance": check_deck_equivariance,
-    "companion-independence": check_companion_independence,
-    "inert-cocycle": check_inert_cocycle,
-    "mu-bar-local-constancy": check_mu_bar_local_constancy,
-    "loop-axioms": check_loop_axioms,
-    "concat-additivity": check_concat_additivity,
-    "reparametrization": check_reparametrization,
-    "change-of-reference": check_change_of_reference,
-    "triple-signature-paths": check_triple_signature_paths,
-    "symplectic-invariance": check_symplectic_invariance,
-    "sp-cover-invariance": check_sp_cover_invariance,
-    "mu-ell-product": check_mu_ell_product,
-    "mu-ell-base-change": check_mu_ell_base_change,
-    "mu-symplectic-endpoint-form": check_mu_symplectic_endpoint_form,
-    "winding-integral": check_winding_integral,
-    "spectral-flow": check_spectral_flow,
-    "robbin-salamon": check_robbin_salamon,
-    "hormander": check_hormander,
-    "direct-sums": check_direct_sums,
-}
 
 
 def run_all(seed: int = 42, n_max: int = 3) -> list[CheckResult]:

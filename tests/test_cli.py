@@ -407,6 +407,19 @@ BAD_SCALAR_JOBS = {
     "graph-string": (_leray_job(1, plane={"graph": [["0.5"]]}), []),
     "graph-bool": (_leray_job(1, plane={"graph": [[True]]}), []),
     "branch-string": (_leray_job(1, branch="1"), []),
+    # numpy would promote the boolean to the numeric dtype and read it as 1.0
+    "graph-mixed-bool": (
+        {
+            "n": 2,
+            "index": "kashiwara",
+            "planes": [
+                "coordinate_xstar",
+                {"graph": [[True, 0.5], [0.5, 1.0]]},
+                "coordinate_x",
+            ],
+        },
+        [],
+    ),
 }
 
 
@@ -462,11 +475,56 @@ def test_path_report_lifts_once(index, monkeypatch):
     assert calls["lift_path"] == 1 and calls["induced_path"] <= 1
 
 
+#: every check of `maslov verify --n-max 1` and its instance count
+VERIFY_N_MAX_1 = [
+    ("change-of-reference", 15),
+    ("companion-independence", 8),
+    ("concat-additivity", 10),
+    ("deck-equivariance", 10),
+    ("direct-sum-symplectic", 10),
+    ("direct-sums", 8),
+    ("embed-unitary-symplectic", 30),
+    ("hormander", 10),
+    ("inert-cocycle", 15),
+    ("intersection-dim", 20),
+    ("loop-axioms", 8),
+    ("mu-bar-antisymmetry", 20),
+    ("mu-bar-coboundary", 25),
+    ("mu-bar-local-constancy", 10),
+    ("mu-ell-base-change", 10),
+    ("mu-ell-product", 10),
+    ("mu-symplectic-endpoint-form", 8),
+    ("omega-antisymmetry", 50),
+    ("reparametrization", 8),
+    ("robbin-salamon", 13),
+    ("souriau-roundtrip", 30),
+    ("sp-cover-invariance", 8),
+    ("spectral-flow", 10),
+    ("symplectic-invariance", 10),
+    ("tau-antisymmetry", 20),
+    ("tau-cocycle", 30),
+    ("tau-direct-sum", 10),
+    ("tau-local-constancy", 15),
+    ("tau-sp-invariance", 20),
+    ("transversal-companion", 15),
+    ("triple-signature-paths", 10),
+    ("unitary-action", 20),
+    ("winding-integral", 8),
+]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(["verify", "--seed", "7", "--n-max", "1"], capsys)
     assert code == 0
-    assert "FAIL" not in out
-    assert out.strip().splitlines()[-1].startswith("passed")
+    expected = [f"PASS {c} ({k} instances)" for c, k in VERIFY_N_MAX_1]
+    assert out.splitlines() == expected + ["passed 33/33 checks"]
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n-max", "0")])
+def test_bad_verify_flags(flag, value, capsys):
+    code, out, err = run(["verify", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
 def test_verify_detects_sign_flip(capsys, monkeypatch):
