@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import lagrangian, leray, paths, signature, verify
+from . import lagrangian, leray, paths, signature
 from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .derived import SymmetricFamily, graph_path, hormander_xi, shear_path, spectral_flow
 from .errors import BadInput, MaslovError
@@ -302,6 +302,8 @@ def cmd_compute(args) -> int:
         return _fail("BAD_INPUT", f"cannot read job file: {exc}")
     except json.JSONDecodeError as exc:
         return _fail("BAD_INPUT", f"invalid JSON: {exc}")
+    except RecursionError:
+        return _fail("BAD_INPUT", "invalid JSON: nested too deeply")
     if _has_boolean(job):
         return _fail("BAD_INPUT", "job: booleans are not accepted")
     if args.index is not None and isinstance(job, dict):
@@ -312,7 +314,11 @@ def cmd_compute(args) -> int:
         )
     except MaslovError as exc:
         return _fail(exc.code, str(exc))
-    text = _serialize(report)
+    try:
+        text = _serialize(report)
+    except RecursionError:
+        # the report nests the job one level deeper than json.load did
+        return _fail("BAD_INPUT", "job: nested too deeply to echo")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -322,10 +328,16 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not __debug__:
+        # the identity checks are assert statements, which -O strips
+        return _fail("BAD_INPUT", "maslov verify must run without python -O")
     if args.seed < 0:
         return _fail("BAD_INPUT", "--seed must be >= 0")
     if args.n_max < 1:
         return _fail("BAD_INPUT", "--n-max must be >= 1")
+    # the verification layer and scipy stay out of the compute path's imports
+    from . import verify
+
     results = verify.run_all(seed=args.seed, n_max=args.n_max)
     for r in results:
         if r.passed:

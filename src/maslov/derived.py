@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .errors import BadInput, IllConditioned
@@ -36,7 +35,8 @@ class SymmetricFamily:
         for A in mats:
             if A.shape != (n, n):
                 raise BadInput("family matrices must share a shape")
-            if np.abs(A - A.T).max() > TOL_SYM * max(1.0, float(np.abs(A).max())):
+            # `not err <= tol` rejects a NaN error too
+            if not np.abs(A - A.T).max() <= TOL_SYM * max(1.0, float(np.abs(A).max())):
                 raise BadInput("family matrix is not symmetric")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "matrices", mats)
@@ -146,7 +146,10 @@ def hormander_xi(
 
 def direct_sum_lift(l1: LagrangianLift, l2: LagrangianLift) -> LagrangianLift:
     """(w' (+) w'', theta' + theta'')."""
-    w = scipy.linalg.block_diag(l1.w.w, l2.w.w)
+    n1 = l1.n
+    w = np.zeros((n1 + l2.n,) * 2, dtype=complex)
+    w[:n1, :n1] = l1.w.w
+    w[n1:, n1:] = l2.w.w
     return LagrangianLift(SouriauMatrix(w), l1.theta + l2.theta)
 
 

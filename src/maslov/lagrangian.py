@@ -36,9 +36,10 @@ class LagrangianFrame:
         if X.shape != P.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise BadInput("x and p blocks must be equal-shape square matrices")
         n = X.shape[0]
-        if np.abs(X.T @ X + P.T @ P - np.eye(n)).max() > self.tol:
+        # `not err <= tol` rejects a NaN error too
+        if not np.abs(X.T @ X + P.T @ P - np.eye(n)).max() <= self.tol:
             raise BadInput("frame columns are not orthonormal")
-        if np.abs(X.T @ P - P.T @ X).max() > self.tol:
+        if not np.abs(X.T @ P - P.T @ X).max() <= self.tol:
             raise BadInput("frame does not span an isotropic subspace")
         X = X.copy()
         P = P.copy()
@@ -68,9 +69,10 @@ class SouriauMatrix:
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise BadInput("expected a square matrix")
         n = w.shape[0]
-        if np.abs(w - w.T).max() > self.tol:
+        # `not err <= tol` rejects a NaN error too
+        if not np.abs(w - w.T).max() <= self.tol:
             raise BadInput("matrix is not symmetric (plain transpose)")
-        if np.abs(w @ w.conj().T - np.eye(n)).max() > self.tol:
+        if not np.abs(w @ w.conj().T - np.eye(n)).max() <= self.tol:
             raise BadInput("matrix is not unitary")
         w = w.copy()
         w.setflags(write=False)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .defaults import TOL_RANK_BASE, TOL_ROUND
 from .errors import BadInput, Undersampled
@@ -90,7 +89,8 @@ class SymplecticPath:
         M = omega_matrix(d // 2)
         for S in mats:
             scale = max(1.0, float(np.abs(S).max()) ** 2)
-            if np.abs(S.T @ M @ S - M).max() > 1e-8 * scale:
+            # `not err <= tol` rejects a NaN error too
+            if not np.abs(S.T @ M @ S - M).max() <= 1e-8 * scale:
                 raise BadInput("path sample is not symplectic")
         object.__setattr__(self, "matrices", mats)
 
@@ -394,6 +394,8 @@ def rotation_path(
 
 def unitary_log_principal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and principal phases of a unitary matrix (Schur-based)."""
+    import scipy.linalg
+
     T, Z = scipy.linalg.schur(np.asarray(v, dtype=complex), output="complex")
     phases = np.angle(np.diag(T))
     return Z, phases
@@ -420,6 +422,8 @@ def symplectic_path_from_algebra(
     Z: np.ndarray, start: np.ndarray | None = None, samples: int = 33
 ) -> SymplecticPath:
     """The path t -> start . exp(tZ) for Z in the symplectic Lie algebra."""
+    import scipy.linalg
+
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0] // 2
     M = omega_matrix(n)

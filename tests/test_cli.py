@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,15 @@ def run(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(args, env, python_flags=()):
+    """The command line in a fresh interpreter: (exit code, stdout, stderr)."""
+    done = subprocess.run(
+        [sys.executable, *python_flags, "-m", "maslov.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_spectral_flow_job(tmp_path, capsys):
@@ -162,6 +173,27 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     job = {"n": 1, "index": "kashiwara", "planes": ["coordinate_x"]}
     code, _, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
     assert code == 2 and json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+def test_deeply_nested_job(tmp_path, src_env):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_process(["compute", "--input", str(deep)], src_env)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+def test_report_too_deep_to_echo(tmp_path, capsys, monkeypatch):
+    # json.load accepts a job one level shallower than the report that echoes it
+    nested = []
+    for _ in range(100_000):
+        nested = [nested]
+    monkeypatch.setattr(cli, "compute_report", lambda *args: {"inputs": nested})
+    job = {"n": 1, "index": "kashiwara", "planes": ["coordinate_x"]}
+    code, out, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
 def test_undersampled_exit_code(tmp_path, capsys):
@@ -525,6 +557,15 @@ def test_bad_verify_flags(flag, value, capsys):
     code, out, err = run(["verify", flag, value], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+def test_verify_refuses_optimized_mode(src_env):
+    # -O strips the assert statements the identity checks are made of
+    code, out, err = run_process(["verify", "--seed", "7", "--n-max", "1"], src_env, ["-O"])
+    assert code == 2
+    assert "PASS" not in out
+    error = json.loads(err)["error"]
+    assert error["code"] == "BAD_INPUT" and "-O" in error["message"]
 
 
 def test_verify_detects_sign_flip(capsys, monkeypatch):

@@ -6,7 +6,9 @@ from maslov import (
     IllConditioned,
     LagrangianFrame,
     SouriauMatrix,
+    SymmetricFamily,
     SymplecticMatrix,
+    SymplecticPath,
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,
@@ -48,6 +50,26 @@ def test_frame_validation():
             np.array([[1.0, 0.0], [0.0, 0.0]]) / np.sqrt(2),
             np.array([[0.0, 1.0], [1.0, 0.0], ])[::-1] / np.sqrt(2),
         )
+
+
+NAN = float("nan")
+NAN_INPUTS = {
+    "frame-x": lambda: LagrangianFrame([[NAN]], [[1.0]]),
+    "frame-p": lambda: LagrangianFrame([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, NAN]]),
+    "souriau": lambda: SouriauMatrix([[NAN]]),
+    "family": lambda: SymmetricFamily((0.0, 1.0), ([[1.0]], [[NAN]])),
+    "symplectic-path": lambda: SymplecticPath(
+        (0.0, 1.0), (np.eye(2), np.array([[1.0, 0.0], [NAN, 1.0]]))
+    ),
+    "graph-plane": lambda: frame_from_graph(np.array([[NAN]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_constructors_reject_nan(name):
+    # a NaN error fails every `err > tol` test, so the checks read `not err <= tol`
+    with pytest.raises(BadInput):
+        NAN_INPUTS[name]()
 
 
 def test_souriau_anchors():
