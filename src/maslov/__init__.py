@@ -15,7 +15,6 @@ from .errors import BadInput, IllConditioned, MaslovError, Undersampled
 from .lagrangian import (
     LagrangianFrame,
     SouriauMatrix,
-    StratumLabel,
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,

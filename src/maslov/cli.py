@@ -328,9 +328,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not __debug__:
-        # the identity checks are assert statements, which -O strips
-        return _fail("BAD_INPUT", "maslov verify must run without python -O")
     if args.seed < 0:
         return _fail("BAD_INPUT", "--seed must be >= 0")
     if args.n_max < 1:

@@ -6,8 +6,11 @@ the values here are the base factors and the defaults of the ``tol_rank``,
 ``tol_sig`` and ``tol_round`` arguments, which nothing rewrites at runtime.
 """
 
-#: structural checks: symplecticity, unitarity, frame orthonormality (max-norm)
+#: structural checks: unitarity, frame orthonormality (max-norm)
 TOL_SYM = 1e-10
+
+#: symplecticity, relative: ||S^T M S - M||_max <= TOL_SYMPLECTIC * max(1, ||S||_max^2)
+TOL_SYMPLECTIC = 1e-8
 
 #: corank decisions: threshold is TOL_RANK_BASE * max(1, largest singular value)
 TOL_RANK_BASE = 1e-8

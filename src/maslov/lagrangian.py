@@ -19,7 +19,7 @@ import numpy as np
 
 from .defaults import AMBIGUITY_DECADE, TOL_RANK_BASE, TOL_SYM
 from .errors import BadInput, IllConditioned
-from .symplectic import SymplecticMatrix, omega_matrix
+from .symplectic import SymplecticMatrix
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,6 @@ class SouriauMatrix:
     @property
     def n(self) -> int:
         return self.w.shape[0]
-
-
-@dataclass(frozen=True)
-class StratumLabel:
-    """Dimension of the intersection with a reference plane."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise BadInput("intersection dimension must be nonnegative")
 
 
 def coordinate_x(n: int) -> LagrangianFrame:
@@ -203,7 +192,7 @@ def intersection_dim(
     ell1: LagrangianFrame,
     ell2: LagrangianFrame,
     tol_rank: float = TOL_RANK_BASE,
-) -> StratumLabel:
+) -> int:
     """dim(ell1 /\\ ell2), computed as the corank of w1 - w2.
 
     Cross-validated against the kernel dimension of [F1 | -F2]; a mismatch
@@ -219,20 +208,33 @@ def intersection_dim(
         raise IllConditioned(
             f"corank disagreement between routes ({k_w} vs {k_f})"
         )
-    return StratumLabel(k_w)
+    return k_w
 
 
-def apply_symplectic(S: SymplecticMatrix, ell: LagrangianFrame) -> LagrangianFrame:
-    """Frame of S . ell, re-orthonormalized by QR.
+def apply_symplectic(S: SymplecticMatrix | np.ndarray, ell: LagrangianFrame) -> LagrangianFrame:
+    """Frame of S . ell, re-orthonormalized by QR; every transport of a
+    plane goes through here.
 
-    Isotropy is re-verified after the factorization rather than re-imposed,
-    so corrupted inputs surface as errors.
+    S is a SymplecticMatrix or a 2n x 2n array its caller has validated
+    already (a ``SymplecticPath`` sample or a value of its generator), so
+    S is not checked again.  Isotropy of the image is re-verified after
+    the factorization rather than re-imposed, so corrupted inputs surface
+    as errors.  The image is validated at
+
+        tol = 100 * ell.tol * max(1, ||S||_F^2),
+
+    which needs no SVD.  The singular values of a symplectic S come in
+    pairs (s, 1/s), so cond_2(S) = ||S||_2^2 <= ||S||_F^2 and the bound is
+    at least 10 * ell.tol * cond_2(S), the former library rule; for a frame
+    at the default ell.tol = TOL_SYM it is also at least 1e-8, the former
+    fixed bound of path transports.  Both old rules' images pass.
     """
-    if S.n != ell.n:
-        raise BadInput("matrix and plane dimensions differ")
-    Q, _ = np.linalg.qr(S.entries @ ell.stacked())
+    entries = S.entries if isinstance(S, SymplecticMatrix) else np.asarray(S, dtype=float)
     n = ell.n
-    tol = ell.tol * max(1.0, np.linalg.cond(S.entries)) * 10
+    if entries.shape != (2 * n, 2 * n):
+        raise BadInput("matrix and plane dimensions differ")
+    Q, _ = np.linalg.qr(entries @ ell.stacked())
+    tol = 100 * ell.tol * max(1.0, float(np.vdot(entries, entries)))
     return LagrangianFrame(Q[:n], Q[n:], tol=tol)
 
 
@@ -258,7 +260,7 @@ def transversal_companion(ell1: LagrangianFrame, ell2: LagrangianFrame) -> Lagra
     """A plane e^{i theta} I transversal to both inputs; deterministic."""
     theta = companion_phase(ell1, ell2)
     ell3 = _scalar_frame(theta, ell1.n)
-    if intersection_dim(ell3, ell1).k != 0 or intersection_dim(ell3, ell2).k != 0:
+    if intersection_dim(ell3, ell1) != 0 or intersection_dim(ell3, ell2) != 0:
         raise IllConditioned("companion plane failed the transversality post-check")
     return ell3
 

@@ -19,9 +19,15 @@ import numpy as np
 
 from .defaults import TOL_RANK_BASE, TOL_ROUND
 from .errors import BadInput, Undersampled
-from .lagrangian import LagrangianFrame, frame_from_unitary, frame_unitary, souriau_w
+from .lagrangian import (
+    LagrangianFrame,
+    apply_symplectic,
+    frame_from_unitary,
+    frame_unitary,
+    souriau_w,
+)
 from .leray import LagrangianLift, lift_of, mu_bar
-from .symplectic import omega_matrix
+from .symplectic import is_symplectic, omega_matrix
 
 #: step acceptance bound for the determinant phase (margin against aliasing)
 MAX_PHASE_STEP = math.pi / 2
@@ -75,7 +81,7 @@ class LagrangianPath:
 @dataclass(frozen=True)
 class SymplecticPath:
     times: tuple
-    matrices: tuple  # raw 2n x 2n arrays; validated loosely at construction
+    matrices: tuple  # raw 2n x 2n arrays, validated by is_symplectic
     generator: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
@@ -86,12 +92,8 @@ class SymplecticPath:
         d = mats[0].shape[0]
         if d % 2 != 0 or any(S.shape != (d, d) for S in mats):
             raise BadInput("all matrices must be square of one even dimension")
-        M = omega_matrix(d // 2)
-        for S in mats:
-            scale = max(1.0, float(np.abs(S).max()) ** 2)
-            # `not err <= tol` rejects a NaN error too
-            if not np.abs(S.T @ M @ S - M).max() <= 1e-8 * scale:
-                raise BadInput("path sample is not symplectic")
+        if not is_symplectic(np.stack(mats)):
+            raise BadInput("path sample is not symplectic")
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -319,21 +321,16 @@ def mu_lagrangian(
     return lift_path(lam).mu_lagrangian(ell, tol_round)
 
 
-def _act(entries: np.ndarray, ell: LagrangianFrame) -> LagrangianFrame:
-    n = ell.n
-    Q, _ = np.linalg.qr(entries @ ell.stacked())
-    return LagrangianFrame(Q[:n], Q[n:], tol=1e-8)
-
-
 def induced_path(sig: SymplecticPath, ell: LagrangianFrame) -> LagrangianPath:
-    """The Lagrangian path t -> sig(t) . ell."""
+    """The Lagrangian path t -> sig(t) . ell; the samples were validated by
+    SymplecticPath and are not checked again."""
     if sig.n != ell.n:
         raise BadInput("path and plane dimensions differ")
-    frames = tuple(_act(S, ell) for S in sig.matrices)
+    frames = tuple(apply_symplectic(S, ell) for S in sig.matrices)
     gen = None
     if sig.generator is not None:
         g = sig.generator
-        gen = lambda t: _act(np.asarray(g(t), dtype=float), ell)
+        gen = lambda t: apply_symplectic(g(t), ell)
     return LagrangianPath(sig.times, frames, gen)
 
 

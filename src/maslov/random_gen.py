@@ -14,6 +14,7 @@ from .lagrangian import (
     LagrangianFrame,
     SouriauMatrix,
     _joint_phase_decomposition,
+    apply_symplectic,
     frame_from_unitary,
     frame_from_w,
     souriau_w,
@@ -63,7 +64,7 @@ def random_symplectic(
         )
         S = U @ shear @ diag
         if np.linalg.cond(S) <= max_cond:
-            return SymplecticMatrix(S, tol=1e-8)
+            return SymplecticMatrix(S)
 
 
 def random_frame(rng: np.random.Generator, n: int) -> LagrangianFrame:
@@ -133,8 +134,6 @@ def transported_path(S: SymplecticMatrix, lam: LagrangianPath) -> LagrangianPath
     base grid is chosen proportional to kappa before adaptive bisection
     takes over.
     """
-    from .lagrangian import apply_symplectic
-
     if lam.generator is None:
         frames = tuple(apply_symplectic(S, f) for f in lam.frames)
         return LagrangianPath(lam.times, frames, None)

@@ -89,7 +89,7 @@ def inert_index(
 ) -> int:
     """Index of inertia (tau + n) / 2; requires pairwise transversality."""
     for a, b in ((ell1, ell2), (ell2, ell3), (ell3, ell1)):
-        if intersection_dim(a, b, tol_rank).k != 0:
+        if intersection_dim(a, b, tol_rank) != 0:
             raise BadInput("inertia index needs a pairwise-transversal triple")
     tau = kashiwara_tau(ell1, ell2, ell3, tol_sig).tau
     n = ell1.n

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL_SYM
+from .defaults import TOL_SYM, TOL_SYMPLECTIC
 from .errors import BadInput
 
 
 def omega_matrix(n: int) -> np.ndarray:
     """Matrix of the symplectic form in (x, p) block order."""
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, -eye], [eye, zero]])
+    return np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
 
 
 @dataclass(frozen=True)
@@ -58,25 +56,33 @@ def omega(z: SymplecticVector, zp: SymplecticVector) -> float:
     return float(z.p @ zp.x - zp.p @ z.x)
 
 
-def is_symplectic(S: np.ndarray, tol: float = TOL_SYM) -> bool:
-    """True iff ||S^T M S - M||_max <= tol with M the matrix of omega."""
+def is_symplectic(S: np.ndarray) -> bool:
+    """The one symplecticity rule: ||S^T M S - M||_max <= TOL_SYMPLECTIC *
+    max(1, ||S||_max^2), M the matrix of omega.  The bound scales with the
+    entries because the rounding error of S^T M S does.
+
+    S is one 2n x 2n matrix or an (N, 2n, 2n) stack, which is checked in one
+    batch and passes iff every matrix of it does; a NaN entry fails."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
+    if S.ndim not in (2, 3) or S.shape[-1] != S.shape[-2] or S.shape[-1] % 2 != 0:
         raise BadInput("expected a square matrix of even dimension")
-    M = omega_matrix(S.shape[0] // 2)
-    return float(np.abs(S.T @ M @ S - M).max()) <= tol
+    M = omega_matrix(S.shape[-1] // 2)
+    err = np.abs(np.swapaxes(S, -1, -2) @ M @ S - M).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1)) ** 2)
+    return bool(np.all(err <= TOL_SYMPLECTIC * scale))
 
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """A 2n x 2n real matrix validated against the form at construction."""
+    """A 2n x 2n real matrix validated by ``is_symplectic`` at construction."""
 
     entries: np.ndarray
-    tol: float = TOL_SYM
 
     def __post_init__(self):
         S = np.asarray(self.entries, dtype=float)
-        if not is_symplectic(S, self.tol):
+        if S.ndim != 2:
+            raise BadInput("expected a square matrix of even dimension")
+        if not is_symplectic(S):
             raise BadInput("matrix does not preserve the symplectic form")
         S = S.copy()
         S.setflags(write=False)
@@ -100,9 +106,10 @@ class UnitaryEmbedding:
         if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise BadInput("real and imaginary parts must be equal-shape square matrices")
         n = a.shape[0]
-        if (
-            np.abs(a.T @ a + b.T @ b - np.eye(n)).max() > TOL_SYM
-            or np.abs(a.T @ b - b.T @ a).max() > TOL_SYM
+        # `not err <= tol` rejects a NaN error too
+        if not (
+            np.abs(a.T @ a + b.T @ b - np.eye(n)).max() <= TOL_SYM
+            and np.abs(a.T @ b - b.T @ a).max() <= TOL_SYM
         ):
             raise BadInput("a + ib is not unitary within tolerance")
         a = a.copy()
@@ -125,7 +132,7 @@ class UnitaryEmbedding:
 def embed_unitary(u: UnitaryEmbedding) -> SymplecticMatrix:
     """The block matrix [[A, -B], [B, A]] of the U(n) action."""
     S = np.block([[u.a, -u.b], [u.b, u.a]])
-    return SymplecticMatrix(S, tol=TOL_SYM * 10)
+    return SymplecticMatrix(S)
 
 
 def _interleave_indices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,4 +150,4 @@ def direct_sum_symplectic(S1: SymplecticMatrix, S2: SymplecticMatrix) -> Symplec
     T = np.zeros((2 * n, 2 * n))
     T[np.ix_(idx1, idx1)] = S1.entries
     T[np.ix_(idx2, idx2)] = S2.entries
-    return SymplecticMatrix(T, tol=max(S1.tol, S2.tol))
+    return SymplecticMatrix(T)

@@ -175,8 +175,8 @@ def test_criterion_05_companion_independence(capsys):
         while done < 20:
             cand = random_frame(rng, n)
             if (
-                intersection_dim(cand, f1).k != 0
-                or intersection_dim(cand, f2).k != 0
+                intersection_dim(cand, f1) != 0
+                or intersection_dim(cand, f2) != 0
             ):
                 continue
             comp = lift_of(cand, int(rng.integers(-2, 3)))
@@ -192,7 +192,7 @@ def test_criterion_06_inertia_cocycle(capsys):
     for n in itertools.cycle(DIMS):
         fs = [random_frame(rng, n) for _ in range(3)]
         if any(
-            intersection_dim(fs[i], fs[j]).k != 0
+            intersection_dim(fs[i], fs[j]) != 0
             for i, j in ((0, 1), (0, 2), (1, 2))
         ):
             continue
@@ -294,15 +294,15 @@ def test_criterion_12_mu_ell_formulas(capsys):
         s2p = random_symplectic_path(rng, n)
         s1 = s1p.end()
         prod = concat_symplectic(s1p, left_translate(s1, s2p))
-        f1 = apply_symplectic(SymplecticMatrix(s1, tol=1e-7), ell)
+        f1 = apply_symplectic(SymplecticMatrix(s1), ell)
         f12 = apply_symplectic(
-            SymplecticMatrix(s1 @ s2p.end(), tol=1e-6), ell
+            SymplecticMatrix(s1 @ s2p.end()), ell
         )
         ok = ok and mu_ell(prod, ell) == (
             mu_ell(s1p, ell) + mu_ell(s2p, ell) + kashiwara_tau(ell, f1, f12).tau
         )
-        sl = apply_symplectic(SymplecticMatrix(s1, tol=1e-7), ell)
-        slp = apply_symplectic(SymplecticMatrix(s1, tol=1e-7), ellp)
+        sl = apply_symplectic(SymplecticMatrix(s1), ell)
+        slp = apply_symplectic(SymplecticMatrix(s1), ellp)
         ok = ok and mu_ell(s1p, ell) - mu_ell(s1p, ellp) == (
             kashiwara_tau(sl, ell, ellp).tau - kashiwara_tau(sl, slp, ellp).tau
         )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from maslov import BadInput, Undersampled, cli, defaults, paths, signature
+from maslov import BadInput, Undersampled, cli, defaults, lagrangian, paths, signature
 from maslov.signature import TripleSignature
 
 
@@ -545,6 +545,31 @@ VERIFY_N_MAX_1 = [
 ]
 
 
+def test_transport_takes_every_validated_sample():
+    # the second sample misses symplecticity by 0.9 of the rule; its image of
+    # the plane misses isotropy by more than 1e-8, which a fixed 1e-8
+    # transport bound rejected (BAD_INPUT) while the exact shear has a value
+    graph = [[0.5, 1.0], [1.0, 0.0]]
+
+    def job(defect):
+        S = np.eye(4)
+        S[2, 0] = 2.0
+        S[3, 3] = 1.0 + defect  # S^T M S - M has max entry `defect`
+        return S, {
+            "index": "symplectic",
+            "n": 2,
+            "plane": {"graph": graph},
+            "path": {"kind": "symplectic_samples", "matrices": [np.eye(4).tolist(), S.tolist()]},
+        }
+
+    S, near = job(0.9e-8 * 2.0**2)
+    exact = cli.compute_report(job(0.0)[1], defaults.TOL_ROUND)["value"]
+    assert exact == 1
+    assert cli.compute_report(near, defaults.TOL_ROUND)["value"] == exact
+    image = lagrangian.apply_symplectic(S, lagrangian.frame_from_graph(np.array(graph)))
+    assert np.abs(image.xblock.T @ image.pblock - image.pblock.T @ image.xblock).max() > 1e-8
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(["verify", "--seed", "7", "--n-max", "1"], capsys)
     assert code == 0
@@ -559,13 +584,37 @@ def test_bad_verify_flags(flag, value, capsys):
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
-def test_verify_refuses_optimized_mode(src_env):
-    # -O strips the assert statements the identity checks are made of
+#: `maslov verify --seed 7 --n-max 1` with kashiwara_tau sign-flipped, under -O
+SIGN_FLIP_UNDER_O = """
+import sys
+from maslov import cli, signature
+from maslov.signature import TripleSignature
+
+if __debug__:
+    sys.exit("expected python -O")
+original = signature.kashiwara_tau
+
+def flipped(*args, **kwargs):
+    r = original(*args, **kwargs)
+    return TripleSignature(-r.tau, r.negative_count, r.positive_count, r.null_count)
+
+signature.kashiwara_tau = flipped
+sys.exit(cli.main(["verify", "--seed", "7", "--n-max", "1"]))
+"""
+
+
+def test_verify_full_strength_under_optimize(src_env):
+    # the checks raise through verify._expect, which -O does not strip
     code, out, err = run_process(["verify", "--seed", "7", "--n-max", "1"], src_env, ["-O"])
-    assert code == 2
-    assert "PASS" not in out
-    error = json.loads(err)["error"]
-    assert error["code"] == "BAD_INPUT" and "-O" in error["message"]
+    assert code == 0 and err == ""
+    expected = [f"PASS {c} ({k} instances)" for c, k in VERIFY_N_MAX_1]
+    assert out.splitlines() == expected + ["passed 33/33 checks"]
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SIGN_FLIP_UNDER_O],
+        capture_output=True, text=True, env=src_env, timeout=120,
+    )
+    assert done.returncode == 5, done.stderr
+    assert "FAIL mu-bar-coboundary" in done.stdout
 
 
 def test_verify_detects_sign_flip(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from maslov import (
     SymmetricFamily,
     SymplecticMatrix,
     SymplecticPath,
+    UnitaryEmbedding,
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,
@@ -62,6 +63,7 @@ NAN_INPUTS = {
         (0.0, 1.0), (np.eye(2), np.array([[1.0, 0.0], [NAN, 1.0]]))
     ),
     "graph-plane": lambda: frame_from_graph(np.array([[NAN]])),
+    "unitary-embedding": lambda: UnitaryEmbedding([[NAN]], [[0.0]]),
 }
 
 
@@ -106,11 +108,12 @@ def test_frame_from_w_roundtrip(rng):
 
 
 def test_intersection_dim_anchors():
-    assert intersection_dim(coordinate_x(2), coordinate_xstar(2)).k == 0
+    assert type(intersection_dim(coordinate_x(2), coordinate_xstar(2))) is int
+    assert intersection_dim(coordinate_x(2), coordinate_xstar(2)) == 0
     f = frame_from_graph(np.array([[0.7, 0.1], [0.1, -0.2]]))
-    assert intersection_dim(f, f).k == 2
+    assert intersection_dim(f, f) == 2
     g = frame_from_graph(np.diag([1.0, 0.0]))
-    assert intersection_dim(g, coordinate_x(2)).k == 1
+    assert intersection_dim(g, coordinate_x(2)) == 1
 
 
 def test_intersection_dim_exact_coranks(rng):
@@ -118,7 +121,7 @@ def test_intersection_dim_exact_coranks(rng):
         for k in range(n + 1):
             f1 = random_frame(rng, n)
             f2 = random_frame_intersecting(rng, f1, k)
-            assert intersection_dim(f1, f2).k == k
+            assert intersection_dim(f1, f2) == k
 
 
 def test_intersection_dim_ambiguity_band():
@@ -143,8 +146,8 @@ def test_apply_symplectic_anchors():
 
 def test_transversal_companion(rng):
     f3 = transversal_companion(coordinate_x(1), coordinate_xstar(1))
-    assert intersection_dim(f3, coordinate_x(1)).k == 0
-    assert intersection_dim(f3, coordinate_xstar(1)).k == 0
+    assert intersection_dim(f3, coordinate_x(1)) == 0
+    assert intersection_dim(f3, coordinate_xstar(1)) == 0
     # eigenphases are {pi, 0}; the maximin phase is +-pi/2
     w = souriau_w(f3).w[0, 0]
     assert abs(abs(w.imag) - 1.0) < 1e-9
@@ -152,7 +155,7 @@ def test_transversal_companion(rng):
     for n in (1, 2, 3):
         f = random_frame(rng, n)
         comp = transversal_companion(f, f)
-        assert intersection_dim(comp, f).k == 0
+        assert intersection_dim(comp, f) == 0
 
 
 def test_dims_symplectic_invariant(rng):
@@ -160,11 +163,11 @@ def test_dims_symplectic_invariant(rng):
         for _ in range(10):
             f1 = random_frame(rng, n)
             f2 = random_frame_intersecting(rng, f1, int(rng.integers(0, n + 1)))
-            k = intersection_dim(f1, f2).k
+            k = intersection_dim(f1, f2)
             S = random_symplectic(rng, n)
             assert intersection_dim(
                 apply_symplectic(S, f1), apply_symplectic(S, f2)
-            ).k == k
+            ) == k
 
 
 def test_direct_sum_frame_dims(rng):

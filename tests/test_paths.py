@@ -197,7 +197,7 @@ def test_induced_path_matches_action(rng):
     lam = induced_path(sig, ell)
     from maslov import SymplecticMatrix
 
-    end = apply_symplectic(SymplecticMatrix(sig.end(), tol=1e-7), ell)
+    end = apply_symplectic(SymplecticMatrix(sig.end()), ell)
     assert same_plane(lam.end(), end)
 
 

@@ -4,6 +4,7 @@ import pytest
 from maslov import (
     BadInput,
     SymplecticMatrix,
+    SymplecticPath,
     SymplecticVector,
     UnitaryEmbedding,
     direct_sum_symplectic,
@@ -48,16 +49,72 @@ def test_omega_dimension_mismatch():
 
 
 def test_is_symplectic_examples():
-    assert is_symplectic(np.eye(2), 1e-10)
+    assert is_symplectic(np.eye(2))
     t = 0.7
     rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-    assert is_symplectic(rot, 1e-10)
-    assert not is_symplectic(np.diag([2.0, 1.0]), 1e-10)
+    assert is_symplectic(rot)
+    assert not is_symplectic(np.diag([2.0, 1.0]))
 
 
 def test_is_symplectic_rejects_odd_dimension():
     with pytest.raises(BadInput):
-        is_symplectic(np.eye(3), 1e-10)
+        is_symplectic(np.eye(3))
+
+
+def _shear_with_defect(a, defect):
+    """[[1, 0], [a, 1 + defect]]: S^T M S - M has max entry `defect`."""
+    return np.array([[1.0, 0.0], [a, 1.0 + defect]])
+
+
+#: name -> (S, accepted by the symplecticity rule, whose bound is
+#: 1e-8 * max(1, ||S||_max^2): 1e-8 at unit scale, 1e-2 for ||S||_max = 1e3)
+RULE_CASES = {
+    "exact": (_shear_with_defect(0.5, 0.0), True),
+    "shear-1e3": (_shear_with_defect(1e3, 0.0), True),
+    "under-unit": (_shear_with_defect(0.5, 0.9e-8), True),
+    "over-unit": (_shear_with_defect(0.5, 1.1e-8), False),
+    "under-1e3": (_shear_with_defect(1e3, 0.9e-2), True),
+    "over-1e3": (_shear_with_defect(1e3, 1.1e-2), False),
+    "nan": (_shear_with_defect(float("nan"), 0.0), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_matrix_and_path_share_one_rule(name):
+    S, accepted = RULE_CASES[name]
+
+    def accepts(make):
+        try:
+            make()
+        except BadInput:
+            return False
+        return True
+
+    assert is_symplectic(S) is accepted
+    assert accepts(lambda: SymplecticMatrix(S)) is accepted
+    assert accepts(lambda: SymplecticPath((0.0, 1.0), (np.eye(2), S))) is accepted
+
+
+def test_stacked_check_matches_single_matrices(rng):
+    # SymplecticPath checks its samples as one stack; a stack passes iff
+    # every matrix passes the rule on its own, written here as a loop body
+    accepted = 0
+    for n in (1, 2, 3):
+        M = omega_matrix(n)
+        for _ in range(40):
+            A = np.diag(rng.uniform(-1, 1, n)) * 10 ** rng.uniform(0, 3)
+            S = random_symplectic(rng, n).entries @ np.block(
+                [[np.eye(n), np.zeros((n, n))], [A, np.eye(n)]]
+            )
+            # noise whose defect lands on either side of the rule
+            S = S + rng.standard_normal(S.shape) * 10 ** rng.uniform(-10, -7) * np.abs(S).max()
+            big = np.abs(S).max()
+            alone = bool(np.abs(S.T @ M @ S - M).max() <= 1e-8 * max(1.0, big**2))
+            accepted += alone
+            assert is_symplectic(S) is alone
+            assert is_symplectic(np.stack([np.eye(2 * n), S])) is alone
+            assert is_symplectic(np.stack([S, S])) is alone
+    assert 20 < accepted < 100
 
 
 def test_symplectic_matrix_validates():
@@ -90,7 +147,7 @@ def test_embedded_unitaries_are_symplectic(rng):
         for _ in range(25):
             u = random_unitary(rng, n)
             S = embed_unitary(UnitaryEmbedding.from_complex(u))
-            assert is_symplectic(S.entries, 1e-10)
+            assert is_symplectic(S.entries)
 
 
 def test_direct_sum_acts_blockwise():
@@ -112,7 +169,7 @@ def test_direct_sum_composes(rng):
             @ direct_sum_symplectic(a2, b2).entries
         )
         rhs = direct_sum_symplectic(
-            SymplecticMatrix(a1.entries @ a2.entries, tol=1e-7),
-            SymplecticMatrix(b1.entries @ b2.entries, tol=1e-7),
+            SymplecticMatrix(a1.entries @ a2.entries),
+            SymplecticMatrix(b1.entries @ b2.entries),
         ).entries
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
