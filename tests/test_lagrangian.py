@@ -108,8 +108,8 @@ def test_frame_from_w_roundtrip(rng):
 
 
 def test_intersection_dim_anchors():
-    assert type(intersection_dim(coordinate_x(2), coordinate_xstar(2))) is int
-    assert intersection_dim(coordinate_x(2), coordinate_xstar(2)) == 0
+    k = intersection_dim(coordinate_x(2), coordinate_xstar(2))
+    assert type(k) is int and k == 0
     f = frame_from_graph(np.array([[0.7, 0.1], [0.1, -0.2]]))
     assert intersection_dim(f, f) == 2
     g = frame_from_graph(np.diag([1.0, 0.0]))
