@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import lagrangian, leray, paths, signature
-from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
+from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE
 from .derived import SymmetricFamily, graph_path, hormander_xi, shear_path, spectral_flow
 from .errors import BadInput, MaslovError
 
@@ -104,7 +104,7 @@ def _polynomial_family(coefficients, n) -> SymmetricFamily:
     if not coeffs:
         raise BadInput("graph_polynomial needs at least one coefficient")
     for i, c in enumerate(coeffs):
-        if np.abs(c - c.T).max() > TOL_SYM * max(1.0, np.abs(c).max()):
+        if not lagrangian.is_symmetric(c):
             raise BadInput(f"polynomial coefficient {i} is not symmetric")
 
     def A(t: float) -> np.ndarray:
@@ -217,8 +217,8 @@ def compute_report(
         report["twice_value" if kind == "rs" else "value"] = value
         report["samples"] = lifted.sample_count
         report["lifts"] = {
-            "start": _lift_report(lifted.start_lift()),
-            "end": _lift_report(lifted.end_lift()),
+            "start": _lift_report(lifted.start),
+            "end": _lift_report(lifted.end),
         }
         if kind in ("lagrangian", "rs"):
             report["lifts"]["reference_branch"] = 0

@@ -10,11 +10,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
+from .defaults import TOL_ROUND, TOL_SIG_BASE
 from .errors import BadInput, IllConditioned
-from .lagrangian import LagrangianFrame, SouriauMatrix, coordinate_x, frame_from_graph
+from .lagrangian import (
+    LagrangianFrame,
+    SouriauMatrix,
+    coordinate_x,
+    frame_from_graph,
+    is_symmetric,
+)
 from .leray import LagrangianLift
-from .paths import LagrangianPath, SymplecticPath, mu_lagrangian
+from .paths import LagrangianPath, SymplecticPath, _check_times, mu_lagrangian
 from .signature import kashiwara_tau, sign_counts
 
 
@@ -27,16 +33,15 @@ class SymmetricFamily:
     generator: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
+        ts = _check_times(self.times)
         mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)
-        if len(ts) != len(mats) or len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
-            raise BadInput("family needs samples on [0, 1] with matching times")
+        if len(ts) != len(mats):
+            raise BadInput("family needs one matrix per sample time")
         n = mats[0].shape[0]
         for A in mats:
-            if A.shape != (n, n):
-                raise BadInput("family matrices must share a shape")
-            # `not err <= tol` rejects a NaN error too
-            if not np.abs(A - A.T).max() <= TOL_SYM * max(1.0, float(np.abs(A).max())):
+            if A.shape != (n, n) or n == 0:
+                raise BadInput("family matrices must share a non-empty square shape")
+            if not is_symmetric(A):
                 raise BadInput("family matrix is not symmetric")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "matrices", mats)

@@ -33,8 +33,8 @@ class LagrangianFrame:
     def __post_init__(self):
         X = np.asarray(self.xblock, dtype=float)
         P = np.asarray(self.pblock, dtype=float)
-        if X.shape != P.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
-            raise BadInput("x and p blocks must be equal-shape square matrices")
+        if X.shape != P.shape or X.ndim != 2 or X.shape[0] != X.shape[1] or X.size == 0:
+            raise BadInput("x and p blocks must be equal-shape non-empty square matrices")
         n = X.shape[0]
         # `not err <= tol` rejects a NaN error too
         if not np.abs(X.T @ X + P.T @ P - np.eye(n)).max() <= self.tol:
@@ -66,8 +66,8 @@ class SouriauMatrix:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=complex)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise BadInput("expected a square matrix")
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+            raise BadInput("expected a non-empty square matrix")
         n = w.shape[0]
         # `not err <= tol` rejects a NaN error too
         if not np.abs(w - w.T).max() <= self.tol:
@@ -93,17 +93,24 @@ def coordinate_xstar(n: int) -> LagrangianFrame:
     return LagrangianFrame(np.zeros((n, n)), np.eye(n))
 
 
+def is_symmetric(A: np.ndarray) -> bool:
+    """The one symmetric-matrix rule, relative like the rounding error of A:
+    ||A - A^T||_max <= TOL_SYM * max(1, ||A||_max); a NaN entry fails."""
+    return bool(np.abs(A - A.T).max() <= TOL_SYM * max(1.0, float(np.abs(A).max())))
+
+
 def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
     """Orthonormal frame of the graph {(x, Ax)} of a symmetric matrix A.
 
-    Uses the closed form X = (I + A^2)^(-1/2), P = A X.
+    Uses the closed form X = (I + A^2)^(-1/2), P = A X on the symmetric part.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise BadInput("expected a square matrix")
-    if np.abs(A - A.T).max() > TOL_SYM:
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise BadInput("expected a non-empty square matrix")
+    if not is_symmetric(A):
         raise BadInput("graph matrix must be symmetric")
-    vals, vecs = np.linalg.eigh((A + A.T) / 2)
+    A = (A + A.T) / 2
+    vals, vecs = np.linalg.eigh(A)
     X = (vecs / np.sqrt(1.0 + vals**2)) @ vecs.T
     return LagrangianFrame(X, A @ X)
 
@@ -119,10 +126,22 @@ def frame_unitary(ell: LagrangianFrame) -> np.ndarray:
     return ell.pblock - 1j * ell.xblock
 
 
-def souriau_w(ell: LagrangianFrame) -> SouriauMatrix:
-    """w = u u^t with u = P - iX."""
+def _uut(ell: LagrangianFrame) -> np.ndarray:
     u = frame_unitary(ell)
-    return SouriauMatrix(u @ u.T, tol=max(ell.tol * 10, TOL_SYM * 10))
+    return u @ u.T
+
+
+def souriau_w(ell: LagrangianFrame) -> SouriauMatrix:
+    """w = u u^t with u = P - iX, validated at max(10, 4n) * max(ell.tol, TOL_SYM),
+    which the frame's bound implies: for the frame's defect E = X^t X + P^t P - I,
+    to first order w w^H - I = 2 u E u^H, so ||w w^H - I||_max <= 2n ell.tol (the
+    isotropy defect cancels, and w is symmetric up to rounding)."""
+    return SouriauMatrix(_uut(ell), tol=max(10, 4 * ell.n) * max(ell.tol, TOL_SYM))
+
+
+def det_phase(ell: LagrangianFrame) -> float:
+    """arg det w for w = souriau_w(ell), without building the SouriauMatrix."""
+    return float(np.angle(np.linalg.det(_uut(ell))))
 
 
 def _joint_phase_decomposition(w: SouriauMatrix):

@@ -22,6 +22,7 @@ from .errors import BadInput, Undersampled
 from .lagrangian import (
     LagrangianFrame,
     apply_symplectic,
+    det_phase,
     frame_from_unitary,
     frame_unitary,
     souriau_w,
@@ -90,8 +91,8 @@ class SymplecticPath:
         if len(mats) != len(self.times):
             raise BadInput("one matrix per sample time required")
         d = mats[0].shape[0]
-        if d % 2 != 0 or any(S.shape != (d, d) for S in mats):
-            raise BadInput("all matrices must be square of one even dimension")
+        if d % 2 != 0 or d == 0 or any(S.shape != (d, d) for S in mats):
+            raise BadInput("all matrices must be non-empty and square of one even dimension")
         if not is_symplectic(np.stack(mats)):
             raise BadInput("path sample is not symplectic")
         object.__setattr__(self, "matrices", mats)
@@ -168,28 +169,19 @@ def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
 
 @dataclass(frozen=True)
 class LiftedPath:
-    """A path together with a continuous argument of det w along it."""
+    """The two end lifts of a path, joined by a continuous argument of det w
+    along it, and the number of samples that argument was carried through."""
 
-    times: tuple
-    ws: tuple
-    thetas: tuple
-
-    def start_lift(self) -> LagrangianLift:
-        return LagrangianLift(self.ws[0], self.thetas[0])
-
-    def end_lift(self) -> LagrangianLift:
-        return LagrangianLift(self.ws[-1], self.thetas[-1])
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.times)
+    start: LagrangianLift
+    end: LagrangianLift
+    sample_count: int
 
     def winding(self) -> float:
-        return (self.thetas[-1] - self.thetas[0]) / (2 * math.pi)
+        return (self.end.theta - self.start.theta) / (2 * math.pi)
 
     def keller_maslov(self, tol_round: float = TOL_ROUND) -> int:
         """Winding number of det w around the lifted path, which must be a loop."""
-        if not _same_w(self.ws[0], self.ws[-1]):
+        if not _same_w(self.start.w, self.end.w):
             raise BadInput("loop index requires a closed path")
         return _integer(self.winding(), tol_round, "loop winding")
 
@@ -203,18 +195,13 @@ class LiftedPath:
         the two-point index of the end and start lifts against any lift of
         ell, which is independent of the branch choices."""
         ell_inf = lift_of(ell, 0)
-        end = mu_bar(self.end_lift(), ell_inf, tol_round, tol_rank)
-        return end - mu_bar(self.start_lift(), ell_inf, tol_round, tol_rank)
+        end = mu_bar(self.end, ell_inf, tol_round, tol_rank)
+        return end - mu_bar(self.start, ell_inf, tol_round, tol_rank)
 
     def mu_ell(self, tol_round: float = TOL_ROUND, tol_rank: float = TOL_RANK_BASE) -> int:
         """mu_ell when the path is t -> sig(t) ell with sig(0) = I: the
         canonical two-point index between its end and start lifts."""
-        return mu_bar(self.end_lift(), self.start_lift(), tol_round, tol_rank)
-
-
-def _det_angle(frame: LagrangianFrame):
-    w = souriau_w(frame)
-    return w, float(np.angle(np.linalg.det(w.w)))
+        return mu_bar(self.end, self.start, tol_round, tol_rank)
 
 
 def _wrap(d: float) -> float:
@@ -230,10 +217,11 @@ def lift_path(
     """Phase unwrapping of det w along the path.
 
     theta(0) is the principal argument plus 2 pi * branch (or the explicit
-    theta_start, which must be an argument of det w(0)).  Each step uses
-    nearest-argument continuation and must stay below pi/2; offending steps
-    are bisected through the generator up to max_depth, and accepted steps
-    must additionally be reproduced by their midpoint split.
+    theta_start, which the start lift checks is an argument of det w(0)).
+    Each step uses nearest-argument continuation and must stay below pi/2;
+    offending steps are bisected through the generator up to max_depth, and
+    accepted steps must additionally be reproduced by their midpoint split.
+    Samples between the ends are reduced to their ``det_phase``.
 
     The sample grid must resolve the fastest motion of the path: a feature
     narrower than half the local sample spacing whose endpoints happen to
@@ -241,24 +229,18 @@ def lift_path(
     obtained by transporting with a badly conditioned symplectic matrix
     are the typical offenders; sample those proportionally to cond(S).
     """
-    pairs = [_det_angle(f) for f in lam.frames]
-    times = list(lam.times)
-    ws = [p[0] for p in pairs]
-    angs = [p[1] for p in pairs]
+    angs = [det_phase(f) for f in lam.frames]
+    theta0 = angs[0] + 2 * math.pi * branch if theta_start is None else float(theta_start)
+    theta, count = theta0, 1
 
-    out_t = [times[0]]
-    out_w = [ws[0]]
-    out_a = [angs[0]]
-
-    def descend(t0, a0, t1, w1, a1, depth):
-        if len(out_t) > MAX_SAMPLES:
+    def descend(t0, a0, t1, a1, depth):
+        nonlocal theta, count
+        if count > MAX_SAMPLES:
             raise Undersampled("sample cap exceeded during refinement")
         d = _wrap(a1 - a0)
         if lam.generator is None:
             if abs(d) < MAX_PHASE_STEP:
-                out_t.append(t1)
-                out_w.append(w1)
-                out_a.append(a1)
+                theta, count = theta + d, count + 1
                 return
             raise Undersampled(
                 "phase step >= pi/2 between samples and no generator to refine"
@@ -266,36 +248,23 @@ def lift_path(
         # with a generator, guard nearest-argument continuation against
         # aliasing: the midpoint split must reproduce the whole step
         tm = (t0 + t1) / 2
-        wm, am = _det_angle(lam.generator(tm))
+        am = det_phase(lam.generator(tm))
         d1 = _wrap(am - a0)
         d2 = _wrap(a1 - am)
         consistent = abs(d1 + d2 - d) < 1e-9
         if consistent and max(abs(d), abs(d1), abs(d2)) < MAX_PHASE_STEP:
-            out_t.append(tm)
-            out_w.append(wm)
-            out_a.append(am)
-            out_t.append(t1)
-            out_w.append(w1)
-            out_a.append(a1)
+            theta, count = theta + d1 + d2, count + 2
             return
         if depth >= max_depth:
             raise Undersampled("refinement depth exceeded; path may be discontinuous")
-        descend(t0, a0, tm, wm, am, depth + 1)
-        descend(tm, am, t1, w1, a1, depth + 1)
+        descend(t0, a0, tm, am, depth + 1)
+        descend(tm, am, t1, a1, depth + 1)
 
-    for i in range(1, len(times)):
-        descend(out_t[-1], out_a[-1], times[i], ws[i], angs[i], 0)
-
-    if theta_start is None:
-        theta0 = out_a[0] + 2 * math.pi * branch
-    else:
-        if abs(np.exp(1j * theta_start) - np.exp(1j * out_a[0])) > 1e-6:
-            raise BadInput("theta_start is not an argument of det w(0)")
-        theta0 = float(theta_start)
-    thetas = [theta0]
-    for i in range(1, len(out_a)):
-        thetas.append(thetas[-1] + _wrap(out_a[i] - out_a[i - 1]))
-    return LiftedPath(tuple(out_t), tuple(out_w), tuple(thetas))
+    for i in range(1, len(angs)):
+        descend(lam.times[i - 1], angs[i - 1], lam.times[i], angs[i], 0)
+    start = LagrangianLift(souriau_w(lam.start()), theta0)
+    end = LagrangianLift(souriau_w(lam.end()), theta)
+    return LiftedPath(start, end, count)
 
 
 def _integer(value: float, tol_round: float, what: str) -> int:

@@ -64,9 +64,10 @@ def is_symplectic(S: np.ndarray) -> bool:
     S is one 2n x 2n matrix or an (N, 2n, 2n) stack, which is checked in one
     batch and passes iff every matrix of it does; a NaN entry fails."""
     S = np.asarray(S, dtype=float)
-    if S.ndim not in (2, 3) or S.shape[-1] != S.shape[-2] or S.shape[-1] % 2 != 0:
-        raise BadInput("expected a square matrix of even dimension")
-    M = omega_matrix(S.shape[-1] // 2)
+    d = S.shape[-1] if S.ndim in (2, 3) else 0
+    if d == 0 or d % 2 != 0 or S.shape[-2] != d:
+        raise BadInput("expected a non-empty square matrix of even dimension")
+    M = omega_matrix(d // 2)
     err = np.abs(np.swapaxes(S, -1, -2) @ M @ S - M).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1)) ** 2)
     return bool(np.all(err <= TOL_SYMPLECTIC * scale))
@@ -80,8 +81,8 @@ class SymplecticMatrix:
 
     def __post_init__(self):
         S = np.asarray(self.entries, dtype=float)
-        if S.ndim != 2:
-            raise BadInput("expected a square matrix of even dimension")
+        if S.ndim != 2 or S.size == 0:
+            raise BadInput("expected a non-empty square matrix of even dimension")
         if not is_symplectic(S):
             raise BadInput("matrix does not preserve the symplectic form")
         S = S.copy()
@@ -103,8 +104,10 @@ class UnitaryEmbedding:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise BadInput("real and imaginary parts must be equal-shape square matrices")
+        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise BadInput(
+                "real and imaginary parts must be non-empty equal-shape square matrices"
+            )
         n = a.shape[0]
         # `not err <= tol` rejects a NaN error too
         if not (

@@ -129,8 +129,7 @@ def sp_lift_action(sig: paths.SymplecticPath, lift: leray.LagrangianLift):
     """The action of the cover element over sig(1) (path from identity) on a
     cover point: transport the lift along the induced path."""
     ell = lagrangian.frame_from_w(lift.w)
-    lifted = paths.lift_path(paths.induced_path(sig, ell), theta_start=lift.theta)
-    return lifted.end_lift()
+    return paths.lift_path(paths.induced_path(sig, ell), theta_start=lift.theta).end
 
 
 def mu_bar_via_companion(

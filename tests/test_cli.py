@@ -545,6 +545,52 @@ VERIFY_N_MAX_1 = [
 ]
 
 
+def test_leray_takes_every_valid_frame(tmp_path, capsys):
+    # n = 8 frame [0, H (I + 3.5e-10 v v^t)] of X*, H the reflection taking
+    # v = 1/sqrt(8) (1, ..., 1) to e1: LagrangianFrame accepts it, and its w
+    # misses unitarity by 2n times the frame's defect, which souriau_w's
+    # former 10 * TOL_SYM rejected ("matrix is not unitary")
+    n = 8
+    v = np.ones(n) / np.sqrt(n)
+    r = v - np.eye(n)[0]
+    H = np.eye(n) - 2 * np.outer(r, r) / (r @ r)
+    P = H @ (np.eye(n) + 3.5e-10 * np.outer(v, v))
+    frame = {"frame": [np.zeros((n, n)).tolist(), P.tolist()]}
+    reports = []
+    for plane in (frame, "coordinate_xstar"):
+        job = {"n": n, "index": "leray", "lifts": [{"plane": plane}, {"plane": "coordinate_x"}]}
+        code, out, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
+        assert code == 0 and err == ""
+        reports.append(json.loads(out)["value"])
+    assert reports[0] == reports[1]
+
+
+def test_graph_plane_and_coefficient_share_the_symmetric_rule():
+    # asymmetry 5e-8 on entries of 1000: inside the one relative rule, so the
+    # matrix is a graph plane as well as a polynomial coefficient, and both
+    # read as its symmetric part
+    near = [[1000.0, 1000.0 + 5e-8], [1000.0, 1001.0]]
+    sym = [[1000.0, 1000.0 + 2.5e-8], [1000.0 + 2.5e-8, 1001.0]]
+
+    def plane_job(A):
+        planes = ["coordinate_xstar", {"graph": A}, "coordinate_x"]
+        return {"n": 2, "index": "kashiwara", "planes": planes}
+
+    def values(A):
+        path = {
+            "n": 2,
+            "index": "lagrangian",
+            "path": {"kind": "graph_polynomial", "coefficients": [A, (-2 * np.eye(2)).tolist()]},
+            "plane": "coordinate_x",
+        }
+        return [cli.compute_report(job, defaults.TOL_ROUND)["value"] for job in (plane_job(A), path)]
+
+    assert values(near) == values(sym) == [2, -2]
+    far = [[1000.0, 1000.0 + 5e-7], [1000.0, 1001.0]]
+    with pytest.raises(BadInput, match="graph matrix must be symmetric"):
+        cli.compute_report(plane_job(far), defaults.TOL_ROUND)
+
+
 def test_transport_takes_every_validated_sample():
     # the second sample misses symplecticity by 0.9 of the rule; its image of
     # the plane misses isotropy by more than 1e-8, which a fixed 1e-8

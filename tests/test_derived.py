@@ -52,6 +52,25 @@ def test_symmetric_family_validation():
         SymmetricFamily((0.0, 1.0), (np.array([[0.0, 1.0], [0.0, 0.0]]),) * 2)
     with pytest.raises(BadInput):
         SymmetricFamily((0.0, 0.5), (np.eye(1), np.eye(1)))
+    # the times rule of the paths the family feeds
+    with pytest.raises(BadInput):
+        SymmetricFamily((0.0, 0.7, 0.3, 1.0), (np.eye(1),) * 4)
+    with pytest.raises(BadInput):
+        spectral_flow(SymmetricFamily((0.0, 0.7, 0.3, 1.0), (-np.eye(1),) * 2 + (np.eye(1),) * 2))
+
+
+def test_family_and_graph_path_share_the_symmetric_rule():
+    # asymmetry 5e-8 on entries of 1000 passes the one relative rule, so the
+    # graph path of a family that SymmetricFamily accepts is accepted too
+    near = np.array([[1000.0, 1000.0 + 5e-8], [1000.0, 1001.0]])
+    sym = (near + near.T) / 2
+    fam = SymmetricFamily.from_function(lambda t: near - 2 * t * np.eye(2))
+    ref = SymmetricFamily.from_function(lambda t: sym - 2 * t * np.eye(2))
+    assert spectral_flow(fam) == spectral_flow(ref) == -2
+    assert mu_lagrangian(graph_path(fam), coordinate_x(2)) == -2
+    assert mu_lagrangian(graph_path(ref), coordinate_x(2)) == -2
+    with pytest.raises(BadInput):
+        SymmetricFamily((0.0, 1.0), (near + np.array([[0.0, 1e-6], [0.0, 0.0]]),) * 2)
 
 
 def test_spectral_flow_anchors():

@@ -18,10 +18,13 @@ from maslov import (
     frame_from_unitary,
     frame_from_w,
     intersection_dim,
+    is_symplectic,
     omega_matrix,
     souriau_w,
     transversal_companion,
 )
+from maslov.defaults import TOL_SYM
+from maslov.lagrangian import is_symmetric
 from maslov.paths import same_plane
 from maslov.random_gen import random_frame, random_frame_intersecting, random_symplectic
 
@@ -72,6 +75,59 @@ def test_constructors_reject_nan(name):
     # a NaN error fails every `err > tol` test, so the checks read `not err <= tol`
     with pytest.raises(BadInput):
         NAN_INPUTS[name]()
+
+
+EMPTY = np.zeros((0, 0))
+EMPTY_INPUTS = {
+    "frame": lambda: LagrangianFrame(EMPTY, EMPTY),
+    "souriau": lambda: SouriauMatrix(EMPTY),
+    "symplectic-matrix": lambda: SymplecticMatrix(EMPTY),
+    "symplectic-path": lambda: SymplecticPath((0.0, 1.0), (EMPTY, EMPTY)),
+    "is-symplectic": lambda: is_symplectic(EMPTY),
+    "unitary-embedding": lambda: UnitaryEmbedding(EMPTY, EMPTY),
+    "family": lambda: SymmetricFamily((0.0, 1.0), (EMPTY, EMPTY)),
+    "graph-plane": lambda: frame_from_graph(EMPTY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_INPUTS))
+def test_constructors_reject_zero_dimension(name):
+    # n = 0 fails the shape check, before any max over an empty array
+    with pytest.raises(BadInput):
+        EMPTY_INPUTS[name]()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_souriau_w_accepts_every_valid_frame(n):
+    # X = 0, P = H (I + d v v^t) with H the reflection taking v to e1: the
+    # orthonormality defect of the frame sits just inside TOL_SYM, and the
+    # unitarity defect of w = P P^t is 2n times as large, which a fixed
+    # 10 * TOL_SYM rejected for n >= 6
+    v = np.ones(n) / np.sqrt(n)
+    r = v - np.eye(n)[0]
+    H = np.eye(n) - 2 * np.outer(r, r) / (r @ r) if n > 1 else np.eye(1)
+    d = 0.49 * n * TOL_SYM
+    frame = LagrangianFrame(np.zeros((n, n)), H @ (np.eye(n) + d * np.outer(v, v)))
+    defect = np.abs(frame.pblock.T @ frame.pblock - np.eye(n)).max()
+    assert 0.9 * TOL_SYM < defect <= TOL_SYM
+    w = souriau_w(frame).w
+    assert np.abs(w @ w.conj().T - np.eye(n)).max() > 1.9 * n * defect
+    assert same_plane(frame, coordinate_xstar(n))
+
+
+#: a matrix whose asymmetry 5e-8 is inside the relative rule (1e-10 * 1001)
+#: and outside the former absolute 1e-10 of frame_from_graph
+NEAR_SYMMETRIC = np.array([[1000.0, 1000.0 + 5e-8], [1000.0, 1001.0]])
+
+
+def test_one_symmetric_rule():
+    assert is_symmetric(NEAR_SYMMETRIC)
+    assert not is_symmetric(np.array([[1000.0, 1000.0 + 5e-7], [1000.0, 1001.0]]))
+    assert not is_symmetric(np.array([[0.0, 2e-10], [0.0, 0.0]]))
+    assert not is_symmetric(np.array([[1.0, NAN], [NAN, 1.0]]))
+    # the graph of a near-symmetric matrix is the graph of its symmetric part
+    sym = (NEAR_SYMMETRIC + NEAR_SYMMETRIC.T) / 2
+    assert same_plane(frame_from_graph(NEAR_SYMMETRIC), frame_from_graph(sym))
 
 
 def test_souriau_anchors():

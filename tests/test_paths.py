@@ -6,6 +6,8 @@ import pytest
 from maslov import (
     BadInput,
     LagrangianPath,
+    SouriauMatrix,
+    SymmetricFamily,
     SymplecticPath,
     Undersampled,
     apply_symplectic,
@@ -14,6 +16,7 @@ from maslov import (
     coordinate_x,
     coordinate_xstar,
     frame_from_graph,
+    graph_path,
     induced_path,
     kashiwara_tau,
     keller_maslov,
@@ -27,6 +30,7 @@ from maslov import (
     rotation_path,
     symplectic_path_from_algebra,
 )
+from maslov import paths
 from maslov.paths import same_plane
 from maslov.random_gen import (
     random_frame,
@@ -66,9 +70,66 @@ def test_lift_branch_and_theta_start():
     lam = rotation_path(1, 0.0, math.pi)
     l0 = lift_path(lam, branch=0)
     l1 = lift_path(lam, branch=1)
-    assert abs(l1.start_lift().theta - l0.start_lift().theta - 2 * math.pi) < 1e-12
+    assert abs(l1.start.theta - l0.start.theta - 2 * math.pi) < 1e-12
+    assert abs(l1.winding() - l0.winding()) < 1e-12
+    shifted = lift_path(lam, theta_start=l0.start.theta - 2 * math.pi)
+    assert shifted.start.theta == l0.start.theta - 2 * math.pi
+    assert abs(shifted.winding() - l0.winding()) < 1e-12
     with pytest.raises(BadInput):
         lift_path(lam, theta_start=1.0)
+    # the start lift checks theta_start at TOL_PHASE, so lift_path itself
+    # rejects an argument that is off by 1e-7
+    with pytest.raises(BadInput):
+        lift_path(lam, theta_start=l0.start.theta + 1e-7)
+
+
+def _sampled_rotation(samples):
+    lam = rotation_path(2, 0.0, 3 * math.pi, samples)
+    return LagrangianPath(lam.times, lam.frames, None)
+
+
+def _bent_graph_path():
+    # a generator path whose middle stretch needs several bisection levels
+    fam = SymmetricFamily.from_function(
+        lambda t: np.array([[40.0 * t - 20.0, 1.0], [1.0, 3.0 - 6.0 * t**2]]), samples=5
+    )
+    return graph_path(fam)
+
+
+LIFT_PATHS = {
+    "sampled-17": lambda: _sampled_rotation(17),
+    "sampled-65": lambda: _sampled_rotation(65),
+    "generator-rotation": lambda: rotation_path(1, 0.0, 2 * math.pi, 17),
+    "generator-graph": _bent_graph_path,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_PATHS))
+def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
+    # interior samples, given or generated, are reduced to one phase each;
+    # only the two end lifts hold a validated SouriauMatrix
+    lam = LIFT_PATHS[name]()
+    calls = {"souriau_w": 0, "SouriauMatrix": 0}
+    souriau_w = paths.souriau_w
+    post_init = SouriauMatrix.__post_init__
+
+    def counted_w(frame):
+        calls["souriau_w"] += 1
+        return souriau_w(frame)
+
+    def counted_post_init(self):
+        calls["SouriauMatrix"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(paths, "souriau_w", counted_w)
+    monkeypatch.setattr(SouriauMatrix, "__post_init__", counted_post_init)
+    lifted = lift_path(lam)
+    assert lifted.sample_count >= len(lam.times) > 2
+    if lam.generator is not None:
+        assert lifted.sample_count > len(lam.times)
+    assert calls == {"souriau_w": 2, "SouriauMatrix": 2}
+    assert np.array_equal(lifted.start.w.w, souriau_w(lam.start()).w)
+    assert np.array_equal(lifted.end.w.w, souriau_w(lam.end()).w)
 
 
 def test_undersampled_without_generator():
