@@ -63,6 +63,18 @@ def _matrix(data, shape, what):
     return arr
 
 
+def _samples(data, shape, what):
+    """A list of job arrays of one shape, read as one stack by one
+    ``_matrix`` call.  Only when that fails is each sample read alone, so
+    that the message names the first bad one ("{what} i")."""
+    try:
+        return _matrix(data, (len(data),) + shape, f"{what}s")
+    except BadInput:
+        for i, item in enumerate(data):
+            _matrix(item, shape, f"{what} {i}")
+        raise
+
+
 def _number(data, what, integer=False):
     """A scalar job field: a finite number, integral if ``integer``."""
     x = float(_matrix(data, (), what))
@@ -122,11 +134,8 @@ def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
         frames_raw = spec.get("frames")
         if not isinstance(frames_raw, list) or len(frames_raw) < 2:
             raise BadInput("lagrangian_samples needs at least two frames")
-        frames = []
-        for i, fr in enumerate(frames_raw):
-            arr = _matrix(fr, (2 * n, n), f"frame sample {i}")
-            frames.append(lagrangian.LagrangianFrame(arr[:n], arr[n:]))
-        return paths.LagrangianPath(_times(spec, len(frames)), tuple(frames), None)
+        frames = _samples(frames_raw, (2 * n, n), "frame sample")
+        return paths.LagrangianPath(_times(spec, len(frames)), frames, None)
     if kind == "rotation":
         if n not in (1, 2):
             raise BadInput("rotation paths are defined for n = 1 or 2")
@@ -147,10 +156,7 @@ def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
         mats_raw = spec.get("matrices")
         if not isinstance(mats_raw, list) or len(mats_raw) < 2:
             raise BadInput("symplectic_samples needs at least two matrices")
-        mats = tuple(
-            _matrix(m, (2 * n, 2 * n), f"matrix sample {i}")
-            for i, m in enumerate(mats_raw)
-        )
+        mats = _samples(mats_raw, (2 * n, 2 * n), "matrix sample")
         return paths.SymplecticPath(_times(spec, len(mats)), mats, None)
     if kind == "shear":
         return shear_path(_polynomial_family(spec.get("coefficients", []), n))

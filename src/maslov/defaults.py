@@ -21,7 +21,8 @@ TOL_SIG_BASE = 1e-9
 #: an index value must land within TOL_ROUND of an integer
 TOL_ROUND = 1e-6
 
-#: |det w - e^{i theta}| bound for points of the universal cover
+#: floor of the |det w - e^{i theta}| bound for points of the universal
+#: cover, which otherwise scales with w's validation (leray.LagrangianLift)
 TOL_PHASE = 1e-9
 
 #: width (in decades) of the ambiguity band around rank/signature thresholds

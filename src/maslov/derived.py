@@ -17,6 +17,7 @@ from .lagrangian import (
     SouriauMatrix,
     coordinate_x,
     frame_from_graph,
+    graph_frames,
     is_symmetric,
 )
 from .leray import LagrangianLift
@@ -103,8 +104,9 @@ def spectral_flow(family: SymmetricFamily, tol_sig: float = TOL_SIG_BASE) -> int
 
 
 def graph_path(family: SymmetricFamily) -> LagrangianPath:
-    """The path of graph planes t -> {(x, A(t) x)}."""
-    frames = tuple(frame_from_graph(A) for A in family.matrices)
+    """The path of graph planes t -> {(x, A(t) x)}; the family checked that
+    each A(t) is symmetric, and the path validates the frames in one batch."""
+    frames = graph_frames(np.stack(family.matrices))
     gen = None
     if family.generator is not None:
         g = family.generator
@@ -114,19 +116,20 @@ def graph_path(family: SymmetricFamily) -> LagrangianPath:
 
 def shear_path(family: SymmetricFamily) -> SymplecticPath:
     """The symplectic path t -> [[I, 0], [A(t), I]]."""
-    n = family.n
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-
-    def S_of(A: np.ndarray) -> np.ndarray:
-        return np.block([[eye, zero], [A, eye]])
-
-    mats = tuple(S_of(A) for A in family.matrices)
     gen = None
     if family.generator is not None:
         g = family.generator
-        gen = lambda t: S_of(np.asarray(g(t), dtype=float))
-    return SymplecticPath(family.times, mats, gen)
+        gen = lambda t: _shear(np.asarray(g(t), dtype=float))
+    return SymplecticPath(family.times, _shear(np.stack(family.matrices)), gen)
+
+
+def _shear(A: np.ndarray) -> np.ndarray:
+    """[[I, 0], [A, I]] for an n x n matrix A or each of an (N, n, n) stack."""
+    n = A.shape[-1]
+    S = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    S[..., :n, :n] = S[..., n:, n:] = np.eye(n)
+    S[..., n:, :n] = A
+    return S
 
 
 def robbin_salamon(

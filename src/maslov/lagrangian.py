@@ -35,12 +35,7 @@ class LagrangianFrame:
         P = np.asarray(self.pblock, dtype=float)
         if X.shape != P.shape or X.ndim != 2 or X.shape[0] != X.shape[1] or X.size == 0:
             raise BadInput("x and p blocks must be equal-shape non-empty square matrices")
-        n = X.shape[0]
-        # `not err <= tol` rejects a NaN error too
-        if not np.abs(X.T @ X + P.T @ P - np.eye(n)).max() <= self.tol:
-            raise BadInput("frame columns are not orthonormal")
-        if not np.abs(X.T @ P - P.T @ X).max() <= self.tol:
-            raise BadInput("frame does not span an isotropic subspace")
+        check_frames(X, P, self.tol)
         X = X.copy()
         P = P.copy()
         X.setflags(write=False)
@@ -55,6 +50,26 @@ class LagrangianFrame:
     def stacked(self) -> np.ndarray:
         """The 2n x n matrix [X; P]."""
         return np.vstack([self.xblock, self.pblock])
+
+
+def check_frames(X: np.ndarray, P: np.ndarray, tol) -> None:
+    """The one frame rule: the columns of [X; P] are orthonormal and span an
+    isotropic subspace, both within tol in the max-norm.
+
+    X and P are the n x n blocks of one frame or (N, n, n) stacks of them,
+    checked in one batch; tol is a float or one per frame.  Each check reads
+    `not err <= tol`, so a NaN entry fails.  The first failing frame, in
+    stack order, names the failed check, orthonormality before isotropy."""
+    Xt = X.swapaxes(-1, -2)
+    Pt = P.swapaxes(-1, -2)
+    orth = np.abs(Xt @ X + Pt @ P - np.eye(X.shape[-1])).max(axis=(-2, -1)) <= tol
+    ok = orth & (np.abs(Xt @ P - Pt @ X).max(axis=(-2, -1)) <= tol)
+    # one frame gives a numpy bool, whose truth needs no reduction
+    if ok if ok.ndim == 0 else ok.all():
+        return
+    if np.ravel(orth)[np.argmin(np.ravel(ok))]:
+        raise BadInput("frame does not span an isotropic subspace")
+    raise BadInput("frame columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -109,10 +124,20 @@ def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
         raise BadInput("expected a non-empty square matrix")
     if not is_symmetric(A):
         raise BadInput("graph matrix must be symmetric")
-    A = (A + A.T) / 2
+    F = graph_frames(A)
+    n = A.shape[0]
+    return LagrangianFrame(F[:n], F[n:])
+
+
+def graph_frames(A: np.ndarray) -> np.ndarray:
+    """The [X; P] frames of the graphs of an n x n matrix or an (N, n, n)
+    stack of them, by frame_from_graph's closed form (one batched eigh).
+    The caller has checked that each matrix is symmetric, and the frames are
+    validated where they are used (LagrangianFrame or LagrangianPath)."""
+    A = (A + A.swapaxes(-1, -2)) / 2
     vals, vecs = np.linalg.eigh(A)
-    X = (vecs / np.sqrt(1.0 + vals**2)) @ vecs.T
-    return LagrangianFrame(X, A @ X)
+    X = (vecs / np.sqrt(1.0 + vals**2)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return np.concatenate((X, A @ X), axis=-2)
 
 
 def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
@@ -126,9 +151,10 @@ def frame_unitary(ell: LagrangianFrame) -> np.ndarray:
     return ell.pblock - 1j * ell.xblock
 
 
-def _uut(ell: LagrangianFrame) -> np.ndarray:
-    u = frame_unitary(ell)
-    return u @ u.T
+def _uut(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """u u^t for u = P - iX, on one pair of blocks or on stacks of them."""
+    u = P - 1j * X
+    return u @ u.swapaxes(-1, -2)
 
 
 def souriau_w(ell: LagrangianFrame) -> SouriauMatrix:
@@ -136,12 +162,17 @@ def souriau_w(ell: LagrangianFrame) -> SouriauMatrix:
     which the frame's bound implies: for the frame's defect E = X^t X + P^t P - I,
     to first order w w^H - I = 2 u E u^H, so ||w w^H - I||_max <= 2n ell.tol (the
     isotropy defect cancels, and w is symmetric up to rounding)."""
-    return SouriauMatrix(_uut(ell), tol=max(10, 4 * ell.n) * max(ell.tol, TOL_SYM))
+    return SouriauMatrix(
+        _uut(ell.xblock, ell.pblock), tol=max(10, 4 * ell.n) * max(ell.tol, TOL_SYM)
+    )
 
 
-def det_phase(ell: LagrangianFrame) -> float:
-    """arg det w for w = souriau_w(ell), without building the SouriauMatrix."""
-    return float(np.angle(np.linalg.det(_uut(ell))))
+def det_phase(frames: np.ndarray) -> np.ndarray:
+    """arg det w of each [X; P] frame of a (..., 2n, n) stack, w = u u^t as in
+    souriau_w but without building a SouriauMatrix: one batched det.  A
+    single 2n x n frame gives a 0-d array."""
+    n = frames.shape[-1]
+    return np.angle(np.linalg.det(_uut(frames[..., :n, :], frames[..., n:, :])))
 
 
 def _joint_phase_decomposition(w: SouriauMatrix):
@@ -230,31 +261,43 @@ def intersection_dim(
     return k_w
 
 
+def transport_frames(
+    S: np.ndarray, frames: np.ndarray, tol
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of S . ell for [X; P] frames of ell validated at tol, by
+    one matmul and one batched QR, and the tolerance each image must meet:
+
+        100 * tol * max(1, ||S||_F^2).
+
+    S is one 2n x 2n matrix or a stack of them, frames one 2n x n frame or a
+    stack, and tol a float or one per frame; they broadcast together.  S has
+    been validated by its caller, so it is not checked again.  The images
+    are not validated here: the LagrangianFrame or LagrangianPath built
+    from them checks the frame rule at the returned tolerance, so corrupted
+    inputs surface as errors (isotropy is re-verified, not re-imposed).
+
+    The bound needs no SVD.  The singular values of a symplectic S come in
+    pairs (s, 1/s), so cond_2(S) = ||S||_2^2 <= ||S||_F^2 and the bound is
+    at least 10 * tol * cond_2(S), the former library rule; at the default
+    frame tolerance TOL_SYM it is also at least 1e-8, the former fixed bound
+    of path transports.  Both old rules' images pass.
+    """
+    n = frames.shape[-1]
+    if S.shape[-2:] != (2 * n, 2 * n):
+        raise BadInput("matrix and plane dimensions differ")
+    Q, _ = np.linalg.qr(S @ frames)
+    return Q, 100 * np.asarray(tol) * np.maximum(1.0, np.einsum("...ij,...ij->...", S, S))
+
+
 def apply_symplectic(S: SymplecticMatrix | np.ndarray, ell: LagrangianFrame) -> LagrangianFrame:
-    """Frame of S . ell, re-orthonormalized by QR; every transport of a
-    plane goes through here.
+    """Frame of S . ell by ``transport_frames``, validated at its bound.
 
     S is a SymplecticMatrix or a 2n x 2n array its caller has validated
-    already (a ``SymplecticPath`` sample or a value of its generator), so
-    S is not checked again.  Isotropy of the image is re-verified after
-    the factorization rather than re-imposed, so corrupted inputs surface
-    as errors.  The image is validated at
-
-        tol = 100 * ell.tol * max(1, ||S||_F^2),
-
-    which needs no SVD.  The singular values of a symplectic S come in
-    pairs (s, 1/s), so cond_2(S) = ||S||_2^2 <= ||S||_F^2 and the bound is
-    at least 10 * ell.tol * cond_2(S), the former library rule; for a frame
-    at the default ell.tol = TOL_SYM it is also at least 1e-8, the former
-    fixed bound of path transports.  Both old rules' images pass.
-    """
+    already (a value of a ``SymplecticPath`` generator, say)."""
     entries = S.entries if isinstance(S, SymplecticMatrix) else np.asarray(S, dtype=float)
+    Q, tol = transport_frames(entries, ell.stacked(), ell.tol)
     n = ell.n
-    if entries.shape != (2 * n, 2 * n):
-        raise BadInput("matrix and plane dimensions differ")
-    Q, _ = np.linalg.qr(entries @ ell.stacked())
-    tol = 100 * ell.tol * max(1.0, float(np.vdot(entries, entries)))
-    return LagrangianFrame(Q[:n], Q[n:], tol=tol)
+    return LagrangianFrame(Q[:n], Q[n:], tol=float(tol))
 
 
 def _scalar_frame(theta: float, n: int) -> LagrangianFrame:

@@ -34,14 +34,20 @@ from .lagrangian import (
 
 @dataclass(frozen=True)
 class LagrangianLift:
-    """A cover point (w, theta); theta is an unreduced argument of det w."""
+    """A cover point (w, theta); theta is an unreduced argument of det w.
+
+    theta is checked by |det w - e^{i theta}| <= max(TOL_PHASE, n * w.tol),
+    which w's own validation implies: for E = w w^H - I, validated at
+    ||E||_max <= w.tol, to first order | |det w| - 1 | = |tr E| / 2 <= n w.tol / 2,
+    and the bound keeps the factor 2 that souriau_w keeps over its first-order
+    bound.  It is never narrower than TOL_PHASE, the former fixed bound."""
 
     w: SouriauMatrix
     theta: float
 
     def __post_init__(self):
         det = np.linalg.det(self.w.w)
-        if abs(det - np.exp(1j * self.theta)) > TOL_PHASE:
+        if not abs(det - np.exp(1j * self.theta)) <= max(TOL_PHASE, self.w.n * self.w.tol):
             raise BadInput("theta is not an argument of det w within tolerance")
 
     @property

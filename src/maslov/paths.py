@@ -2,11 +2,11 @@
 determinant phase, the loop winding index, and the canonical intersection
 indices for paths.
 
-Paths are ordered samples on [0, 1] plus an optional pure generator
-t -> value used for adaptive bisection when a phase step exceeds pi/2.
-Sampled-only paths that violate the step bound fail loudly (UNDERSAMPLED)
-instead of interpolating: interpolation between Lagrangian frames is not
-canonical.
+Paths are ordered samples on [0, 1], held as one stacked array, plus an
+optional pure generator t -> value used for adaptive bisection when a phase
+step exceeds pi/2.  Sampled-only paths that violate the step bound fail
+loudly (UNDERSAMPLED) instead of interpolating: interpolation between
+Lagrangian frames is not canonical.
 """
 
 from __future__ import annotations
@@ -17,15 +17,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .defaults import TOL_RANK_BASE, TOL_ROUND
+from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SYM
 from .errors import BadInput, Undersampled
 from .lagrangian import (
     LagrangianFrame,
     apply_symplectic,
+    check_frames,
     det_phase,
     frame_from_unitary,
     frame_unitary,
     souriau_w,
+    transport_frames,
 )
 from .leray import LagrangianLift, lift_of, mu_bar
 from .symplectic import is_symplectic, omega_matrix
@@ -54,52 +56,94 @@ def _check_times(times: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LagrangianPath:
+    """Samples of a Lagrangian path and an optional generator t -> frame.
+
+    ``frames`` is one read-only (N, 2n, n) array of stacked [X; P] frames,
+    validated here in one batch by ``lagrangian.check_frames`` at ``tol``: a
+    float, or one per sample (read back as one per sample).  A sequence of
+    LagrangianFrames is accepted too, each sample keeping its frame's tol.
+    """
+
     times: tuple
-    frames: tuple
+    frames: np.ndarray
     generator: Optional[Callable[[float], LagrangianFrame]] = None
+    tol: float | np.ndarray = TOL_SYM
 
     def __post_init__(self):
         object.__setattr__(self, "times", _check_times(self.times))
-        frames = tuple(self.frames)
+        frames, tol = self.frames, self.tol
+        if not isinstance(frames, np.ndarray):
+            frames = tuple(frames)
         if len(frames) != len(self.times):
             raise BadInput("one frame per sample time required")
-        n = frames[0].n
-        if any(f.n != n for f in frames):
-            raise BadInput("all frames must share a dimension")
+        if all(isinstance(f, LagrangianFrame) for f in frames):
+            if any(f.n != frames[0].n for f in frames):
+                raise BadInput("all frames must share a dimension")
+            tol = [f.tol for f in frames]
+            frames = [f.stacked() for f in frames]
+        try:
+            frames = np.array(frames, dtype=float)
+            tol = np.array(np.broadcast_to(np.asarray(tol, dtype=float), len(frames)))
+            n = frames.shape[-1] if frames.ndim == 3 else 0
+        except (TypeError, ValueError):
+            n = 0
+        if n == 0 or frames.shape[1] != 2 * n:
+            raise BadInput(
+                "frames must be one (N, 2n, n) stack with n >= 1, tol a float or one per frame"
+            )
+        check_frames(frames[:, :n], frames[:, n:], tol)
+        frames.setflags(write=False)
+        tol.setflags(write=False)
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def n(self) -> int:
-        return self.frames[0].n
+        return self.frames.shape[-1]
+
+    def _frame(self, k: int) -> LagrangianFrame:
+        n = self.n
+        return LagrangianFrame(self.frames[k, :n], self.frames[k, n:], tol=float(self.tol[k]))
 
     def start(self) -> LagrangianFrame:
-        return self.frames[0]
+        return self._frame(0)
 
     def end(self) -> LagrangianFrame:
-        return self.frames[-1]
+        return self._frame(-1)
 
 
 @dataclass(frozen=True)
 class SymplecticPath:
+    """Samples of a symplectic path and an optional generator t -> matrix;
+    ``matrices`` is one read-only (N, 2n, 2n) array, validated here in one
+    batch by ``is_symplectic``."""
+
     times: tuple
-    matrices: tuple  # raw 2n x 2n arrays, validated by is_symplectic
+    matrices: np.ndarray
     generator: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", _check_times(self.times))
-        mats = tuple(np.asarray(S, dtype=float) for S in self.matrices)
+        mats = self.matrices
+        if not isinstance(mats, np.ndarray):
+            mats = tuple(mats)
         if len(mats) != len(self.times):
             raise BadInput("one matrix per sample time required")
-        d = mats[0].shape[0]
-        if d % 2 != 0 or d == 0 or any(S.shape != (d, d) for S in mats):
+        try:
+            mats = np.array(mats, dtype=float)
+            d = mats.shape[-1] if mats.ndim == 3 else 0
+        except (TypeError, ValueError):
+            d = 0
+        if d == 0 or d % 2 != 0 or mats.shape[1] != d:
             raise BadInput("all matrices must be non-empty and square of one even dimension")
-        if not is_symplectic(np.stack(mats)):
+        if not is_symplectic(mats):
             raise BadInput("path sample is not symplectic")
+        mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0] // 2
+        return self.matrices.shape[-1] // 2
 
     def start(self) -> np.ndarray:
         return self.matrices[0]
@@ -125,30 +169,30 @@ def concat(lam: LagrangianPath, lam2: LagrangianPath) -> LagrangianPath:
     if not same_plane(lam.end(), lam2.start()):
         raise BadInput("paths are not consecutive: endpoint planes differ")
     times = _rescale(lam.times, 0.0, 0.5) + _rescale(lam2.times[1:], 0.5, 1.0)
-    frames = lam.frames + lam2.frames[1:]
+    frames = np.concatenate((lam.frames, lam2.frames[1:]))
+    tol = np.concatenate((lam.tol, lam2.tol[1:]))
     gen = None
     if lam.generator is not None and lam2.generator is not None:
         g1, g2 = lam.generator, lam2.generator
         gen = lambda t: g1(2 * t) if t <= 0.5 else g2(2 * t - 1)
-    return LagrangianPath(tuple(times), frames, gen)
+    return LagrangianPath(tuple(times), frames, gen, tol)
 
 
 def reverse(lam: LagrangianPath) -> LagrangianPath:
     """The path t -> lam(1 - t)."""
     times = tuple(1.0 - t for t in reversed(lam.times))
-    frames = tuple(reversed(lam.frames))
     gen = None
     if lam.generator is not None:
         g = lam.generator
         gen = lambda t: g(1.0 - t)
-    return LagrangianPath(times, frames, gen)
+    return LagrangianPath(times, lam.frames[::-1], gen, lam.tol[::-1])
 
 
 def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPath:
     if float(np.abs(sig.end() - sig2.start()).max()) > 1e-8:
         raise BadInput("symplectic paths are not consecutive")
     times = _rescale(sig.times, 0.0, 0.5) + _rescale(sig2.times[1:], 0.5, 1.0)
-    mats = sig.matrices + sig2.matrices[1:]
+    mats = np.concatenate((sig.matrices, sig2.matrices[1:]))
     gen = None
     if sig.generator is not None and sig2.generator is not None:
         g1, g2 = sig.generator, sig2.generator
@@ -159,7 +203,7 @@ def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPa
 def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
     """The path t -> S . sig(t)."""
     S = np.asarray(S, dtype=float)
-    mats = tuple(S @ m for m in sig.matrices)
+    mats = S @ sig.matrices
     gen = None
     if sig.generator is not None:
         g = sig.generator
@@ -204,7 +248,8 @@ class LiftedPath:
         return mu_bar(self.end, self.start, tol_round, tol_rank)
 
 
-def _wrap(d: float) -> float:
+def _wrap(d):
+    """Phase differences (a float or an array) wrapped into [-pi, pi)."""
     return (d + math.pi) % (2 * math.pi) - math.pi
 
 
@@ -221,7 +266,9 @@ def lift_path(
     Each step uses nearest-argument continuation and must stay below pi/2;
     offending steps are bisected through the generator up to max_depth, and
     accepted steps must additionally be reproduced by their midpoint split.
-    Samples between the ends are reduced to their ``det_phase``.
+    The samples are reduced to their ``det_phase`` in one batch; without a
+    generator the steps are wrapped and tested as one vector, and theta is
+    accumulated in sample order either way.
 
     The sample grid must resolve the fastest motion of the path: a feature
     narrower than half the local sample spacing whose endpoints happen to
@@ -229,39 +276,50 @@ def lift_path(
     obtained by transporting with a badly conditioned symplectic matrix
     are the typical offenders; sample those proportionally to cond(S).
     """
-    angs = [det_phase(f) for f in lam.frames]
-    theta0 = angs[0] + 2 * math.pi * branch if theta_start is None else float(theta_start)
+    angs = det_phase(lam.frames)
+    theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else float(theta_start)
     theta, count = theta0, 1
 
-    def descend(t0, a0, t1, a1, depth):
-        nonlocal theta, count
-        if count > MAX_SAMPLES:
+    if lam.generator is None:
+        steps = _wrap(np.diff(angs))
+        bad = np.flatnonzero(~(np.abs(steps) < MAX_PHASE_STEP))
+        # the sample cap counts accepted samples, so it fires at step
+        # MAX_SAMPLES unless a bad step comes first
+        if len(steps) > MAX_SAMPLES and (bad.size == 0 or bad[0] >= MAX_SAMPLES):
             raise Undersampled("sample cap exceeded during refinement")
-        d = _wrap(a1 - a0)
-        if lam.generator is None:
-            if abs(d) < MAX_PHASE_STEP:
-                theta, count = theta + d, count + 1
-                return
+        if bad.size:
             raise Undersampled(
                 "phase step >= pi/2 between samples and no generator to refine"
             )
-        # with a generator, guard nearest-argument continuation against
-        # aliasing: the midpoint split must reproduce the whole step
-        tm = (t0 + t1) / 2
-        am = det_phase(lam.generator(tm))
-        d1 = _wrap(am - a0)
-        d2 = _wrap(a1 - am)
-        consistent = abs(d1 + d2 - d) < 1e-9
-        if consistent and max(abs(d), abs(d1), abs(d2)) < MAX_PHASE_STEP:
-            theta, count = theta + d1 + d2, count + 2
-            return
-        if depth >= max_depth:
-            raise Undersampled("refinement depth exceeded; path may be discontinuous")
-        descend(t0, a0, tm, am, depth + 1)
-        descend(tm, am, t1, a1, depth + 1)
+        for d in steps.tolist():
+            theta += d
+        count = len(angs)
+    else:
+        generator = lam.generator
 
-    for i in range(1, len(angs)):
-        descend(lam.times[i - 1], angs[i - 1], lam.times[i], angs[i], 0)
+        def descend(t0, a0, t1, a1, depth):
+            nonlocal theta, count
+            if count > MAX_SAMPLES:
+                raise Undersampled("sample cap exceeded during refinement")
+            # guard nearest-argument continuation against aliasing: the
+            # midpoint split must reproduce the whole step
+            d = _wrap(a1 - a0)
+            tm = (t0 + t1) / 2
+            am = float(det_phase(generator(tm).stacked()))
+            d1 = _wrap(am - a0)
+            d2 = _wrap(a1 - am)
+            consistent = abs(d1 + d2 - d) < 1e-9
+            if consistent and max(abs(d), abs(d1), abs(d2)) < MAX_PHASE_STEP:
+                theta, count = theta + d1 + d2, count + 2
+                return
+            if depth >= max_depth:
+                raise Undersampled("refinement depth exceeded; path may be discontinuous")
+            descend(t0, a0, tm, am, depth + 1)
+            descend(tm, am, t1, a1, depth + 1)
+
+        a = angs.tolist()
+        for i in range(1, len(a)):
+            descend(lam.times[i - 1], a[i - 1], lam.times[i], a[i], 0)
     start = LagrangianLift(souriau_w(lam.start()), theta0)
     end = LagrangianLift(souriau_w(lam.end()), theta)
     return LiftedPath(start, end, count)
@@ -291,16 +349,18 @@ def mu_lagrangian(
 
 
 def induced_path(sig: SymplecticPath, ell: LagrangianFrame) -> LagrangianPath:
-    """The Lagrangian path t -> sig(t) . ell; the samples were validated by
-    SymplecticPath and are not checked again."""
+    """The Lagrangian path t -> sig(t) . ell, transported as one stack by
+    ``transport_frames``; each image is validated at its own bound
+    100 * ell.tol * max(1, ||sig(t_k)||_F^2) by LagrangianPath.  The
+    samples were validated by SymplecticPath and are not checked again."""
     if sig.n != ell.n:
         raise BadInput("path and plane dimensions differ")
-    frames = tuple(apply_symplectic(S, ell) for S in sig.matrices)
+    frames, tol = transport_frames(sig.matrices, ell.stacked(), ell.tol)
     gen = None
     if sig.generator is not None:
         g = sig.generator
         gen = lambda t: apply_symplectic(g(t), ell)
-    return LagrangianPath(sig.times, frames, gen)
+    return LagrangianPath(sig.times, frames, gen, tol)
 
 
 def mu_symplectic(
@@ -337,7 +397,8 @@ def path_from_unitary_family(
 ) -> LagrangianPath:
     """Path of planes u(t) X* for a continuous family of unitaries."""
     ts = np.linspace(0.0, 1.0, samples)
-    frames = tuple(frame_from_unitary(fn(t)) for t in ts)
+    u = np.array([fn(t) for t in ts], dtype=complex)
+    frames = np.concatenate((-u.imag, u.real), axis=1)
     return LagrangianPath(tuple(ts), frames, lambda t: frame_from_unitary(fn(t)))
 
 
@@ -401,4 +462,4 @@ def symplectic_path_from_algebra(
         return s0 @ scipy.linalg.expm(t * Z)
 
     ts = np.linspace(0.0, 1.0, samples)
-    return SymplecticPath(tuple(ts), tuple(S(t) for t in ts), S)
+    return SymplecticPath(tuple(ts), [S(t) for t in ts], S)

@@ -18,6 +18,7 @@ from .lagrangian import (
     frame_from_unitary,
     frame_from_w,
     souriau_w,
+    transport_frames,
 )
 from .leray import LagrangianLift, lift_of
 from .paths import (
@@ -134,15 +135,16 @@ def transported_path(S: SymplecticMatrix, lam: LagrangianPath) -> LagrangianPath
     base grid is chosen proportional to kappa before adaptive bisection
     takes over.
     """
-    if lam.generator is None:
-        frames = tuple(apply_symplectic(S, f) for f in lam.frames)
-        return LagrangianPath(lam.times, frames, None)
-    g = lam.generator
-    gen = lambda t: apply_symplectic(S, g(t))
-    kappa = float(np.linalg.cond(S.entries))
-    samples = max(len(lam.times), min(4097, 2 * int(4 * kappa) + 1))
-    ts = np.linspace(0.0, 1.0, samples)
-    return LagrangianPath(tuple(ts), tuple(gen(t) for t in ts), gen)
+    grid, gen = lam, None
+    if lam.generator is not None:
+        g = lam.generator
+        gen = lambda t: apply_symplectic(S, g(t))
+        kappa = float(np.linalg.cond(S.entries))
+        samples = max(len(lam.times), min(4097, 2 * int(4 * kappa) + 1))
+        ts = np.linspace(0.0, 1.0, samples)
+        grid = LagrangianPath(tuple(ts), [g(t) for t in ts])
+    frames, tol = transport_frames(S.entries, grid.frames, grid.tol)
+    return LagrangianPath(grid.times, frames, gen, tol)
 
 
 def random_symplectic_path(

@@ -109,18 +109,17 @@ def _expect(cond, detail="") -> None:
 
 def winding_integral(lam: paths.LagrangianPath, samples: int = 1024) -> float:
     """Winding of det w around a loop by direct quadrature of d(det)/det."""
-    if lam.generator is None:
-        dets = [np.linalg.det(lagrangian.souriau_w(f).w) for f in lam.frames]
-    else:
+    frames = lam.frames
+    if lam.generator is not None:
         ts = np.linspace(0.0, 1.0, samples)
-        dets = [
-            np.linalg.det(lagrangian.souriau_w(lam.generator(t)).w) for t in ts
-        ]
+        frames = np.stack([lam.generator(t).stacked() for t in ts])
+    n = lam.n
+    dets = np.linalg.det(lagrangian._uut(frames[:, :n], frames[:, n:]))
+    steps = np.angle(dets[1:] / dets[:-1])
+    if not np.all(np.abs(steps) < math.pi / 2):
+        raise ValueError("quadrature grid too coarse for the winding integral")
     total = 0.0
-    for za, zb in zip(dets, dets[1:]):
-        step = float(np.angle(zb / za))
-        if abs(step) >= math.pi / 2:
-            raise ValueError("quadrature grid too coarse for the winding integral")
+    for step in steps.tolist():
         total += step
     return total / (2 * math.pi)
 

@@ -546,23 +546,97 @@ VERIFY_N_MAX_1 = [
 
 
 def test_leray_takes_every_valid_frame(tmp_path, capsys):
-    # n = 8 frame [0, H (I + 3.5e-10 v v^t)] of X*, H the reflection taking
-    # v = 1/sqrt(8) (1, ..., 1) to e1: LagrangianFrame accepts it, and its w
-    # misses unitarity by 2n times the frame's defect, which souriau_w's
-    # former 10 * TOL_SYM rejected ("matrix is not unitary")
-    n = 8
-    v = np.ones(n) / np.sqrt(n)
-    r = v - np.eye(n)[0]
-    H = np.eye(n) - 2 * np.outer(r, r) / (r @ r)
-    P = H @ (np.eye(n) + 3.5e-10 * np.outer(v, v))
-    frame = {"frame": [np.zeros((n, n)).tolist(), P.tolist()]}
-    reports = []
-    for plane in (frame, "coordinate_xstar"):
-        job = {"n": n, "index": "leray", "lifts": [{"plane": plane}, {"plane": "coordinate_x"}]}
-        code, out, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
-        assert code == 0 and err == ""
-        reports.append(json.loads(out)["value"])
-    assert reports[0] == reports[1]
+    # frames [0, H (I + d v v^t)] of X*, H the reflection taking
+    # v = 1/sqrt(n) (1, ..., 1) to e1: LagrangianFrame accepts them.  At
+    # n = 8, d = 3.5e-10, w misses unitarity by 2n times the frame's defect,
+    # which souriau_w's former 10 * TOL_SYM rejected ("matrix is not
+    # unitary"); at n = 12 and 16, d = 0.49 n TOL_SYM, |det w| - 1 is about
+    # n TOL_SYM, which the lift's former fixed TOL_PHASE rejected ("theta is
+    # not an argument of det w within tolerance")
+    for n in (8, 12, 16):
+        d = 3.5e-10 if n == 8 else 0.49 * n * defaults.TOL_SYM
+        v = np.ones(n) / np.sqrt(n)
+        r = v - np.eye(n)[0]
+        H = np.eye(n) - 2 * np.outer(r, r) / (r @ r)
+        P = H @ (np.eye(n) + d * np.outer(v, v))
+        frame = {"frame": [np.zeros((n, n)).tolist(), P.tolist()]}
+        reports = []
+        for plane in (frame, "coordinate_xstar"):
+            lifts = [{"plane": plane}, {"plane": "coordinate_x"}]
+            job = {"n": n, "index": "leray", "lifts": lifts}
+            code, out, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
+            assert code == 0 and err == "", (n, err)
+            reports.append(json.loads(out)["value"])
+        assert reports[0] == reports[1]
+
+
+def _sample_job(kind, count=5, n=2):
+    """A valid sample job: frames of the graphs of t A, or the shears of t A."""
+    A = np.array([[0.5, 0.2], [0.2, -0.3]])
+    ts = np.linspace(0.0, 1.0, count)
+    if kind == "lagrangian":
+        samples = [lagrangian.frame_from_graph(t * A).stacked().tolist() for t in ts]
+        path = {"kind": "lagrangian_samples", "frames": samples}
+        return {"n": n, "index": "lagrangian", "path": path, "plane": "coordinate_x"}
+    samples = [np.block([[np.eye(n), np.zeros((n, n))], [t * A, np.eye(n)]]).tolist() for t in ts]
+    path = {"kind": "symplectic_samples", "matrices": samples}
+    return {"n": n, "index": "symplectic", "path": path, "plane": "coordinate_x"}
+
+
+def _ragged(sample):
+    sample[1] = sample[1][:-1]
+
+
+def _string(sample):
+    sample[0][0] = "0.5"
+
+
+def _nan(sample):
+    sample[0][0] = math.nan
+
+
+def _scaled(sample):
+    sample[:] = (1.5 * np.array(sample)).tolist()
+
+
+def _off_symplectic(sample):
+    sample[0][0] += 1e-3
+
+
+# (path kind, fault): the message, or None where the parser names the sample
+SAMPLE_FAULTS = {
+    ("lagrangian", "ragged"): (_ragged, None),
+    ("lagrangian", "string"): (_string, None),
+    ("lagrangian", "nan"): (_nan, None),
+    ("lagrangian", "non-orthonormal"): (_scaled, "frame columns are not orthonormal"),
+    ("symplectic", "ragged"): (_ragged, None),
+    ("symplectic", "string"): (_string, None),
+    ("symplectic", "nan"): (_nan, None),
+    ("symplectic", "non-symplectic"): (_off_symplectic, "path sample is not symplectic"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 2, 4])
+@pytest.mark.parametrize("kind, fault", sorted(SAMPLE_FAULTS))
+def test_bad_sample_is_named(kind, fault, index, tmp_path, capsys):
+    # the samples are parsed as one stack; a bad one is still reported by
+    # its index, in a JSON payload with exit code 2
+    job = _sample_job(kind)
+    spoil, message = SAMPLE_FAULTS[kind, fault]
+    key, what = ("frames", "frame sample") if kind == "lagrangian" else ("matrices", "matrix sample")
+    spoil(job["path"][key][index])
+    code, out, err = run(["compute", "--input", write_job(tmp_path, "j.json", job)], capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["code"] == "BAD_INPUT"
+    if message is None:
+        assert error["message"].startswith(f"{what} {index}: ")
+    else:
+        assert error["message"] == message
+    with pytest.raises(BadInput) as excinfo:
+        cli.compute_report(json.loads(json.dumps(job)), defaults.TOL_ROUND)
+    assert str(excinfo.value) == error["message"]
 
 
 def test_graph_plane_and_coefficient_share_the_symmetric_rule():

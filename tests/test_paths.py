@@ -5,6 +5,7 @@ import pytest
 
 from maslov import (
     BadInput,
+    LagrangianFrame,
     LagrangianPath,
     SouriauMatrix,
     SymmetricFamily,
@@ -31,6 +32,7 @@ from maslov import (
     symplectic_path_from_algebra,
 )
 from maslov import paths
+from maslov.lagrangian import det_phase
 from maslov.paths import same_plane
 from maslov.random_gen import (
     random_frame,
@@ -142,6 +144,51 @@ def test_undersampled_without_generator():
     # is undersampled rather than rejected as open
     with pytest.raises(Undersampled):
         keller_maslov(LagrangianPath((0.0, 1.0), (f0, f1), None))
+
+
+def _reference_lift(lam):
+    """The per-sample loop the stacked lift replaced: one validated frame
+    and one det_phase per sample, each step wrapped and tested alone.
+    Returns (end theta, sample count), or (None, i) for the first step i,
+    from sample i - 1 to sample i, that is not below pi/2."""
+    n = lam.n
+    angs = [float(det_phase(LagrangianFrame(F[:n], F[n:]).stacked())) for F in lam.frames]
+    theta = angs[0]
+    for i in range(1, len(angs)):
+        d = paths._wrap(angs[i] - angs[i - 1])
+        if not abs(d) < paths.MAX_PHASE_STEP:
+            return None, i
+        theta += d
+    return theta, len(angs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_lift_matches_reference_loop(n):
+    rng = np.random.default_rng(1000 + n)
+    outcomes = []
+    for samples in (3, 5, 9, 17, 33):
+        for _ in range(3):
+            drawn = random_lagrangian_path(rng, n, samples=samples)
+            lam = LagrangianPath(drawn.times, drawn.frames, None)
+            theta, mark = _reference_lift(lam)
+            if theta is not None:
+                lifted = lift_path(lam)
+                assert lifted.start.theta == float(det_phase(lam.frames[0]))
+                assert lifted.end.theta == theta  # bit for bit
+                assert lifted.sample_count == mark == samples
+                outcomes.append("lifted")
+                continue
+            with pytest.raises(Undersampled):
+                lift_path(lam)
+            # the same first bad step: the samples before it lift, and
+            # adding its end sample makes the lift fail
+            head = lambda k: LagrangianPath(tuple(np.linspace(0.0, 1.0, k)), lam.frames[:k])
+            if mark >= 2:
+                assert lift_path(head(mark)).sample_count == mark
+            with pytest.raises(Undersampled):
+                lift_path(head(mark + 1))
+            outcomes.append("undersampled")
+    assert set(outcomes) == {"lifted", "undersampled"}
 
 
 def test_keller_maslov_anchors():
