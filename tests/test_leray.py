@@ -42,6 +42,13 @@ def test_lift_validates_theta():
         LagrangianLift(w, 0.5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_lift_rejects_non_finite_theta(theta):
+    # the check reads `not err <= bound`, so a NaN distance fails it
+    with pytest.raises(BadInput), np.errstate(invalid="ignore"):
+        LagrangianLift(souriau_w(coordinate_xstar(2)), theta)
+
+
 def test_deck_apply():
     l = lift_of(coordinate_xstar(2), 0)
     assert deck_apply(DeckAction(0), l).theta == l.theta
