@@ -5,6 +5,7 @@ from maslov import (
     BadInput,
     IllConditioned,
     LagrangianFrame,
+    LagrangianPath,
     SouriauMatrix,
     SymmetricFamily,
     SymplecticMatrix,
@@ -65,6 +66,7 @@ NAN_INPUTS = {
     "symplectic-path": lambda: SymplecticPath(
         (0.0, 1.0), (np.eye(2), np.array([[1.0, 0.0], [NAN, 1.0]]))
     ),
+    "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), [[[1.0], [0.0]], [[NAN], [1.0]]]),
     "graph-plane": lambda: frame_from_graph(np.array([[NAN]])),
     "unitary-embedding": lambda: UnitaryEmbedding([[NAN]], [[0.0]]),
 }
@@ -83,6 +85,7 @@ EMPTY_INPUTS = {
     "souriau": lambda: SouriauMatrix(EMPTY),
     "symplectic-matrix": lambda: SymplecticMatrix(EMPTY),
     "symplectic-path": lambda: SymplecticPath((0.0, 1.0), (EMPTY, EMPTY)),
+    "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), np.zeros((2, 0, 0))),
     "is-symplectic": lambda: is_symplectic(EMPTY),
     "unitary-embedding": lambda: UnitaryEmbedding(EMPTY, EMPTY),
     "family": lambda: SymmetricFamily((0.0, 1.0), (EMPTY, EMPTY)),
