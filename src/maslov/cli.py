@@ -119,11 +119,14 @@ def _polynomial_family(coefficients, n) -> SymmetricFamily:
         if not lagrangian.is_symmetric(c):
             raise BadInput(f"polynomial coefficient {i} is not symmetric")
 
-    def A(t: float) -> np.ndarray:
-        out = np.zeros((n, n))
-        for k, c in enumerate(coeffs):
-            out += c * t**k
-        return (out + out.T) / 2
+    def A(ts: np.ndarray) -> np.ndarray:
+        # t**k by Python's scalar power, the value of A at a single t;
+        # numpy's vectorised power can differ from it in the last bit
+        powers = np.array([[t**k for t in ts.tolist()] for k in range(len(coeffs))])
+        out = np.zeros((len(ts), n, n))
+        for c, tk in zip(coeffs, powers):
+            out += c * tk[:, None, None]
+        return (out + out.swapaxes(-1, -2)) / 2
 
     return SymmetricFamily.from_function(A)
 

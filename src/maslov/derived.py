@@ -10,13 +10,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .defaults import TOL_ROUND, TOL_SIG_BASE
+from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .errors import BadInput, IllConditioned
 from .lagrangian import (
     LagrangianFrame,
     SouriauMatrix,
     coordinate_x,
-    frame_from_graph,
     graph_frames,
     is_symmetric,
 )
@@ -27,40 +26,53 @@ from .signature import kashiwara_tau, sign_counts
 
 @dataclass(frozen=True)
 class SymmetricFamily:
-    """A family t -> A(t) of real symmetric matrices on [0, 1]."""
+    """A family t -> A(t) of real symmetric matrices on [0, 1].
+
+    ``matrices`` is one read-only (N, n, n) stack, each matrix checked by
+    the relative ``is_symmetric`` rule.  The optional generator maps a 1-d
+    array ts of times to the (len(ts), n, n) stack A(ts)."""
 
     times: tuple
-    matrices: tuple
-    generator: Optional[Callable[[float], np.ndarray]] = None
+    matrices: np.ndarray
+    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         ts = _check_times(self.times)
-        mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)
+        try:
+            mats = np.array(self.matrices, dtype=float)
+        except (TypeError, ValueError):
+            mats = np.empty(0)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[2] == 0:
+            raise BadInput("family matrices must share a non-empty square shape")
         if len(ts) != len(mats):
             raise BadInput("family needs one matrix per sample time")
-        n = mats[0].shape[0]
-        for A in mats:
-            if A.shape != (n, n) or n == 0:
-                raise BadInput("family matrices must share a non-empty square shape")
-            if not is_symmetric(A):
-                raise BadInput("family matrix is not symmetric")
+        if not is_symmetric(mats):
+            raise BadInput("family matrix is not symmetric")
+        mats.setflags(write=False)
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "matrices", mats)
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[-1]
 
     @classmethod
     def from_function(cls, fn, samples: int = 33) -> "SymmetricFamily":
+        """The family sampled at ``samples`` equally spaced times by one
+        call of fn, a generator ts -> (len(ts), n, n)."""
         ts = np.linspace(0.0, 1.0, samples)
-        return cls(tuple(ts), tuple(fn(t) for t in ts), fn)
+        return cls(tuple(ts), fn(ts), fn)
 
     @classmethod
     def linear(cls, A0, A1, samples: int = 33) -> "SymmetricFamily":
         A0 = np.asarray(A0, dtype=float)
         A1 = np.asarray(A1, dtype=float)
-        return cls.from_function(lambda t: (1 - t) * A0 + t * A1, samples)
+
+        def fn(ts: np.ndarray) -> np.ndarray:
+            t = ts[:, None, None]
+            return (1 - t) * A0 + t * A1
+
+        return cls.from_function(fn, samples)
 
 
 @dataclass(frozen=True)
@@ -105,12 +117,19 @@ def spectral_flow(family: SymmetricFamily, tol_sig: float = TOL_SIG_BASE) -> int
 
 def graph_path(family: SymmetricFamily) -> LagrangianPath:
     """The path of graph planes t -> {(x, A(t) x)}; the family checked that
-    each A(t) is symmetric, and the path validates the frames in one batch."""
-    frames = graph_frames(np.stack(family.matrices))
+    each A(t) is symmetric, and the path validates the frames in one batch.
+    The generator checks the generated matrices by the same rule."""
+    frames = graph_frames(family.matrices)
     gen = None
     if family.generator is not None:
         g = family.generator
-        gen = lambda t: frame_from_graph(g(t))
+
+        def gen(ts: np.ndarray) -> tuple[np.ndarray, float]:
+            A = np.asarray(g(ts), dtype=float)
+            if not is_symmetric(A):
+                raise BadInput("graph matrix must be symmetric")
+            return graph_frames(A), TOL_SYM
+
     return LagrangianPath(family.times, frames, gen)
 
 
@@ -119,8 +138,8 @@ def shear_path(family: SymmetricFamily) -> SymplecticPath:
     gen = None
     if family.generator is not None:
         g = family.generator
-        gen = lambda t: _shear(np.asarray(g(t), dtype=float))
-    return SymplecticPath(family.times, _shear(np.stack(family.matrices)), gen)
+        gen = lambda ts: _shear(np.asarray(g(ts), dtype=float))
+    return SymplecticPath(family.times, _shear(family.matrices), gen)
 
 
 def _shear(A: np.ndarray) -> np.ndarray:

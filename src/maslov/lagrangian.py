@@ -110,8 +110,11 @@ def coordinate_xstar(n: int) -> LagrangianFrame:
 
 def is_symmetric(A: np.ndarray) -> bool:
     """The one symmetric-matrix rule, relative like the rounding error of A:
-    ||A - A^T||_max <= TOL_SYM * max(1, ||A||_max); a NaN entry fails."""
-    return bool(np.abs(A - A.T).max() <= TOL_SYM * max(1.0, float(np.abs(A).max())))
+    ||A - A^T||_max <= TOL_SYM * max(1, ||A||_max); a NaN entry fails.  A is
+    one non-empty square matrix or an (N, n, n) stack of them, checked
+    matrix by matrix in one batch: it passes when every matrix does."""
+    err = np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool(np.all(err <= TOL_SYM * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))))
 
 
 def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
@@ -329,16 +332,19 @@ def transversal_companion(ell1: LagrangianFrame, ell2: LagrangianFrame) -> Lagra
 
 def direct_sum_frame(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianFrame:
     """Frame of ell1 (+) ell2 in the interleaved block convention."""
-    X = np.block(
-        [
-            [ell1.xblock, np.zeros((ell1.n, ell2.n))],
-            [np.zeros((ell2.n, ell1.n)), ell2.xblock],
-        ]
-    )
-    P = np.block(
-        [
-            [ell1.pblock, np.zeros((ell1.n, ell2.n))],
-            [np.zeros((ell2.n, ell1.n)), ell2.pblock],
-        ]
-    )
-    return LagrangianFrame(X, P, tol=max(ell1.tol, ell2.tol))
+    F = direct_sum_frames(ell1.stacked(), ell2.stacked())
+    n = ell1.n + ell2.n
+    return LagrangianFrame(F[:n], F[n:], tol=max(ell1.tol, ell2.tol))
+
+
+def direct_sum_frames(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """The [X; P] frame of the direct sum of two [X; P] frames, X = X1 (+) X2
+    and P = P1 (+) P2, or of two equal-length stacks of them, pairwise."""
+    n1, n2 = F1.shape[-1], F2.shape[-1]
+    n = n1 + n2
+    F = np.zeros(np.broadcast_shapes(F1.shape[:-2], F2.shape[:-2]) + (2 * n, n))
+    F[..., :n1, :n1] = F1[..., :n1, :]
+    F[..., n1:n, n1:] = F2[..., :n2, :]
+    F[..., n : n + n1, :n1] = F1[..., n1:, :]
+    F[..., n + n1 :, n1:] = F2[..., n2:, :]
+    return F

@@ -3,14 +3,18 @@ determinant phase, the loop winding index, and the canonical intersection
 indices for paths.
 
 Paths are ordered samples on [0, 1], held as one stacked array, plus an
-optional pure generator t -> value used for adaptive bisection when a phase
-step exceeds pi/2.  Sampled-only paths that violate the step bound fail
-loudly (UNDERSAMPLED) instead of interpolating: interpolation between
-Lagrangian frames is not canonical.
+optional pure generator used for adaptive bisection when a phase step
+exceeds pi/2.  A generator takes a 1-d array of times and returns the
+values there as one stack, so bisection is breadth-first: each refinement
+level sends all its pending midpoints to one generator call, in chunks of
+at most LEVEL_CHUNK_BYTES of frames.  Sampled-only paths that violate the
+step bound fail loudly (UNDERSAMPLED) instead of interpolating:
+interpolation between Lagrangian frames is not canonical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,10 +25,8 @@ from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SYM
 from .errors import BadInput, Undersampled
 from .lagrangian import (
     LagrangianFrame,
-    apply_symplectic,
     check_frames,
     det_phase,
-    frame_from_unitary,
     frame_unitary,
     souriau_w,
     transport_frames,
@@ -44,6 +46,10 @@ MAX_REFINE_DEPTH = 40
 #: planes are considered equal when their w matrices agree to this
 PLANE_MATCH_TOL = 1e-8
 
+#: byte budget of the frames one generator call returns during refinement;
+#: a level with more pending midpoints is evaluated in chunks
+LEVEL_CHUNK_BYTES = 1 << 22
+
 
 def _check_times(times: Sequence[float]) -> tuple[float, ...]:
     ts = tuple(float(t) for t in times)
@@ -56,17 +62,22 @@ def _check_times(times: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LagrangianPath:
-    """Samples of a Lagrangian path and an optional generator t -> frame.
+    """Samples of a Lagrangian path and an optional generator.
 
     ``frames`` is one read-only (N, 2n, n) array of stacked [X; P] frames,
     validated here in one batch by ``lagrangian.check_frames`` at ``tol``: a
     float, or one per sample (read back as one per sample).  A sequence of
     LagrangianFrames is accepted too, each sample keeping its frame's tol.
+
+    The generator maps a 1-d array ts of times to ``(frames, tol)``: the
+    (len(ts), 2n, n) stack of frames at those times and the tolerance they
+    meet, a float or one per frame (what ``transport_frames`` returns).
+    ``lift_path`` checks every generated frame by the same frame rule.
     """
 
     times: tuple
     frames: np.ndarray
-    generator: Optional[Callable[[float], LagrangianFrame]] = None
+    generator: Optional[Callable[[np.ndarray], tuple]] = None
     tol: float | np.ndarray = TOL_SYM
 
     def __post_init__(self):
@@ -114,13 +125,15 @@ class LagrangianPath:
 
 @dataclass(frozen=True)
 class SymplecticPath:
-    """Samples of a symplectic path and an optional generator t -> matrix;
+    """Samples of a symplectic path and an optional generator mapping a 1-d
+    array ts of times to the (len(ts), 2n, 2n) stack of matrices there;
     ``matrices`` is one read-only (N, 2n, 2n) array, validated here in one
-    batch by ``is_symplectic``."""
+    batch by ``is_symplectic``.  Generated matrices are not checked: the
+    frames they transport are, by the induced path."""
 
     times: tuple
     matrices: np.ndarray
-    generator: Optional[Callable[[float], np.ndarray]] = None
+    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", _check_times(self.times))
@@ -174,7 +187,14 @@ def concat(lam: LagrangianPath, lam2: LagrangianPath) -> LagrangianPath:
     gen = None
     if lam.generator is not None and lam2.generator is not None:
         g1, g2 = lam.generator, lam2.generator
-        gen = lambda t: g1(2 * t) if t <= 0.5 else g2(2 * t - 1)
+        shape = lam.frames.shape[1:]
+
+        def gen(ts):
+            frames, tol = np.empty((len(ts),) + shape), np.empty(len(ts))
+            for part, (f, t) in _by_half(ts, g1, g2):
+                frames[part], tol[part] = f, t
+            return frames, tol
+
     return LagrangianPath(tuple(times), frames, gen, tol)
 
 
@@ -184,7 +204,7 @@ def reverse(lam: LagrangianPath) -> LagrangianPath:
     gen = None
     if lam.generator is not None:
         g = lam.generator
-        gen = lambda t: g(1.0 - t)
+        gen = lambda ts: g(1.0 - ts)
     return LagrangianPath(times, lam.frames[::-1], gen, lam.tol[::-1])
 
 
@@ -196,8 +216,24 @@ def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPa
     gen = None
     if sig.generator is not None and sig2.generator is not None:
         g1, g2 = sig.generator, sig2.generator
-        gen = lambda t: g1(2 * t) if t <= 0.5 else g2(2 * t - 1)
+        shape = sig.matrices.shape[1:]
+
+        def gen(ts):
+            out = np.empty((len(ts),) + shape)
+            for part, values in _by_half(ts, g1, g2):
+                out[part] = values
+            return out
+
     return SymplecticPath(tuple(times), mats, gen)
+
+
+def _by_half(ts: np.ndarray, g1: Callable, g2: Callable) -> list:
+    """(mask, values) pairs of a catenation's generator: g1 at 2t on the
+    times t <= 1/2 and g2 at 2t - 1 on the others, one call each; a half
+    with no times is not called."""
+    first = ts <= 0.5
+    halves = ((first, g1, 2 * ts[first]), (~first, g2, 2 * ts[~first] - 1))
+    return [(part, g(s)) for part, g, s in halves if len(s)]
 
 
 def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
@@ -207,7 +243,7 @@ def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
     gen = None
     if sig.generator is not None:
         g = sig.generator
-        gen = lambda t: S @ g(t)
+        gen = lambda ts: S @ g(ts)
     return SymplecticPath(sig.times, mats, gen)
 
 
@@ -263,12 +299,17 @@ def lift_path(
 
     theta(0) is the principal argument plus 2 pi * branch (or the explicit
     theta_start, which the start lift checks is an argument of det w(0)).
-    Each step uses nearest-argument continuation and must stay below pi/2;
-    offending steps are bisected through the generator up to max_depth, and
-    accepted steps must additionally be reproduced by their midpoint split.
-    The samples are reduced to their ``det_phase`` in one batch; without a
-    generator the steps are wrapped and tested as one vector, and theta is
-    accumulated in sample order either way.
+    Each step uses nearest-argument continuation and must stay below pi/2.
+    The samples are reduced to their ``det_phase`` in one batch.  Without
+    a generator the steps are wrapped and tested as one vector.  With one,
+    every step is split at its midpoint and accepted only if the split
+    reproduces it; steps that fail are bisected breadth-first, up to
+    max_depth levels, and each level evaluates all its pending midpoints
+    in one generator call (chunked by LEVEL_CHUNK_BYTES), with the wrap,
+    the midpoint-consistency guard and the step test run as vectors.
+    Either way theta is accumulated in time order, one accepted step
+    (or half-step pair) after another.  At most MAX_SAMPLES + 1 samples
+    are accepted.
 
     The sample grid must resolve the fastest motion of the path: a feature
     narrower than half the local sample spacing whose endpoints happen to
@@ -278,8 +319,6 @@ def lift_path(
     """
     angs = det_phase(lam.frames)
     theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else float(theta_start)
-    theta, count = theta0, 1
-
     if lam.generator is None:
         steps = _wrap(np.diff(angs))
         bad = np.flatnonzero(~(np.abs(steps) < MAX_PHASE_STEP))
@@ -291,38 +330,95 @@ def lift_path(
             raise Undersampled(
                 "phase step >= pi/2 between samples and no generator to refine"
             )
-        for d in steps.tolist():
-            theta += d
-        count = len(angs)
     else:
-        generator = lam.generator
-
-        def descend(t0, a0, t1, a1, depth):
-            nonlocal theta, count
-            if count > MAX_SAMPLES:
-                raise Undersampled("sample cap exceeded during refinement")
-            # guard nearest-argument continuation against aliasing: the
-            # midpoint split must reproduce the whole step
-            d = _wrap(a1 - a0)
-            tm = (t0 + t1) / 2
-            am = float(det_phase(generator(tm).stacked()))
-            d1 = _wrap(am - a0)
-            d2 = _wrap(a1 - am)
-            consistent = abs(d1 + d2 - d) < 1e-9
-            if consistent and max(abs(d), abs(d1), abs(d2)) < MAX_PHASE_STEP:
-                theta, count = theta + d1 + d2, count + 2
-                return
-            if depth >= max_depth:
-                raise Undersampled("refinement depth exceeded; path may be discontinuous")
-            descend(t0, a0, tm, am, depth + 1)
-            descend(tm, am, t1, a1, depth + 1)
-
-        a = angs.tolist()
-        for i in range(1, len(a)):
-            descend(lam.times[i - 1], a[i - 1], lam.times[i], a[i], 0)
+        steps = _refine(lam, angs, max_depth)
+    theta = theta0
+    for d in steps.tolist():
+        theta += d
     start = LagrangianLift(souriau_w(lam.start()), theta0)
     end = LagrangianLift(souriau_w(lam.end()), theta)
-    return LiftedPath(start, end, count)
+    # every step, or half-step, ends at one accepted sample
+    return LiftedPath(start, end, 1 + len(steps))
+
+
+def _refine(lam: LagrangianPath, angs: np.ndarray, max_depth: int) -> np.ndarray:
+    """The accepted half-steps d1, d2 of a generator path, in time order.
+
+    Level k holds the pending steps (t0, t1, a0, a1) in time order.  A step
+    is accepted when its midpoint split reproduces it (the guard of
+    nearest-argument continuation against aliasing) and the step and both
+    halves stay below pi/2; a failing step is replaced by its two halves,
+    adjacent in level k + 1.  Every pending step adds at least two samples,
+    so the sample cap is checked before a level is evaluated.
+    """
+    t = np.array(lam.times)
+    t0, t1, a0, a1 = t[:-1], t[1:], angs[:-1], angs[1:]
+    levels, accepted = [], 0
+    for depth in itertools.count():
+        if 2 * (accepted + len(t0)) > MAX_SAMPLES:
+            raise Undersampled("sample cap exceeded during refinement")
+        tm = (t0 + t1) / 2
+        am = _generated_phases(lam, tm)
+        d, d1, d2 = _wrap(a1 - a0), _wrap(am - a0), _wrap(a1 - am)
+        ok = (np.abs(d1 + d2 - d) < 1e-9) & (np.abs(d) < MAX_PHASE_STEP)
+        ok &= (np.abs(d1) < MAX_PHASE_STEP) & (np.abs(d2) < MAX_PHASE_STEP)
+        own = np.stack((d1[ok], d2[ok]), axis=1)
+        levels.append((ok, own))
+        accepted += len(own)
+        if ok.all():
+            return _in_time_order(levels)
+        if depth >= max_depth:
+            raise Undersampled("refinement depth exceeded; path may be discontinuous")
+        fail = ~ok
+        t0, tm, t1, a0, am, a1 = t0[fail], tm[fail], t1[fail], a0[fail], am[fail], a1[fail]
+        # a step whose midpoint repeats an end, with that end's phase, has
+        # itself as a half and fails again at every depth
+        if np.any(((tm == t0) & (am == a0)) | ((tm == t1) & (am == a1))):
+            raise Undersampled("refinement depth exceeded; path may be discontinuous")
+        t0, t1 = _interleave(t0, tm), _interleave(tm, t1)
+        a0, a1 = _interleave(a0, am), _interleave(am, a1)
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x0, y0, x1, y1, ...]."""
+    return np.stack((x, y), axis=1).ravel()
+
+
+def _generated_phases(lam: LagrangianPath, ts: np.ndarray) -> np.ndarray:
+    """det_phase of the generator's frames at the times ts, each checked by
+    the frame rule at the tolerance the generator returns, in calls of at
+    most LEVEL_CHUNK_BYTES of frames."""
+    n = lam.n
+    chunk = max(1, LEVEL_CHUNK_BYTES // (2 * n * n * 8))  # 2n x n float64 frames
+    phases = []
+    for i in range(0, len(ts), chunk):
+        part = ts[i : i + chunk]
+        frames, tol = lam.generator(part)
+        frames = np.asarray(frames, dtype=float)
+        if frames.shape != (len(part), 2 * n, n):
+            raise BadInput("a path generator must return one (len(ts), 2n, n) stack")
+        check_frames(frames[:, :n], frames[:, n:], tol)
+        phases.append(det_phase(frames))
+    return np.concatenate(phases)
+
+
+def _in_time_order(levels: list) -> np.ndarray:
+    """The accepted (d1, d2) pairs of a refinement, flattened in time order.
+
+    levels[k] is the acceptance mask of level k's pending steps and the
+    pairs of the accepted ones; the two halves of a failing step are
+    adjacent in level k + 1.  Folding from the deepest level up, each
+    failing step's slots are filled by its halves' pairs, in order."""
+    pairs, leaves = np.empty((0, 2)), np.empty(0, dtype=int)
+    for ok, own in reversed(levels):
+        counts = np.ones(len(ok), dtype=int)
+        counts[~ok] = leaves[0::2] + leaves[1::2]
+        mine = np.repeat(ok, counts)
+        merged = np.empty((len(mine), 2))
+        merged[mine] = own
+        merged[~mine] = pairs
+        pairs, leaves = merged, counts
+    return pairs.ravel()
 
 
 def _integer(value: float, tol_round: float, what: str) -> int:
@@ -359,7 +455,7 @@ def induced_path(sig: SymplecticPath, ell: LagrangianFrame) -> LagrangianPath:
     gen = None
     if sig.generator is not None:
         g = sig.generator
-        gen = lambda t: apply_symplectic(g(t), ell)
+        gen = lambda ts: transport_frames(g(ts), ell.stacked(), ell.tol)
     return LagrangianPath(sig.times, frames, gen, tol)
 
 
@@ -393,13 +489,19 @@ def mu_ell(
 
 
 def path_from_unitary_family(
-    fn: Callable[[float], np.ndarray], samples: int = 33
+    fn: Callable[[np.ndarray], np.ndarray], samples: int = 33
 ) -> LagrangianPath:
-    """Path of planes u(t) X* for a continuous family of unitaries."""
-    ts = np.linspace(0.0, 1.0, samples)
-    u = np.array([fn(t) for t in ts], dtype=complex)
-    frames = np.concatenate((-u.imag, u.real), axis=1)
-    return LagrangianPath(tuple(ts), frames, lambda t: frame_from_unitary(fn(t)))
+    """Path of planes u(t) X* for a continuous family of unitaries, given as
+    fn mapping a 1-d array ts of times to the (len(ts), n, n) stack u(ts)."""
+    grid = np.linspace(0.0, 1.0, samples)
+    gen = lambda ts: (_unitary_frames(fn(ts)), TOL_SYM)
+    return LagrangianPath(tuple(grid), _unitary_frames(fn(grid)), gen)
+
+
+def _unitary_frames(u: np.ndarray) -> np.ndarray:
+    """The [X; P] frames of the planes u X* (P - iX = u) of a stack of unitaries."""
+    u = np.asarray(u, dtype=complex)
+    return np.concatenate((-u.imag, u.real), axis=1)
 
 
 def rotation_path(
@@ -410,11 +512,12 @@ def rotation_path(
     Starting plane X* for alpha_start = 0; a loop iff the sweep is a
     multiple of pi, with winding (alpha_end - alpha_start) / pi.
     """
-    def u(t: float) -> np.ndarray:
-        alpha = alpha_start + (alpha_end - alpha_start) * t
-        d = np.ones(n, dtype=complex)
-        d[0] = np.exp(1j * alpha)
-        return np.diag(d)
+    def u(ts: np.ndarray) -> np.ndarray:
+        alpha = alpha_start + (alpha_end - alpha_start) * ts
+        out = np.zeros((len(ts), n, n), dtype=complex)
+        out[:, range(n), range(n)] = 1.0
+        out[:, 0, 0] = np.exp(1j * alpha)
+        return out
 
     return path_from_unitary_family(u, samples)
 
@@ -436,8 +539,8 @@ def path_joining(
     ub = frame_unitary(ellb)
     Z, phases = unitary_log_principal(ua.conj().T @ ub)
 
-    def u(t: float) -> np.ndarray:
-        return ua @ (Z * np.exp(1j * t * phases)) @ Z.conj().T
+    def u(ts: np.ndarray) -> np.ndarray:
+        return ua @ (Z * np.exp(1j * ts[:, None, None] * phases)) @ Z.conj().T
 
     path = path_from_unitary_family(u, samples)
     if not same_plane(path.end(), ellb):
@@ -458,8 +561,8 @@ def symplectic_path_from_algebra(
         raise BadInput("generator is not in the symplectic Lie algebra")
     s0 = np.eye(2 * n) if start is None else np.asarray(start, dtype=float)
 
-    def S(t: float) -> np.ndarray:
-        return s0 @ scipy.linalg.expm(t * Z)
+    def S(ts: np.ndarray) -> np.ndarray:
+        return s0 @ scipy.linalg.expm(ts[:, None, None] * Z)
 
-    ts = np.linspace(0.0, 1.0, samples)
-    return SymplecticPath(tuple(ts), [S(t) for t in ts], S)
+    grid = np.linspace(0.0, 1.0, samples)
+    return SymplecticPath(tuple(grid), S(grid), S)

@@ -14,7 +14,6 @@ from .lagrangian import (
     LagrangianFrame,
     SouriauMatrix,
     _joint_phase_decomposition,
-    apply_symplectic,
     frame_from_unitary,
     frame_from_w,
     souriau_w,
@@ -110,8 +109,8 @@ def random_lagrangian_path(
     H = (z + z.conj().T) / 2 * scale
     vals, vecs = np.linalg.eigh(H)
 
-    def u(t: float) -> np.ndarray:
-        return u0 @ (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
+    def u(ts: np.ndarray) -> np.ndarray:
+        return u0 @ (vecs * np.exp(1j * ts[:, None, None] * vals)) @ vecs.conj().T
 
     return path_from_unitary_family(u, samples)
 
@@ -138,11 +137,12 @@ def transported_path(S: SymplecticMatrix, lam: LagrangianPath) -> LagrangianPath
     grid, gen = lam, None
     if lam.generator is not None:
         g = lam.generator
-        gen = lambda t: apply_symplectic(S, g(t))
+        gen = lambda ts: transport_frames(S.entries, *g(ts))
         kappa = float(np.linalg.cond(S.entries))
         samples = max(len(lam.times), min(4097, 2 * int(4 * kappa) + 1))
         ts = np.linspace(0.0, 1.0, samples)
-        grid = LagrangianPath(tuple(ts), [g(t) for t in ts])
+        frames, tol = g(ts)
+        grid = LagrangianPath(tuple(ts), frames, None, tol)
     frames, tol = transport_frames(S.entries, grid.frames, grid.tol)
     return LagrangianPath(grid.times, frames, gen, tol)
 

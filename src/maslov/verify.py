@@ -109,11 +109,10 @@ def _expect(cond, detail="") -> None:
 
 def winding_integral(lam: paths.LagrangianPath, samples: int = 1024) -> float:
     """Winding of det w around a loop by direct quadrature of d(det)/det."""
-    frames = lam.frames
+    frames, n = lam.frames, lam.n
     if lam.generator is not None:
-        ts = np.linspace(0.0, 1.0, samples)
-        frames = np.stack([lam.generator(t).stacked() for t in ts])
-    n = lam.n
+        frames, tol = lam.generator(np.linspace(0.0, 1.0, samples))
+        lagrangian.check_frames(frames[:, :n], frames[:, n:], tol)
     dets = np.linalg.det(lagrangian._uut(frames[:, :n], frames[:, n:]))
     steps = np.angle(dets[1:] / dets[:-1])
     if not np.all(np.abs(steps) < math.pi / 2):
@@ -122,6 +121,20 @@ def winding_integral(lam: paths.LagrangianPath, samples: int = 1024) -> float:
     for step in steps.tolist():
         total += step
     return total / (2 * math.pi)
+
+
+def direct_sum_path(lamA: paths.LagrangianPath, lamB: paths.LagrangianPath) -> paths.LagrangianPath:
+    """The path t -> lamA(t) (+) lamB(t) of two generator paths, sampled at
+    the union of their sample times."""
+    gA, gB = lamA.generator, lamB.generator
+
+    def gen(ts):
+        (fa, tol_a), (fb, tol_b) = gA(ts), gB(ts)
+        return lagrangian.direct_sum_frames(fa, fb), np.maximum(tol_a, tol_b)
+
+    ts = np.array(sorted(set(lamA.times) | set(lamB.times)))
+    frames, tol = gen(ts)
+    return paths.LagrangianPath(tuple(ts), frames, gen, tol)
 
 
 def sp_lift_action(sig: paths.SymplecticPath, lift: leray.LagrangianLift):
@@ -464,8 +477,9 @@ def check_reparametrization(rng, n):
     base = paths.mu_lagrangian(lam, ell)
     g = lam.generator
     warp = lambda t: t * t * (3 - 2 * t)  # monotone, fixes 0 and 1
-    ts = tuple(np.linspace(0.0, 1.0, 21))
-    warped = paths.LagrangianPath(ts, tuple(g(warp(t)) for t in ts), lambda t: g(warp(t)))
+    ts = np.linspace(0.0, 1.0, 21)
+    frames, tol = g(warp(ts))
+    warped = paths.LagrangianPath(tuple(ts), frames, lambda s: g(warp(s)), tol)
     _expect(paths.mu_lagrangian(warped, ell) == base)
 
 
@@ -679,12 +693,7 @@ def check_direct_sums(rng, n_max):
                 ) == leray.mu_bar(l1a, l2a) + leray.mu_bar(l1b, l2b))
                 lamA = random_lagrangian_path(rng, n1)
                 lamB = random_lagrangian_path(rng, n2)
-                gA, gB = lamA.generator, lamB.generator
-                gen = lambda t: lagrangian.direct_sum_frame(gA(t), gB(t))
-                ts = sorted(set(lamA.times) | set(lamB.times))
-                summed = paths.LagrangianPath(
-                    tuple(ts), tuple(gen(t) for t in ts), gen
-                )
+                summed = direct_sum_path(lamA, lamB)
                 ellA, ellB = random_frame(rng, n1), random_frame(rng, n2)
                 _expect(paths.mu_lagrangian(
                     summed, lagrangian.direct_sum_frame(ellA, ellB)

@@ -49,7 +49,6 @@ from maslov import (
     spectral_flow,
 )
 from maslov.errors import IllConditioned
-from maslov.paths import LagrangianPath
 from maslov.random_gen import (
     random_frame,
     random_frame_intersecting,
@@ -68,6 +67,7 @@ from maslov.verify import (
     check_tau_antisymmetry,
     check_tau_cocycle,
     check_tau_sp_invariance,
+    direct_sum_path,
     mu_bar_via_companion,
     winding_integral,
 )
@@ -333,10 +333,7 @@ def test_criterion_13_direct_sums(capsys):
     ):
         lamA = random_lagrangian_path(rng, n1)
         lamB = random_lagrangian_path(rng, n2)
-        gA, gB = lamA.generator, lamB.generator
-        gen = lambda t: direct_sum_frame(gA(t), gB(t))
-        ts = sorted(set(lamA.times) | set(lamB.times))
-        summed = LagrangianPath(tuple(ts), tuple(gen(t) for t in ts), gen)
+        summed = direct_sum_path(lamA, lamB)
         ellA, ellB = random_frame(rng, n1), random_frame(rng, n2)
         ok = ok and mu_lagrangian(
             summed, direct_sum_frame(ellA, ellB)

@@ -24,6 +24,7 @@ from maslov import (
     spectral_flow,
     frame_from_graph,
 )
+from maslov import cli
 from maslov.derived import spectral_flow_path_index
 from maslov.paths import concat, path_joining
 from maslov.random_gen import (
@@ -59,13 +60,39 @@ def test_symmetric_family_validation():
         spectral_flow(SymmetricFamily((0.0, 0.7, 0.3, 1.0), (-np.eye(1),) * 2 + (np.eye(1),) * 2))
 
 
+@pytest.mark.parametrize(
+    "matrices",
+    [(1.0, 2.0), ([1.0], [2.0]), ([[1.0]], [[1.0, 0.0]]), ([[1.0, 2.0]],) * 2, 3.0],
+    ids=["0-d", "1-d", "ragged", "non-square", "scalar"],
+)
+def test_symmetric_family_rejects_non_matrices(matrices):
+    with pytest.raises(BadInput):
+        SymmetricFamily((0.0, 1.0), matrices)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an eigenvalue crossing zero between two samples fools the midpoint guard",
+)
+def test_graph_polynomial_index_matches_spectral_flow_on_a_fast_crossing():
+    # the large eigenvalue of (1 - 3t) A passes 0 at t = 1/3, between the
+    # samples 10/32 and 11/32; the graph-path index against X is the
+    # spectral flow sign A(1) - sign A(0) = -4, the lift gives -2
+    A = np.array([[1000.0, 1000.0], [1000.0, 1001.0]])
+    family = {"coefficients": [A.tolist(), (-3 * A).tolist()]}
+    flow = cli.compute_report({"n": 2, "index": "spectral-flow", "family": family})
+    path = {"kind": "graph_polynomial", **family}
+    job = {"n": 2, "index": "lagrangian", "plane": "coordinate_x", "path": path}
+    assert cli.compute_report(job)["value"] == flow["value"] == -4
+
+
 def test_family_and_graph_path_share_the_symmetric_rule():
     # asymmetry 5e-8 on entries of 1000 passes the one relative rule, so the
     # graph path of a family that SymmetricFamily accepts is accepted too
     near = np.array([[1000.0, 1000.0 + 5e-8], [1000.0, 1001.0]])
     sym = (near + near.T) / 2
-    fam = SymmetricFamily.from_function(lambda t: near - 2 * t * np.eye(2))
-    ref = SymmetricFamily.from_function(lambda t: sym - 2 * t * np.eye(2))
+    fam = SymmetricFamily.from_function(lambda t: near - 2 * t[:, None, None] * np.eye(2))
+    ref = SymmetricFamily.from_function(lambda t: sym - 2 * t[:, None, None] * np.eye(2))
     assert spectral_flow(fam) == spectral_flow(ref) == -2
     assert mu_lagrangian(graph_path(fam), coordinate_x(2)) == -2
     assert mu_lagrangian(graph_path(ref), coordinate_x(2)) == -2

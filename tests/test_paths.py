@@ -29,14 +29,17 @@ from maslov import (
     path_joining,
     reverse,
     rotation_path,
+    shear_path,
     symplectic_path_from_algebra,
 )
-from maslov import paths
-from maslov.lagrangian import det_phase
+from maslov import cli, paths
+from maslov.defaults import TOL_SYM
+from maslov.lagrangian import det_phase, graph_frames
 from maslov.paths import same_plane
 from maslov.random_gen import (
     random_frame,
     random_lagrangian_path,
+    random_symmetric,
     random_symplectic,
     random_symplectic_path,
 )
@@ -45,7 +48,10 @@ from maslov.verify import winding_integral
 
 def constant_path(frame, samples=5):
     ts = tuple(np.linspace(0.0, 1.0, samples))
-    return LagrangianPath(ts, tuple(frame for _ in ts), lambda t: frame)
+    F = frame.stacked()
+    return LagrangianPath(
+        ts, tuple(frame for _ in ts), lambda t: (np.broadcast_to(F, (len(t),) + F.shape), frame.tol)
+    )
 
 
 def test_path_validation():
@@ -92,10 +98,13 @@ def _sampled_rotation(samples):
 
 def _bent_graph_path():
     # a generator path whose middle stretch needs several bisection levels
-    fam = SymmetricFamily.from_function(
-        lambda t: np.array([[40.0 * t - 20.0, 1.0], [1.0, 3.0 - 6.0 * t**2]]), samples=5
-    )
-    return graph_path(fam)
+    def A(ts):
+        out = np.ones((len(ts), 2, 2))
+        out[:, 0, 0] = 40.0 * ts - 20.0
+        out[:, 1, 1] = 3.0 - 6.0 * ts**2
+        return out
+
+    return graph_path(SymmetricFamily.from_function(A, samples=5))
 
 
 LIFT_PATHS = {
@@ -191,6 +200,171 @@ def test_stacked_lift_matches_reference_loop(n):
     assert set(outcomes) == {"lifted", "undersampled"}
 
 
+def _reference_descend(lam, max_depth=paths.MAX_REFINE_DEPTH):
+    """The depth-first bisection that the breadth-first levels replaced: one
+    generator call and one validated frame per midpoint, each step wrapped
+    and tested alone, theta accumulated as each step is accepted.  Returns
+    (end theta, sample count, levels used), or raises Undersampled."""
+    n = lam.n
+
+    def phase(t):
+        frames, tol = lam.generator(np.array([t]))
+        F = frames[0]
+        return float(det_phase(LagrangianFrame(F[:n], F[n:], float(np.ravel(tol)[0])).stacked()))
+
+    angs = det_phase(lam.frames).tolist()
+    theta, count, levels = angs[0], 1, 0
+
+    def descend(t0, a0, t1, a1, depth):
+        nonlocal theta, count, levels
+        if count > paths.MAX_SAMPLES:
+            raise Undersampled("sample cap exceeded during refinement")
+        levels = max(levels, depth + 1)
+        d = paths._wrap(a1 - a0)
+        tm = (t0 + t1) / 2
+        am = phase(tm)
+        d1 = paths._wrap(am - a0)
+        d2 = paths._wrap(a1 - am)
+        consistent = abs(d1 + d2 - d) < 1e-9
+        if consistent and max(abs(d), abs(d1), abs(d2)) < paths.MAX_PHASE_STEP:
+            theta, count = theta + d1 + d2, count + 2
+            return
+        if depth >= max_depth:
+            raise Undersampled("refinement depth exceeded; path may be discontinuous")
+        descend(t0, a0, tm, am, depth + 1)
+        descend(tm, am, t1, a1, depth + 1)
+
+    for i in range(1, len(angs)):
+        descend(lam.times[i - 1], angs[i - 1], lam.times[i], angs[i], 0)
+    return theta, count, levels
+
+
+def _quadratic_shear_path(rng, n, scale):
+    A0, A1, A2 = (random_symmetric(rng, n, scale) for _ in range(3))
+
+    def A(ts):
+        t = ts[:, None, None]
+        return A0 + t * A1 + t * t * A2
+
+    fam = SymmetricFamily.from_function(A, samples=5)
+    return induced_path(shear_path(fam), coordinate_x(n))
+
+
+def _oracle_paths(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    if kind == "bent-graph":
+        return [_bent_graph_path()]
+    if kind == "shear":
+        return [_quadratic_shear_path(rng, n, 4.0) for n in (1, 2, 3, 4) for _ in range(2)]
+    n = int(kind.split("-")[1])
+    return [
+        random_lagrangian_path(rng, n, scale=scale, samples=samples)
+        for samples, scale in ((2, 3.0), (3, 6.0), (5, 12.0))
+    ]
+
+
+ORACLE_KINDS = ["bent-graph", "shear"] + [f"random-{n}" for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_breadth_first_matches_depth_first(kind):
+    # the same outcome, sample count and theta, bit for bit, at every depth
+    outcomes = set()
+    for lam in _oracle_paths(kind):
+        for max_depth in range(9):
+            try:
+                theta, count, levels = _reference_descend(lam, max_depth)
+            except Undersampled as exc:
+                with pytest.raises(Undersampled) as caught:
+                    lift_path(lam, max_depth=max_depth)
+                assert str(caught.value) == str(exc)
+                outcomes.add("undersampled")
+                continue
+            lifted = lift_path(lam, max_depth=max_depth)
+            assert lifted.end.theta == theta
+            assert lifted.sample_count == count
+            outcomes.add(min(levels, 2))
+    # each kind is lifted at depth 2 or more and fails at a shallower depth
+    assert {"undersampled", 2} <= outcomes
+
+
+def _jump_path():
+    # X* before t = 1/2 and X from there on: no refinement resolves the jump
+    xs, x = coordinate_xstar(1).stacked(), coordinate_x(1).stacked()
+    gen = lambda ts: (np.where((ts < 0.5)[:, None, None], xs, x), TOL_SYM)
+    return LagrangianPath((0.0, 1.0), (xs, x), gen)
+
+
+@pytest.mark.parametrize("max_depth", [5000, 10**9])
+def test_deep_refinement_of_a_jump_is_undersampled(max_depth):
+    # a recursive bisection overflowed the interpreter stack here; a step
+    # whose midpoint repeats one of its ends ends the refinement instead
+    with pytest.raises(Undersampled, match="refinement depth exceeded"):
+        lift_path(_jump_path(), max_depth=max_depth)
+
+
+def _count_generator_calls(monkeypatch):
+    """The length of each generator call of every LagrangianPath built from
+    now on, the way perfbench/tracing.py counts them."""
+    calls = []
+    post_init = LagrangianPath.__post_init__
+
+    def counted(path):
+        post_init(path)
+        if path.generator is not None:
+            g = path.generator
+
+            def gen(ts):
+                calls.append(len(ts))
+                return g(ts)
+
+            object.__setattr__(path, "generator", gen)
+
+    monkeypatch.setattr(LagrangianPath, "__post_init__", counted)
+    return calls
+
+
+def _bent_quadratic(rng, n):
+    """Coefficients of a quadratic family A0 + t B + t^2 (A1 - A0 - B) between
+    two random symmetric matrices, as the path-refine benchmark draws them."""
+    A0, A1, B = (random_symmetric(rng, n, 2.0) for _ in range(3))
+    return [c.tolist() for c in (A0, B, A1 - A0 - B)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("kind", ["graph_polynomial", "shear"])
+def test_one_generator_call_per_level(kind, n, monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        path = {"kind": kind, "coefficients": _bent_quadratic(rng, n)}
+        index = "lagrangian" if kind == "graph_polynomial" else "symplectic"
+        job = {"n": n, "index": index, "path": path, "plane": "coordinate_x"}
+        if kind == "shear":
+            lam = induced_path(cli.parse_symplectic_path(path, n), coordinate_x(n))
+        else:
+            lam = cli.parse_lagrangian_path(path, n)
+        _, count, levels = _reference_descend(lam)
+        calls = _count_generator_calls(monkeypatch)
+        report = cli.compute_report(job)
+        monkeypatch.undo()
+        assert report["samples"] == count
+        assert len(calls) == levels and calls[0] == len(lam.times) - 1 == 32
+
+
+def test_runaway_refinement_stays_in_the_chunk_budget(monkeypatch):
+    # alpha = 1e9 t^2 between two samples: the pending levels grow until the
+    # sample cap ends the lift, and the widest levels are split into
+    # generator calls of the chunk budget.  (A linear sweep is no test of
+    # this: its steps are equal, so a whole level aliases at once.)
+    def u(ts):
+        return np.exp(1j * 1e9 * ts**2)[:, None, None]
+
+    calls = _count_generator_calls(monkeypatch)
+    with pytest.raises(Undersampled, match="sample cap"):
+        lift_path(paths.path_from_unitary_family(u, samples=2))
+    assert max(calls) == paths.LEVEL_CHUNK_BYTES // 16  # one 2 x 1 frame is 16 bytes
+
+
 def test_keller_maslov_anchors():
     assert keller_maslov(rotation_path(1, 0.0, math.pi)) == 1
     assert keller_maslov(constant_path(coordinate_x(2))) == 0
@@ -217,7 +391,7 @@ def test_mu_lagrangian_anchors(rng):
     ts = np.linspace(0.0, 1.0, 21)
     frames = tuple(frame_from_graph(np.array([[2 * t - 1.0]])) for t in ts)
     lam = LagrangianPath(
-        tuple(ts), frames, lambda t: frame_from_graph(np.array([[2 * t - 1.0]]))
+        tuple(ts), frames, lambda t: (graph_frames((2 * t - 1.0)[:, None, None]), TOL_SYM)
     )
     assert mu_lagrangian(lam, coordinate_x(1)) == 2
 
@@ -245,26 +419,32 @@ def test_path_joining_endpoints(rng):
         assert same_plane(lam.end(), fb)
 
 
+def _shear_stack(A):
+    """[[1, 0], [a, 1]] for each entry a of a 1-d array A (n = 1)."""
+    S = np.tile(np.eye(2), (len(A), 1, 1))
+    S[:, 1, 0] = A
+    return S
+
+
+def _rotation_stack(ts):
+    """The full rotation loop t -> R(2 pi t) of Sp(1) at the times ts."""
+    c, s = np.cos(2 * math.pi * ts), np.sin(2 * math.pi * ts)
+    return np.stack((np.stack((c, -s), -1), np.stack((s, c), -1)), -2)
+
+
 def test_mu_symplectic_anchors():
     n = 1
     eye = np.eye(2 * n)
-    const = SymplecticPath((0.0, 1.0), (eye, eye), lambda t: eye)
+    const = SymplecticPath((0.0, 1.0), (eye, eye), lambda t: np.broadcast_to(eye, (len(t), 2, 2)))
     assert mu_symplectic(const, coordinate_x(n)) == 0
 
-    def shear(t):
-        A = np.array([[2 * t - 1.0]])
-        return np.block([[np.eye(n), np.zeros((n, n))], [A, np.eye(n)]])
-
+    shear = lambda t: _shear_stack(2 * t - 1.0)
     ts = np.linspace(0.0, 1.0, 21)
-    sig = SymplecticPath(tuple(ts), tuple(shear(t) for t in ts), shear)
+    sig = SymplecticPath(tuple(ts), shear(ts), shear)
     assert mu_symplectic(sig, coordinate_x(n)) == 2
 
     # full rotation loop in Sp(1): induced loop winds twice
-    def rot(t):
-        c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)
-        return np.array([[c, -s], [s, c]])
-
-    loop = SymplecticPath(tuple(ts), tuple(rot(t) for t in ts), rot)
+    loop = SymplecticPath(tuple(ts), _rotation_stack(ts), _rotation_stack)
     for ell in (coordinate_x(1), coordinate_xstar(1), frame_from_graph(np.array([[0.7]]))):
         assert mu_symplectic(loop, ell) == 4
 
@@ -276,22 +456,12 @@ def test_mu_ell_requires_identity_start(rng):
 
 
 def test_mu_ell_anchors(rng):
-    n = 1
-
-    def shear(t):
-        A = np.array([[t]])
-        return np.block([[np.eye(n), np.zeros((n, n))], [A, np.eye(n)]])
-
     ts = np.linspace(0.0, 1.0, 21)
-    sig = SymplecticPath(tuple(ts), tuple(shear(t) for t in ts), shear)
+    sig = SymplecticPath(tuple(ts), _shear_stack(ts), _shear_stack)
     assert mu_ell(sig, coordinate_x(1)) == mu_symplectic(sig, coordinate_x(1)) == 1
 
     # appending a full loop adds 4
-    def rot(t):
-        c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)
-        return np.array([[c, -s], [s, c]])
-
-    loop = SymplecticPath(tuple(ts), tuple(rot(t) for t in ts), rot)
+    loop = SymplecticPath(tuple(ts), _rotation_stack(ts), _rotation_stack)
     base = random_symplectic_path(rng, 1)
     appended = concat_symplectic(base, left_translate(base.end(), loop))
     ell = random_frame(rng, 1)
