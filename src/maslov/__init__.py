@@ -14,7 +14,6 @@ from .derived import (
 from .errors import BadInput, IllConditioned, MaslovError, Undersampled
 from .lagrangian import (
     LagrangianFrame,
-    SouriauMatrix,
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,

@@ -22,7 +22,7 @@ TOL_SIG_BASE = 1e-9
 TOL_ROUND = 1e-6
 
 #: floor of the |det w - e^{i theta}| bound for points of the universal
-#: cover, which otherwise scales with w's validation (leray.LagrangianLift)
+#: cover, which otherwise scales with the frame's tol (leray.LagrangianLift)
 TOL_PHASE = 1e-9
 
 #: width (in decades) of the ambiguity band around rank/signature thresholds

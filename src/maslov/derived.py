@@ -14,8 +14,8 @@ from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .errors import BadInput, IllConditioned
 from .lagrangian import (
     LagrangianFrame,
-    SouriauMatrix,
     coordinate_x,
+    direct_sum_frame,
     graph_frames,
     is_symmetric,
 )
@@ -172,12 +172,8 @@ def hormander_xi(
 
 
 def direct_sum_lift(l1: LagrangianLift, l2: LagrangianLift) -> LagrangianLift:
-    """(w' (+) w'', theta' + theta'')."""
-    n1 = l1.n
-    w = np.zeros((n1 + l2.n,) * 2, dtype=complex)
-    w[:n1, :n1] = l1.w.w
-    w[n1:, n1:] = l2.w.w
-    return LagrangianLift(SouriauMatrix(w), l1.theta + l2.theta)
+    """(ell' (+) ell'', theta' + theta''), whose w is w' (+) w''."""
+    return LagrangianLift(direct_sum_frame(l1.frame, l2.frame), l1.theta + l2.theta)
 
 
 def spectral_flow_path_index(family: SymmetricFamily) -> int:

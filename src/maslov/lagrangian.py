@@ -1,11 +1,14 @@
 """Lagrangian planes: orthonormal frames, the symmetric-unitary picture,
 intersection dimensions and transversal companions.
 
-A plane is stored as an orthonormal 2n x n frame [X; P].  The symmetric
-unitary matrix attached to a plane is w = u u^t with u = P - iX; the map
-ell -> w is a bijection onto the symmetric unitaries and is independent of
-the orthonormal frame chosen (u -> uO leaves u u^t fixed for real
-orthogonal O).
+A plane is stored as an orthonormal 2n x n frame [X; P], validated once by
+the frame rule ``check_frames``.  The symmetric unitary matrix attached to a
+plane is w = u u^t with u = P - iX; the map ell -> w is a bijection onto the
+symmetric unitaries and is independent of the orthonormal frame chosen
+(u -> uO leaves u u^t fixed for real orthogonal O).  So the frame alone fixes
+w: ``souriau_w`` computes it without a second check, which the frame's bound
+implies.  The symmetric-unitary rule runs only in ``frame_from_w``, where a w
+comes in from outside.
 
 Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 {p = ax} in n = 1 -> (a^2 - 1 - 2ia) / (1 + a^2).
@@ -72,32 +75,6 @@ def check_frames(X: np.ndarray, P: np.ndarray, tol) -> None:
     raise BadInput("frame columns are not orthonormal")
 
 
-@dataclass(frozen=True)
-class SouriauMatrix:
-    """Symmetric unitary n x n matrix representing a Lagrangian plane."""
-
-    w: np.ndarray
-    tol: float = TOL_SYM
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=complex)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
-            raise BadInput("expected a non-empty square matrix")
-        n = w.shape[0]
-        # `not err <= tol` rejects a NaN error too
-        if not np.abs(w - w.T).max() <= self.tol:
-            raise BadInput("matrix is not symmetric (plain transpose)")
-        if not np.abs(w @ w.conj().T - np.eye(n)).max() <= self.tol:
-            raise BadInput("matrix is not unitary")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-
 def coordinate_x(n: int) -> LagrangianFrame:
     """The plane X (p = 0)."""
     return LagrangianFrame(np.eye(n), np.zeros((n, n)))
@@ -145,8 +122,16 @@ def graph_frames(A: np.ndarray) -> np.ndarray:
 
 def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
     """Frame of the plane u X* for unitary u (so that P - iX = u)."""
+    F = unitary_frames(u)
+    n = F.shape[-1]
+    return LagrangianFrame(F[:n], F[n:])
+
+
+def unitary_frames(u: np.ndarray) -> np.ndarray:
+    """The [X; P] = [-Im u; Re u] frames of the planes u X* of a unitary or
+    of an (N, n, n) stack of them; validated where they are used."""
     u = np.asarray(u, dtype=complex)
-    return LagrangianFrame(-u.imag, u.real)
+    return np.concatenate((-u.imag, u.real), axis=-2)
 
 
 def frame_unitary(ell: LagrangianFrame) -> np.ndarray:
@@ -160,34 +145,32 @@ def _uut(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return u @ u.swapaxes(-1, -2)
 
 
-def souriau_w(ell: LagrangianFrame) -> SouriauMatrix:
-    """w = u u^t with u = P - iX, validated at max(10, 4n) * max(ell.tol, TOL_SYM),
-    which the frame's bound implies: for the frame's defect E = X^t X + P^t P - I,
-    to first order w w^H - I = 2 u E u^H, so ||w w^H - I||_max <= 2n ell.tol (the
+def souriau_w(ell: LagrangianFrame) -> np.ndarray:
+    """w = u u^t with u = P - iX, not validated again: the frame's bound
+    implies that w is symmetric and unitary within max(10, 4n) *
+    max(ell.tol, TOL_SYM).  For the frame's defect E = X^t X + P^t P - I, to
+    first order w w^H - I = 2 u E u^H, so ||w w^H - I||_max <= 2n ell.tol (the
     isotropy defect cancels, and w is symmetric up to rounding)."""
-    return SouriauMatrix(
-        _uut(ell.xblock, ell.pblock), tol=max(10, 4 * ell.n) * max(ell.tol, TOL_SYM)
-    )
+    return _uut(ell.xblock, ell.pblock)
 
 
 def det_phase(frames: np.ndarray) -> np.ndarray:
     """arg det w of each [X; P] frame of a (..., 2n, n) stack, w = u u^t as in
-    souriau_w but without building a SouriauMatrix: one batched det.  A
-    single 2n x n frame gives a 0-d array."""
+    souriau_w: one batched det.  A single 2n x n frame gives a 0-d array."""
     n = frames.shape[-1]
     return np.angle(np.linalg.det(_uut(frames[..., :n, :], frames[..., n:, :])))
 
 
-def _joint_phase_decomposition(w: SouriauMatrix):
+def _joint_phase_decomposition(w: np.ndarray):
     """Real orthogonal O and phases phi with w = O diag(e^{i phi}) O^T.
 
     Re(w) and Im(w) are commuting real symmetric matrices; diagonalize Re(w)
     and rotate each (clustered) eigenspace to diagonalize Im(w) within it.
     """
-    A = w.w.real
-    B = w.w.imag
+    A = w.real
+    B = w.imag
     avals, O = np.linalg.eigh((A + A.T) / 2)
-    n = w.n
+    n = w.shape[0]
     O = O.copy()
     start = 0
     while start < n:
@@ -211,18 +194,27 @@ def _joint_phase_decomposition(w: SouriauMatrix):
     return O, np.arctan2(b, a)
 
 
-def frame_from_w(w: SouriauMatrix) -> LagrangianFrame:
+def frame_from_w(w: np.ndarray) -> LagrangianFrame:
     """A frame of the plane represented by w (inverse of souriau_w).
 
-    The phase of each eigenvalue is halved on the principal branch; any
-    branch yields a valid frame of the same plane.
+    The one place a w comes in from outside, so the one place the
+    symmetric-unitary rule runs: w must be a non-empty square matrix with
+    ||w - w^T||_max and ||w w^H - I||_max at most TOL_SYM (a NaN entry
+    fails).  The phase of each eigenvalue is halved on the principal branch;
+    any branch yields a valid frame of the same plane.
     """
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+        raise BadInput("expected a non-empty square matrix")
+    if not np.abs(w - w.T).max() <= TOL_SYM:
+        raise BadInput("matrix is not symmetric (plain transpose)")
+    if not np.abs(w @ w.conj().T - np.eye(w.shape[0])).max() <= TOL_SYM:
+        raise BadInput("matrix is not unitary")
     O, phases = _joint_phase_decomposition(w)
-    u = O * np.exp(0.5j * phases)
-    return frame_from_unitary(u)
+    return frame_from_unitary(O * np.exp(0.5j * phases))
 
 
-def eigenphases(w: SouriauMatrix) -> np.ndarray:
+def eigenphases(w: np.ndarray) -> np.ndarray:
     """Sorted phases (in (-pi, pi]) of the unit-circle eigenvalues of w."""
     _, phases = _joint_phase_decomposition(w)
     return np.sort(phases)
@@ -253,7 +245,7 @@ def intersection_dim(
     """
     if ell1.n != ell2.n:
         raise BadInput("planes live in different dimensions")
-    d = souriau_w(ell1).w - souriau_w(ell2).w
+    d = souriau_w(ell1) - souriau_w(ell2)
     k_w, _ = corank(d, tol_rank, "w-difference corank")
     stacked = np.hstack([ell1.stacked(), -ell2.stacked()])
     k_f, _ = corank(stacked, tol_rank, "frame-kernel corank")

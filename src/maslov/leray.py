@@ -1,6 +1,6 @@
 """Points of the universal cover of the Lagrangian Grassmannian as pairs
-(w, theta) with det w = e^{i theta}, and the canonical index mu_bar on
-arbitrary pairs by Souriau's trace-log formula
+(frame, theta) with det w = e^{i theta} for w = souriau_w(frame), and the
+canonical index mu_bar on arbitrary pairs by Souriau's trace-log formula
 
     mu_bar = (theta1 - theta2 - sum' arg(-lambda_j)) / pi
 
@@ -11,21 +11,24 @@ and exactly k eigenvalues within that rule's threshold of 1.  The singular
 values of w1 - w2 are the |lambda_j - 1|, so the rule's ambiguity band keeps
 every other eigenvalue off the branch cut of arg(-lambda).  On transversal
 pairs mu_bar = 2m - n for Souriau's integer m.
+
+A cover point keeps its plane in the one validated form, the frame; its w
+is computed from the frame once and never validated again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND
+from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
 from .errors import BadInput, IllConditioned
 from .lagrangian import (
     LagrangianFrame,
-    SouriauMatrix,
     _scalar_frame,
+    _uut,
     companion_phase,
     corank,
     souriau_w,
@@ -34,25 +37,33 @@ from .lagrangian import (
 
 @dataclass(frozen=True)
 class LagrangianLift:
-    """A cover point (w, theta); theta is an unreduced argument of det w.
+    """A cover point (frame, theta); theta is an unreduced argument of det w.
 
-    theta is checked by |det w - e^{i theta}| <= max(TOL_PHASE, n * w.tol),
-    which w's own validation implies: for E = w w^H - I, validated at
-    ||E||_max <= w.tol, to first order | |det w| - 1 | = |tr E| / 2 <= n w.tol / 2,
-    and the bound keeps the factor 2 that souriau_w keeps over its first-order
-    bound.  It is never narrower than TOL_PHASE, the former fixed bound."""
+    w = souriau_w(frame) is computed once, into a read-only field, and not
+    validated again: the frame's bound implies that it is unitary within
+    B = max(10, 4n) * max(frame.tol, TOL_SYM) (see ``souriau_w``).  theta is
+    checked by |det w - e^{i theta}| <= max(TOL_PHASE, n * B): for the
+    frame's defect E, to first order | |det w| - 1 | = |tr E| <= n frame.tol,
+    well inside.  It is never narrower than TOL_PHASE, the former fixed
+    bound."""
 
-    w: SouriauMatrix
+    frame: LagrangianFrame
     theta: float
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        det = np.linalg.det(self.w.w)
-        if not abs(det - np.exp(1j * self.theta)) <= max(TOL_PHASE, self.w.n * self.w.tol):
+        ell = self.frame
+        w = _uut(ell.xblock, ell.pblock)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
+        n = ell.n
+        bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
+        if not abs(np.linalg.det(w) - np.exp(1j * self.theta)) <= bound:
             raise BadInput("theta is not an argument of det w within tolerance")
 
     @property
     def n(self) -> int:
-        return self.w.n
+        return self.frame.n
 
 
 @dataclass(frozen=True)
@@ -63,14 +74,13 @@ class DeckAction:
 
 
 def lift_of(ell: LagrangianFrame, k: int = 0) -> LagrangianLift:
-    """The lift (w, arg det w + 2k pi) with the principal argument in (-pi, pi]."""
-    w = souriau_w(ell)
-    theta0 = float(np.angle(np.linalg.det(w.w)))
-    return LagrangianLift(w, theta0 + 2 * math.pi * k)
+    """The lift (ell, arg det w + 2k pi) with the principal argument in (-pi, pi]."""
+    theta0 = float(np.angle(np.linalg.det(souriau_w(ell))))
+    return LagrangianLift(ell, theta0 + 2 * math.pi * k)
 
 
 def deck_apply(g: DeckAction, lift: LagrangianLift) -> LagrangianLift:
-    return LagrangianLift(lift.w, lift.theta + 2 * math.pi * g.k)
+    return LagrangianLift(lift.frame, lift.theta + 2 * math.pi * g.k)
 
 
 def _pair_corank(
@@ -79,7 +89,7 @@ def _pair_corank(
     """dim(ell1 /\\ ell2) as the corank of w1 - w2, and the threshold used."""
     if l1.n != l2.n:
         raise BadInput("lifts live in different dimensions")
-    return corank(l1.w.w - l2.w.w, tol_rank, "w-difference corank")
+    return corank(l1.w - l2.w, tol_rank, "w-difference corank")
 
 
 def mu_bar(
@@ -93,7 +103,7 @@ def mu_bar(
     on a count of eigenvalues at 1 other than the corank, and on a value
     farther than tol_round from an integer."""
     k, t = _pair_corank(l1, l2, tol_rank)
-    lam = np.linalg.eigvals(l1.w.w @ l2.w.w.conj())
+    lam = np.linalg.eigvals(l1.w @ l2.w.conj())
     at_one = np.abs(lam - 1) <= t
     if np.count_nonzero(at_one) != k:
         raise IllConditioned(
@@ -126,5 +136,4 @@ def companion_lift(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianLi
     """Canonical companion: w3 = e^{i theta} I lifted with theta3 = n * theta."""
     theta = companion_phase(ell1, ell2)
     n = ell1.n
-    ell3 = _scalar_frame(theta, n)
-    return LagrangianLift(souriau_w(ell3), n * theta)
+    return LagrangianLift(_scalar_frame(theta, n), n * theta)

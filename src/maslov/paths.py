@@ -30,6 +30,7 @@ from .lagrangian import (
     frame_unitary,
     souriau_w,
     transport_frames,
+    unitary_frames,
 )
 from .leray import LagrangianLift, lift_of, mu_bar
 from .symplectic import is_symplectic, omega_matrix
@@ -169,8 +170,8 @@ def same_plane(f1: LagrangianFrame, f2: LagrangianFrame) -> bool:
     return _same_w(souriau_w(f1), souriau_w(f2))
 
 
-def _same_w(w1, w2) -> bool:
-    return float(np.abs(w1.w - w2.w).max()) <= PLANE_MATCH_TOL
+def _same_w(w1: np.ndarray, w2: np.ndarray) -> bool:
+    return float(np.abs(w1 - w2).max()) <= PLANE_MATCH_TOL
 
 
 def _rescale(times: Sequence[float], a: float, b: float) -> list[float]:
@@ -335,8 +336,8 @@ def lift_path(
     theta = theta0
     for d in steps.tolist():
         theta += d
-    start = LagrangianLift(souriau_w(lam.start()), theta0)
-    end = LagrangianLift(souriau_w(lam.end()), theta)
+    start = LagrangianLift(lam.start(), theta0)
+    end = LagrangianLift(lam.end(), theta)
     # every step, or half-step, ends at one accepted sample
     return LiftedPath(start, end, 1 + len(steps))
 
@@ -349,24 +350,28 @@ def _refine(lam: LagrangianPath, angs: np.ndarray, max_depth: int) -> np.ndarray
     nearest-argument continuation against aliasing) and the step and both
     halves stay below pi/2; a failing step is replaced by its two halves,
     adjacent in level k + 1.  Every pending step adds at least two samples,
-    so the sample cap is checked before a level is evaluated.
+    so the sample cap is checked before a level is evaluated.  The accepted
+    pairs of all levels are put in time order by one sort of their steps'
+    (start, end) times.
     """
     t = np.array(lam.times)
     t0, t1, a0, a1 = t[:-1], t[1:], angs[:-1], angs[1:]
-    levels, accepted = [], 0
+    starts, ends, pairs = [], [], []
     for depth in itertools.count():
-        if 2 * (accepted + len(t0)) > MAX_SAMPLES:
+        if 2 * (sum(map(len, pairs)) + len(t0)) > MAX_SAMPLES:
             raise Undersampled("sample cap exceeded during refinement")
         tm = (t0 + t1) / 2
         am = _generated_phases(lam, tm)
         d, d1, d2 = _wrap(a1 - a0), _wrap(am - a0), _wrap(a1 - am)
         ok = (np.abs(d1 + d2 - d) < 1e-9) & (np.abs(d) < MAX_PHASE_STEP)
         ok &= (np.abs(d1) < MAX_PHASE_STEP) & (np.abs(d2) < MAX_PHASE_STEP)
-        own = np.stack((d1[ok], d2[ok]), axis=1)
-        levels.append((ok, own))
-        accepted += len(own)
+        starts.append(t0[ok])
+        ends.append(t1[ok])
+        pairs.append(np.stack((d1[ok], d2[ok]), axis=1))
         if ok.all():
-            return _in_time_order(levels)
+            # the accepted steps tile [0, 1], so (start, end) is time order
+            order = np.lexsort((np.concatenate(ends), np.concatenate(starts)))
+            return np.concatenate(pairs)[order].ravel()
         if depth >= max_depth:
             raise Undersampled("refinement depth exceeded; path may be discontinuous")
         fail = ~ok
@@ -400,25 +405,6 @@ def _generated_phases(lam: LagrangianPath, ts: np.ndarray) -> np.ndarray:
         check_frames(frames[:, :n], frames[:, n:], tol)
         phases.append(det_phase(frames))
     return np.concatenate(phases)
-
-
-def _in_time_order(levels: list) -> np.ndarray:
-    """The accepted (d1, d2) pairs of a refinement, flattened in time order.
-
-    levels[k] is the acceptance mask of level k's pending steps and the
-    pairs of the accepted ones; the two halves of a failing step are
-    adjacent in level k + 1.  Folding from the deepest level up, each
-    failing step's slots are filled by its halves' pairs, in order."""
-    pairs, leaves = np.empty((0, 2)), np.empty(0, dtype=int)
-    for ok, own in reversed(levels):
-        counts = np.ones(len(ok), dtype=int)
-        counts[~ok] = leaves[0::2] + leaves[1::2]
-        mine = np.repeat(ok, counts)
-        merged = np.empty((len(mine), 2))
-        merged[mine] = own
-        merged[~mine] = pairs
-        pairs, leaves = merged, counts
-    return pairs.ravel()
 
 
 def _integer(value: float, tol_round: float, what: str) -> int:
@@ -494,14 +480,8 @@ def path_from_unitary_family(
     """Path of planes u(t) X* for a continuous family of unitaries, given as
     fn mapping a 1-d array ts of times to the (len(ts), n, n) stack u(ts)."""
     grid = np.linspace(0.0, 1.0, samples)
-    gen = lambda ts: (_unitary_frames(fn(ts)), TOL_SYM)
-    return LagrangianPath(tuple(grid), _unitary_frames(fn(grid)), gen)
-
-
-def _unitary_frames(u: np.ndarray) -> np.ndarray:
-    """The [X; P] frames of the planes u X* (P - iX = u) of a stack of unitaries."""
-    u = np.asarray(u, dtype=complex)
-    return np.concatenate((-u.imag, u.real), axis=1)
+    gen = lambda ts: (unitary_frames(fn(ts)), TOL_SYM)
+    return LagrangianPath(tuple(grid), unitary_frames(fn(grid)), gen)
 
 
 def rotation_path(
@@ -511,7 +491,20 @@ def rotation_path(
 
     Starting plane X* for alpha_start = 0; a loop iff the sweep is a
     multiple of pi, with winding (alpha_end - alpha_start) / pi.
+
+    The phase of det w moves at exactly 2 |alpha_end - alpha_start|, and
+    every step of the linear sweep is equal, so a coarse grid aliases
+    whole turns past the midpoint guard.  The grid therefore has at least
+    floor(4 |alpha_end - alpha_start| / pi) + 2 samples, which keeps every
+    step below pi/2; a sweep needing more than MAX_SAMPLES raises
+    Undersampled before anything is allocated.
     """
+    ratio = 4 * abs(alpha_end - alpha_start) / math.pi
+    # a float comparison, so an infinite (or NaN) count fails it too
+    if not ratio + 2 <= MAX_SAMPLES:
+        raise Undersampled("rotation sweep needs more than MAX_SAMPLES samples")
+    samples = max(samples, math.floor(ratio) + 2)
+
     def u(ts: np.ndarray) -> np.ndarray:
         alpha = alpha_start + (alpha_end - alpha_start) * ts
         out = np.zeros((len(ts), n, n), dtype=complex)

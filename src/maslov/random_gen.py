@@ -12,7 +12,6 @@ import numpy as np
 
 from .lagrangian import (
     LagrangianFrame,
-    SouriauMatrix,
     _joint_phase_decomposition,
     frame_from_unitary,
     frame_from_w,
@@ -96,8 +95,7 @@ def random_frame_intersecting(
         while np.min(np.abs(np.angle(np.exp(1j * (cand - phases))))) < 0.2:
             cand = rng.uniform(-np.pi, np.pi)
         new[j] = cand
-    w = (O * np.exp(1j * new)) @ O.T
-    return frame_from_w(SouriauMatrix(w))
+    return frame_from_w((O * np.exp(1j * new)) @ O.T)
 
 
 def random_lagrangian_path(

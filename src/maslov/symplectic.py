@@ -108,13 +108,11 @@ class UnitaryEmbedding:
             raise BadInput(
                 "real and imaginary parts must be non-empty equal-shape square matrices"
             )
-        n = a.shape[0]
-        # `not err <= tol` rejects a NaN error too
-        if not (
-            np.abs(a.T @ a + b.T @ b - np.eye(n)).max() <= TOL_SYM
-            and np.abs(a.T @ b - b.T @ a).max() <= TOL_SYM
-        ):
-            raise BadInput("a + ib is not unitary within tolerance")
+        # u = a + ib is unitary iff [a; b] is a Lagrangian frame (whose
+        # P - iX is -iu); imported here because lagrangian imports this module
+        from .lagrangian import check_frames
+
+        check_frames(a, b, TOL_SYM)
         a = a.copy()
         b = b.copy()
         a.setflags(write=False)

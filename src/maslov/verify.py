@@ -140,8 +140,7 @@ def direct_sum_path(lamA: paths.LagrangianPath, lamB: paths.LagrangianPath) -> p
 def sp_lift_action(sig: paths.SymplecticPath, lift: leray.LagrangianLift):
     """The action of the cover element over sig(1) (path from identity) on a
     cover point: transport the lift along the induced path."""
-    ell = lagrangian.frame_from_w(lift.w)
-    return paths.lift_path(paths.induced_path(sig, ell), theta_start=lift.theta).end
+    return paths.lift_path(paths.induced_path(sig, lift.frame), theta_start=lift.theta).end
 
 
 def mu_bar_via_companion(
@@ -153,10 +152,9 @@ def mu_bar_via_companion(
     l3 transversal to both arguments (``leray.companion_lift`` by default): an
     oracle for ``leray.mu_bar`` that skips no eigenvalue at 1."""
     n = l1.n
-    f1 = lagrangian.frame_from_w(l1.w)
-    f2 = lagrangian.frame_from_w(l2.w)
+    f1, f2 = l1.frame, l2.frame
     l3 = l3 if l3 is not None else leray.companion_lift(f1, f2)
-    f3 = lagrangian.frame_from_w(l3.w)
+    f3 = l3.frame
     if (
         lagrangian.intersection_dim(f1, f3) != 0
         or lagrangian.intersection_dim(f2, f3) != 0
@@ -245,7 +243,7 @@ def check_direct_sum_symplectic(rng, n_max):
 def check_souriau_roundtrip(rng, n):
     w = lagrangian.souriau_w(random_frame(rng, n))
     back = lagrangian.souriau_w(lagrangian.frame_from_w(w))
-    _expect(np.abs(back.w - w.w).max() <= 1e-8)
+    _expect(np.abs(back - w).max() <= 1e-8)
 
 
 @runner("intersection-dim")
@@ -367,7 +365,7 @@ def check_mu_bar_antisymmetry(rng, n):
 @per_dimension("mu-bar-coboundary", 25)
 def check_mu_bar_coboundary(rng, n):
     lifts = [random_lift(rng, n) for _ in range(3)]
-    frames = [lagrangian.frame_from_w(l.w) for l in lifts]
+    frames = [l.frame for l in lifts]
     lhs = (
         leray.mu_bar(lifts[0], lifts[1])
         - leray.mu_bar(lifts[0], lifts[2])
@@ -424,11 +422,10 @@ def check_mu_bar_local_constancy(rng, n):
     h = (z + z.conj().T) / 2
     up = u @ scipy.linalg.expm(1e-5j * h)
     f1p = lagrangian.frame_from_unitary(up)
-    w1p = lagrangian.souriau_w(f1p)
     # continuous update of theta: nearest argument to the old one
-    ang = float(np.angle(np.linalg.det(w1p.w)))
+    ang = float(np.angle(np.linalg.det(lagrangian.souriau_w(f1p))))
     theta = l1.theta + (ang - l1.theta + math.pi) % (2 * math.pi) - math.pi
-    l1p = leray.LagrangianLift(w1p, theta)
+    l1p = leray.LagrangianLift(f1p, theta)
     _expect(lagrangian.intersection_dim(f1p, f2) == 0)
     _expect(leray.mu_bar(l1p, l2) == base)
 

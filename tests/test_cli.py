@@ -325,17 +325,13 @@ def test_non_finite_entries_exit_code(name, tmp_path, capsys):
 
 
 def test_refine_depth_flag(tmp_path, capsys):
-    # three samples of a 1.2 pi sweep: the coarse steps exceed pi/2 and
-    # need two bisection levels to resolve
+    # the graph path of A(t) = 160 t - 47 crosses 0 fast: the steps of the
+    # 33-sample grid near the crossing exceed pi/2 and need three bisection
+    # levels to resolve (a rotation grid is fine enough to need none)
     job = {
         "n": 1,
         "index": "lagrangian",
-        "path": {
-            "kind": "rotation",
-            "alpha_start": 0.0,
-            "alpha_end": 1.2 * math.pi,
-            "samples": 3,
-        },
+        "path": {"kind": "graph_polynomial", "coefficients": [[[-47.0]], [[160.0]]]},
         "plane": {"graph": [[0.3]]},
     }
     path = write_job(tmp_path, "j.json", job)
@@ -349,6 +345,25 @@ def test_refine_depth_flag(tmp_path, capsys):
     # deeper refinement reproduces the default value
     code, out, _ = run(["compute", "--input", path, "--refine-depth", "12"], capsys)
     assert code == 0 and json.loads(out)["value"] == value
+
+
+def test_coarse_rotation_grid_is_refined():
+    # two samples of a full turn alias it away at every bisection level;
+    # the rotation grid has floor(4 |sweep| / pi) + 2 samples, so the
+    # winding is found
+    path = {"kind": "rotation", "alpha_start": 0.0, "alpha_end": 2 * math.pi, "samples": 2}
+    job = {"n": 1, "index": "keller-maslov", "path": path}
+    assert cli.compute_report(job)["value"] == 2
+
+
+@pytest.mark.parametrize("alpha_end", [1e7, 1e308])
+def test_rotation_sweep_beyond_the_sample_cap_fails_loudly(alpha_end):
+    # a 0 -> 1e7 sweep on two samples gave -10 (right: about 2e7 / pi); it
+    # needs more than MAX_SAMPLES samples, and 1e308 overflows the count
+    path = {"kind": "rotation", "alpha_start": 0.0, "alpha_end": alpha_end, "samples": 2}
+    job = {"n": 1, "index": "lagrangian", "path": path, "plane": {"graph": [[0.3]]}}
+    with pytest.raises(Undersampled):
+        cli.compute_report(job)
 
 
 @pytest.mark.parametrize(

@@ -57,5 +57,11 @@ def test_import_leaves_scipy_out(module, src_env):
 def test_direct_sum_lift_matches_block_diag(n1, n2, rng):
     for _ in range(5):
         l1, l2 = random_lift(rng, n1), random_lift(rng, n2)
-        w = direct_sum_lift(l1, l2).w.w
-        assert np.array_equal(w, scipy.linalg.block_diag(l1.w.w, l2.w.w))
+        summed = direct_sum_lift(l1, l2)
+        # the lift stores the direct-sum frame, blocks copied exactly
+        for block in ("xblock", "pblock"):
+            expected = scipy.linalg.block_diag(getattr(l1.frame, block), getattr(l2.frame, block))
+            assert np.array_equal(getattr(summed.frame, block), expected)
+        # its w = u u^t comes from one BLAS product on the n x n blocks, which
+        # may round differently from the two smaller products
+        assert np.abs(summed.w - scipy.linalg.block_diag(l1.w, l2.w)).max() <= 1e-15

@@ -191,11 +191,11 @@ def test_hormander_path_form(rng):
 
 def test_direct_sum_lift_anchors():
     a = lift_of(coordinate_xstar(1), 0)
-    assert np.abs(direct_sum_lift(a, a).w.w - np.eye(2)).max() < 1e-12
+    assert np.abs(direct_sum_lift(a, a).w - np.eye(2)).max() < 1e-12
     assert direct_sum_lift(a, a).theta == 0.0
     b = lift_of(coordinate_x(1), 0)
     summed = direct_sum_lift(a, b)
-    assert np.abs(summed.w.w - np.diag([1.0, -1.0])).max() < 1e-12
+    assert np.abs(summed.w - np.diag([1.0, -1.0])).max() < 1e-12
     assert abs(summed.theta - math.pi) < 1e-12
 
 

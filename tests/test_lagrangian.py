@@ -6,7 +6,6 @@ from maslov import (
     IllConditioned,
     LagrangianFrame,
     LagrangianPath,
-    SouriauMatrix,
     SymmetricFamily,
     SymplecticMatrix,
     SymplecticPath,
@@ -25,9 +24,14 @@ from maslov import (
     transversal_companion,
 )
 from maslov.defaults import TOL_SYM
-from maslov.lagrangian import is_symmetric
+from maslov.lagrangian import is_symmetric, transport_frames
 from maslov.paths import same_plane
-from maslov.random_gen import random_frame, random_frame_intersecting, random_symplectic
+from maslov.random_gen import (
+    random_frame,
+    random_frame_intersecting,
+    random_symmetric,
+    random_symplectic,
+)
 
 
 def test_frame_from_graph_anchors():
@@ -61,7 +65,7 @@ NAN = float("nan")
 NAN_INPUTS = {
     "frame-x": lambda: LagrangianFrame([[NAN]], [[1.0]]),
     "frame-p": lambda: LagrangianFrame([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, NAN]]),
-    "souriau": lambda: SouriauMatrix([[NAN]]),
+    "souriau": lambda: frame_from_w([[NAN]]),
     "family": lambda: SymmetricFamily((0.0, 1.0), ([[1.0]], [[NAN]])),
     "symplectic-path": lambda: SymplecticPath(
         (0.0, 1.0), (np.eye(2), np.array([[1.0, 0.0], [NAN, 1.0]]))
@@ -82,7 +86,7 @@ def test_constructors_reject_nan(name):
 EMPTY = np.zeros((0, 0))
 EMPTY_INPUTS = {
     "frame": lambda: LagrangianFrame(EMPTY, EMPTY),
-    "souriau": lambda: SouriauMatrix(EMPTY),
+    "souriau": lambda: frame_from_w(EMPTY),
     "symplectic-matrix": lambda: SymplecticMatrix(EMPTY),
     "symplectic-path": lambda: SymplecticPath((0.0, 1.0), (EMPTY, EMPTY)),
     "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), np.zeros((2, 0, 0))),
@@ -113,9 +117,40 @@ def test_souriau_w_accepts_every_valid_frame(n):
     frame = LagrangianFrame(np.zeros((n, n)), H @ (np.eye(n) + d * np.outer(v, v)))
     defect = np.abs(frame.pblock.T @ frame.pblock - np.eye(n)).max()
     assert 0.9 * TOL_SYM < defect <= TOL_SYM
-    w = souriau_w(frame).w
+    w = souriau_w(frame)
     assert np.abs(w @ w.conj().T - np.eye(n)).max() > 1.9 * n * defect
     assert same_plane(frame, coordinate_xstar(n))
+
+
+def _frame_error(F, n):
+    """The larger of the orthonormality and isotropy defects of [X; P]."""
+    X, P = F[:n], F[n:]
+    orth = np.abs(X.T @ X + P.T @ P - np.eye(n)).max()
+    return max(orth, np.abs(X.T @ P - P.T @ X).max())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_souriau_w_meets_the_former_souriau_matrix_bound(n, rng):
+    # the oracle of the check souriau_w no longer makes: every frame the
+    # frame rule accepts at tol, pushed to just inside that bound, gives a
+    # w symmetric and unitary within max(10, 4n) * max(tol, TOL_SYM)
+    v = np.ones(n) / np.sqrt(n)
+    for _ in range(5):
+        F = random_frame(rng, n).stacked()
+        shear = np.block([[np.eye(n), np.zeros((n, n))], [random_symmetric(rng, n, 3.0), np.eye(n)]])
+        _, transported = transport_frames(shear, F, TOL_SYM)
+        E = rng.standard_normal((n, n))
+        directions = (F @ np.outer(v, v), F @ (E + E.T), rng.standard_normal((2 * n, n)))
+        for tol in (TOL_SYM, float(transported)):
+            for D in directions:
+                # the defect is linear in a perturbation this small
+                G = F + 0.99 * tol / _frame_error(F + tol * D, n) * tol * D
+                defect = _frame_error(G, n)
+                assert 0.9 * tol < defect <= tol
+                w = souriau_w(LagrangianFrame(G[:n], G[n:], tol=tol))
+                bound = max(10, 4 * n) * max(tol, TOL_SYM)
+                assert np.abs(w - w.T).max() <= bound
+                assert np.abs(w @ w.conj().T - np.eye(n)).max() <= bound
 
 
 #: a matrix whose asymmetry 5e-8 is inside the relative rule (1e-10 * 1001)
@@ -135,16 +170,16 @@ def test_one_symmetric_rule():
 
 def test_souriau_anchors():
     n = 2
-    assert np.abs(souriau_w(coordinate_xstar(n)).w - np.eye(n)).max() < 1e-12
-    assert np.abs(souriau_w(coordinate_x(n)).w + np.eye(n)).max() < 1e-12
-    w = souriau_w(frame_from_graph(np.array([[1.0]]))).w
+    assert np.abs(souriau_w(coordinate_xstar(n)) - np.eye(n)).max() < 1e-12
+    assert np.abs(souriau_w(coordinate_x(n)) + np.eye(n)).max() < 1e-12
+    w = souriau_w(frame_from_graph(np.array([[1.0]])))
     assert abs(w[0, 0] + 1j) < 1e-12
 
 
 def test_souriau_graph_formula(rng):
     # n = 1: w = (a^2 - 1 - 2ia) / (1 + a^2)
     for a in (-2.0, -0.5, 0.0, 0.3, 4.0):
-        w = souriau_w(frame_from_graph(np.array([[a]]))).w[0, 0]
+        w = souriau_w(frame_from_graph(np.array([[a]])))[0, 0]
         assert abs(w - (a * a - 1 - 2j * a) / (1 + a * a)) < 1e-12
 
 
@@ -153,17 +188,17 @@ def test_souriau_frame_independent(rng):
         f = random_frame(rng, n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         rotated = LagrangianFrame(f.xblock @ q, f.pblock @ q)
-        assert np.abs(souriau_w(f).w - souriau_w(rotated).w).max() < 1e-10
+        assert np.abs(souriau_w(f) - souriau_w(rotated)).max() < 1e-10
 
 
 def test_frame_from_w_roundtrip(rng):
     for n in (1, 2, 3):
         for _ in range(30):
             w = souriau_w(random_frame(rng, n))
-            assert np.abs(souriau_w(frame_from_w(w)).w - w.w).max() < 1e-8
+            assert np.abs(souriau_w(frame_from_w(w)) - w).max() < 1e-8
     # repeated-eigenvalue cases
-    assert same_plane(frame_from_w(SouriauMatrix(np.eye(2))), coordinate_xstar(2))
-    assert same_plane(frame_from_w(SouriauMatrix(-np.eye(2))), coordinate_x(2))
+    assert same_plane(frame_from_w(np.eye(2)), coordinate_xstar(2))
+    assert same_plane(frame_from_w(-np.eye(2)), coordinate_x(2))
 
 
 def test_intersection_dim_anchors():
@@ -208,7 +243,7 @@ def test_transversal_companion(rng):
     assert intersection_dim(f3, coordinate_x(1)) == 0
     assert intersection_dim(f3, coordinate_xstar(1)) == 0
     # eigenphases are {pi, 0}; the maximin phase is +-pi/2
-    w = souriau_w(f3).w[0, 0]
+    w = souriau_w(f3)[0, 0]
     assert abs(abs(w.imag) - 1.0) < 1e-9
 
     for n in (1, 2, 3):
@@ -234,7 +269,7 @@ def test_direct_sum_frame_dims(rng):
     fb = random_frame(rng, 2)
     f = direct_sum_frame(fa, fb)
     assert f.n == 3
-    wa = souriau_w(fa).w
-    wb = souriau_w(fb).w
-    w = souriau_w(f).w
+    wa = souriau_w(fa)
+    wb = souriau_w(fb)
+    w = souriau_w(f)
     assert abs(np.linalg.det(w) - np.linalg.det(wa) * np.linalg.det(wb)) < 1e-10

@@ -9,18 +9,17 @@ from maslov import (
     DeckAction,
     IllConditioned,
     LagrangianLift,
-    SouriauMatrix,
     coordinate_x,
     coordinate_xstar,
     deck_apply,
     frame_from_graph,
+    frame_from_unitary,
     frame_from_w,
     intersection_dim,
     kashiwara_tau,
     lift_of,
     mu_bar,
     souriau_m,
-    souriau_w,
 )
 from maslov.leray import companion_lift
 from maslov.random_gen import random_frame, random_frame_intersecting, random_lift
@@ -29,24 +28,23 @@ from maslov.verify import mu_bar_via_companion
 
 def test_lift_anchors():
     l = lift_of(coordinate_xstar(1), 0)
-    assert np.abs(l.w.w - 1).max() < 1e-12 and l.theta == 0.0
+    assert np.abs(l.w - 1).max() < 1e-12 and l.theta == 0.0
     l = lift_of(coordinate_x(1), 0)
-    assert np.abs(l.w.w + 1).max() < 1e-12 and abs(l.theta - math.pi) < 1e-12
+    assert np.abs(l.w + 1).max() < 1e-12 and abs(l.theta - math.pi) < 1e-12
     l = lift_of(coordinate_xstar(1), 1)
     assert abs(l.theta - 2 * math.pi) < 1e-12
 
 
 def test_lift_validates_theta():
-    w = souriau_w(coordinate_xstar(1))
     with pytest.raises(BadInput):
-        LagrangianLift(w, 0.5)
+        LagrangianLift(coordinate_xstar(1), 0.5)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
 def test_lift_rejects_non_finite_theta(theta):
     # the check reads `not err <= bound`, so a NaN distance fails it
     with pytest.raises(BadInput), np.errstate(invalid="ignore"):
-        LagrangianLift(souriau_w(coordinate_xstar(2)), theta)
+        LagrangianLift(coordinate_xstar(2), theta)
 
 
 def test_deck_apply():
@@ -95,7 +93,7 @@ def test_souriau_m_matches_integral_log(rng):
             f2 = frame_from_w(l2.w)
             if intersection_dim(f1, f2) != 0:
                 continue
-            prod = -l1.w.w @ l2.w.w.conj()
+            prod = -l1.w @ l2.w.conj()
             phases = np.angle(np.linalg.eigvals(prod))
             if math.pi - np.abs(phases).max() < 0.05:
                 continue  # quadrature converges poorly near the cut
@@ -174,8 +172,9 @@ def test_mu_bar_rejects_bad_companion(rng):
 
 
 def _phase_lift(O, phases, branch):
-    w = (O * np.exp(1j * phases)) @ O.T
-    return LagrangianLift(SouriauMatrix(w), float(phases.sum()) + 2 * math.pi * branch)
+    # u = O e^{i phases / 2} gives w = u u^t = O e^{i phases} O^t
+    frame = frame_from_unitary(O * np.exp(0.5j * phases))
+    return LagrangianLift(frame, float(phases.sum()) + 2 * math.pi * branch)
 
 
 def test_mu_bar_closed_form_strata(rng):
@@ -232,7 +231,7 @@ def test_companion_lift_is_scalar_and_transversal(rng):
         f1 = random_frame(rng, n)
         f2 = random_frame_intersecting(rng, f1, n // 2)
         comp = companion_lift(f1, f2)
-        w = comp.w.w
+        w = comp.w
         assert np.abs(w - w[0, 0] * np.eye(n)).max() < 1e-10
         f3 = frame_from_w(comp.w)
         assert intersection_dim(f3, f1) == 0

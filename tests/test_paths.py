@@ -6,8 +6,8 @@ import pytest
 from maslov import (
     BadInput,
     LagrangianFrame,
+    LagrangianLift,
     LagrangianPath,
-    SouriauMatrix,
     SymmetricFamily,
     SymplecticPath,
     Undersampled,
@@ -118,29 +118,29 @@ LIFT_PATHS = {
 @pytest.mark.parametrize("name", sorted(LIFT_PATHS))
 def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
     # interior samples, given or generated, are reduced to one phase each;
-    # only the two end lifts hold a validated SouriauMatrix
+    # only the two end lifts compute a w, once each, in LagrangianLift
     lam = LIFT_PATHS[name]()
-    calls = {"souriau_w": 0, "SouriauMatrix": 0}
+    calls = {"souriau_w": 0, "LagrangianLift": 0}
     souriau_w = paths.souriau_w
-    post_init = SouriauMatrix.__post_init__
+    post_init = LagrangianLift.__post_init__
 
     def counted_w(frame):
         calls["souriau_w"] += 1
         return souriau_w(frame)
 
     def counted_post_init(self):
-        calls["SouriauMatrix"] += 1
+        calls["LagrangianLift"] += 1
         post_init(self)
 
     monkeypatch.setattr(paths, "souriau_w", counted_w)
-    monkeypatch.setattr(SouriauMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(LagrangianLift, "__post_init__", counted_post_init)
     lifted = lift_path(lam)
     assert lifted.sample_count >= len(lam.times) > 2
     if lam.generator is not None:
         assert lifted.sample_count > len(lam.times)
-    assert calls == {"souriau_w": 2, "SouriauMatrix": 2}
-    assert np.array_equal(lifted.start.w.w, souriau_w(lam.start()).w)
-    assert np.array_equal(lifted.end.w.w, souriau_w(lam.end()).w)
+    assert calls == {"souriau_w": 0, "LagrangianLift": 2}
+    assert np.array_equal(lifted.start.w, souriau_w(lam.start()))
+    assert np.array_equal(lifted.end.w, souriau_w(lam.end()))
 
 
 def test_undersampled_without_generator():
