@@ -102,7 +102,7 @@ def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
             raise BadInput("frame plane: expected [X, P]")
         X = _matrix(pair[0], (n, n), "frame plane X")
         P = _matrix(pair[1], (n, n), "frame plane P")
-        return lagrangian.LagrangianFrame(X, P)
+        return lagrangian.LagrangianFrame(np.concatenate((X, P)))
     raise BadInput(f"unrecognized plane description: {spec!r}")
 
 

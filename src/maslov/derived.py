@@ -67,6 +67,8 @@ class SymmetricFamily:
     def linear(cls, A0, A1, samples: int = 33) -> "SymmetricFamily":
         A0 = np.asarray(A0, dtype=float)
         A1 = np.asarray(A1, dtype=float)
+        if A0.shape != A1.shape:
+            raise BadInput("family endpoints must share a shape")
 
         def fn(ts: np.ndarray) -> np.ndarray:
             t = ts[:, None, None]
@@ -84,14 +86,6 @@ class HalfInteger:
     @property
     def value(self) -> float:
         return self.twice_value / 2
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HalfInteger):
-            return self.twice_value == other.twice_value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.twice_value)
 
     def __repr__(self) -> str:
         if self.twice_value % 2 == 0:

@@ -1,14 +1,15 @@
 """Lagrangian planes: orthonormal frames, the symmetric-unitary picture,
 intersection dimensions and transversal companions.
 
-A plane is stored as an orthonormal 2n x n frame [X; P], validated once by
-the frame rule ``check_frames``.  The symmetric unitary matrix attached to a
+A plane is stored as one orthonormal 2n x n frame [X; P], validated once by
+the frame rule ``check_frames``; this module is the only one that splits a
+frame into its X and P blocks.  The symmetric unitary matrix attached to a
 plane is w = u u^t with u = P - iX; the map ell -> w is a bijection onto the
 symmetric unitaries and is independent of the orthonormal frame chosen
 (u -> uO leaves u u^t fixed for real orthogonal O).  So the frame alone fixes
-w: ``souriau_w`` computes it without a second check, which the frame's bound
-implies.  The symmetric-unitary rule runs only in ``frame_from_w``, where a w
-comes in from outside.
+w: the frame computes it on first use, keeps it, and never checks it again,
+since the frame's bound implies it.  The symmetric-unitary rule runs only in
+``frame_from_w``, where a w comes in from outside.
 
 Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 {p = ax} in n = 1 -> (a^2 - 1 - 2ia) / (1 + a^2).
@@ -17,6 +18,7 @@ Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,45 +29,46 @@ from .symplectic import SymplecticMatrix
 
 @dataclass(frozen=True)
 class LagrangianFrame:
-    """Orthonormal frame [X; P] of a Lagrangian plane."""
+    """Orthonormal 2n x n frame [X; P] of a Lagrangian plane, a read-only
+    copy checked by ``check_frames`` at tol, and the plane's w."""
 
-    xblock: np.ndarray
-    pblock: np.ndarray
+    frame: np.ndarray
     tol: float = TOL_SYM
 
     def __post_init__(self):
-        X = np.asarray(self.xblock, dtype=float)
-        P = np.asarray(self.pblock, dtype=float)
-        if X.shape != P.shape or X.ndim != 2 or X.shape[0] != X.shape[1] or X.size == 0:
-            raise BadInput("x and p blocks must be equal-shape non-empty square matrices")
-        check_frames(X, P, self.tol)
-        X = X.copy()
-        P = P.copy()
-        X.setflags(write=False)
-        P.setflags(write=False)
-        object.__setattr__(self, "xblock", X)
-        object.__setattr__(self, "pblock", P)
+        F = np.array(self.frame, dtype=float, order="C")
+        if F.ndim != 2 or F.shape[0] != 2 * F.shape[1] or F.size == 0:
+            raise BadInput("frame must be a non-empty 2n x n matrix")
+        check_frames(F, self.tol)
+        F.setflags(write=False)
+        object.__setattr__(self, "frame", F)
 
     @property
     def n(self) -> int:
-        return self.xblock.shape[0]
+        return self.frame.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """The 2n x n matrix [X; P]."""
-        return np.vstack([self.xblock, self.pblock])
+    @cached_property
+    def w(self) -> np.ndarray:
+        """w = u u^t, computed on first use and kept read-only (see
+        ``souriau_w``)."""
+        w = _uut(self.frame)
+        w.setflags(write=False)
+        return w
 
 
-def check_frames(X: np.ndarray, P: np.ndarray, tol) -> None:
-    """The one frame rule: the columns of [X; P] are orthonormal and span an
-    isotropic subspace, both within tol in the max-norm.
+def check_frames(F: np.ndarray, tol) -> None:
+    """The one frame rule: the columns of F = [X; P] are orthonormal and
+    span an isotropic subspace, both within tol in the max-norm.
 
-    X and P are the n x n blocks of one frame or (N, n, n) stacks of them,
-    checked in one batch; tol is a float or one per frame.  Each check reads
+    F is one 2n x n frame or an (N, 2n, n) stack of them, checked in one
+    batch; tol is a float or one per frame.  Each check reads
     `not err <= tol`, so a NaN entry fails.  The first failing frame, in
     stack order, names the failed check, orthonormality before isotropy."""
+    n = F.shape[-1]
+    X, P = F[..., :n, :], F[..., n:, :]
     Xt = X.swapaxes(-1, -2)
     Pt = P.swapaxes(-1, -2)
-    orth = np.abs(Xt @ X + Pt @ P - np.eye(X.shape[-1])).max(axis=(-2, -1)) <= tol
+    orth = np.abs(Xt @ X + Pt @ P - np.eye(n)).max(axis=(-2, -1)) <= tol
     ok = orth & (np.abs(Xt @ P - Pt @ X).max(axis=(-2, -1)) <= tol)
     # one frame gives a numpy bool, whose truth needs no reduction
     if ok if ok.ndim == 0 else ok.all():
@@ -77,12 +80,12 @@ def check_frames(X: np.ndarray, P: np.ndarray, tol) -> None:
 
 def coordinate_x(n: int) -> LagrangianFrame:
     """The plane X (p = 0)."""
-    return LagrangianFrame(np.eye(n), np.zeros((n, n)))
+    return LagrangianFrame(np.eye(2 * n, n))
 
 
 def coordinate_xstar(n: int) -> LagrangianFrame:
     """The plane X* (x = 0)."""
-    return LagrangianFrame(np.zeros((n, n)), np.eye(n))
+    return LagrangianFrame(np.eye(2 * n, n, k=-n))
 
 
 def is_symmetric(A: np.ndarray) -> bool:
@@ -104,9 +107,7 @@ def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
         raise BadInput("expected a non-empty square matrix")
     if not is_symmetric(A):
         raise BadInput("graph matrix must be symmetric")
-    F = graph_frames(A)
-    n = A.shape[0]
-    return LagrangianFrame(F[:n], F[n:])
+    return LagrangianFrame(graph_frames(A))
 
 
 def graph_frames(A: np.ndarray) -> np.ndarray:
@@ -122,9 +123,7 @@ def graph_frames(A: np.ndarray) -> np.ndarray:
 
 def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
     """Frame of the plane u X* for unitary u (so that P - iX = u)."""
-    F = unitary_frames(u)
-    n = F.shape[-1]
-    return LagrangianFrame(F[:n], F[n:])
+    return LagrangianFrame(unitary_frames(u))
 
 
 def unitary_frames(u: np.ndarray) -> np.ndarray:
@@ -136,29 +135,35 @@ def unitary_frames(u: np.ndarray) -> np.ndarray:
 
 def frame_unitary(ell: LagrangianFrame) -> np.ndarray:
     """The unitary u = P - iX of a frame."""
-    return ell.pblock - 1j * ell.xblock
+    return _unitary(ell.frame)
 
 
-def _uut(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """u u^t for u = P - iX, on one pair of blocks or on stacks of them."""
-    u = P - 1j * X
+def _unitary(F: np.ndarray) -> np.ndarray:
+    """u = P - iX of a [X; P] frame or of each of a stack of them."""
+    n = F.shape[-1]
+    return F[..., n:, :] - 1j * F[..., :n, :]
+
+
+def _uut(F: np.ndarray) -> np.ndarray:
+    """u u^t for u = P - iX, on one [X; P] frame or on a stack of them."""
+    u = _unitary(F)
     return u @ u.swapaxes(-1, -2)
 
 
 def souriau_w(ell: LagrangianFrame) -> np.ndarray:
-    """w = u u^t with u = P - iX, not validated again: the frame's bound
+    """w = u u^t with u = P - iX, the frame's kept ``w``, which is computed
+    once per frame and not validated again: the frame's bound
     implies that w is symmetric and unitary within max(10, 4n) *
     max(ell.tol, TOL_SYM).  For the frame's defect E = X^t X + P^t P - I, to
     first order w w^H - I = 2 u E u^H, so ||w w^H - I||_max <= 2n ell.tol (the
     isotropy defect cancels, and w is symmetric up to rounding)."""
-    return _uut(ell.xblock, ell.pblock)
+    return ell.w
 
 
 def det_phase(frames: np.ndarray) -> np.ndarray:
     """arg det w of each [X; P] frame of a (..., 2n, n) stack, w = u u^t as in
     souriau_w: one batched det.  A single 2n x n frame gives a 0-d array."""
-    n = frames.shape[-1]
-    return np.angle(np.linalg.det(_uut(frames[..., :n, :], frames[..., n:, :])))
+    return np.angle(np.linalg.det(_uut(frames)))
 
 
 def _joint_phase_decomposition(w: np.ndarray):
@@ -245,10 +250,8 @@ def intersection_dim(
     """
     if ell1.n != ell2.n:
         raise BadInput("planes live in different dimensions")
-    d = souriau_w(ell1) - souriau_w(ell2)
-    k_w, _ = corank(d, tol_rank, "w-difference corank")
-    stacked = np.hstack([ell1.stacked(), -ell2.stacked()])
-    k_f, _ = corank(stacked, tol_rank, "frame-kernel corank")
+    k_w, _ = corank(ell1.w - ell2.w, tol_rank, "w-difference corank")
+    k_f, _ = corank(np.hstack([ell1.frame, -ell2.frame]), tol_rank, "frame-kernel corank")
     if k_w != k_f:
         raise IllConditioned(
             f"corank disagreement between routes ({k_w} vs {k_f})"
@@ -290,9 +293,8 @@ def apply_symplectic(S: SymplecticMatrix | np.ndarray, ell: LagrangianFrame) -> 
     S is a SymplecticMatrix or a 2n x 2n array its caller has validated
     already (a value of a ``SymplecticPath`` generator, say)."""
     entries = S.entries if isinstance(S, SymplecticMatrix) else np.asarray(S, dtype=float)
-    Q, tol = transport_frames(entries, ell.stacked(), ell.tol)
-    n = ell.n
-    return LagrangianFrame(Q[:n], Q[n:], tol=float(tol))
+    Q, tol = transport_frames(entries, ell.frame, ell.tol)
+    return LagrangianFrame(Q, float(tol))
 
 
 def _scalar_frame(theta: float, n: int) -> LagrangianFrame:
@@ -304,7 +306,7 @@ def _scalar_frame(theta: float, n: int) -> LagrangianFrame:
 def companion_phase(ell1: LagrangianFrame, ell2: LagrangianFrame) -> float:
     """Phase theta maximizing the minimal circular distance from e^{i theta}
     to the eigenphase sets of w1 and w2."""
-    phases = np.concatenate([eigenphases(souriau_w(ell1)), eigenphases(souriau_w(ell2))])
+    phases = np.concatenate([eigenphases(ell1.w), eigenphases(ell2.w)])
     phases = np.sort(np.mod(phases, 2 * np.pi))
     gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
     j = int(np.argmax(gaps))
@@ -324,9 +326,8 @@ def transversal_companion(ell1: LagrangianFrame, ell2: LagrangianFrame) -> Lagra
 
 def direct_sum_frame(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianFrame:
     """Frame of ell1 (+) ell2 in the interleaved block convention."""
-    F = direct_sum_frames(ell1.stacked(), ell2.stacked())
-    n = ell1.n + ell2.n
-    return LagrangianFrame(F[:n], F[n:], tol=max(ell1.tol, ell2.tol))
+    F = direct_sum_frames(ell1.frame, ell2.frame)
+    return LagrangianFrame(F, max(ell1.tol, ell2.tol))
 
 
 def direct_sum_frames(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:

@@ -12,35 +12,30 @@ values of w1 - w2 are the |lambda_j - 1|, so the rule's ambiguity band keeps
 every other eigenvalue off the branch cut of arg(-lambda).  On transversal
 pairs mu_bar = 2m - n for Souriau's integer m.
 
-A cover point keeps its plane in the one validated form, the frame; its w
-is computed from the frame once and never validated again.
+A cover point keeps its plane in the one validated form, the frame, and
+reads w from it: the frame computes its w once and never validates it
+again, so a plane lifted, moved by the deck action or compared with other
+planes has one w.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
 from .errors import BadInput, IllConditioned
-from .lagrangian import (
-    LagrangianFrame,
-    _scalar_frame,
-    _uut,
-    companion_phase,
-    corank,
-    souriau_w,
-)
+from .lagrangian import LagrangianFrame, _scalar_frame, companion_phase, corank, souriau_w
 
 
 @dataclass(frozen=True)
 class LagrangianLift:
     """A cover point (frame, theta); theta is an unreduced argument of det w.
 
-    w = souriau_w(frame) is computed once, into a read-only field, and not
-    validated again: the frame's bound implies that it is unitary within
+    w is the frame's own, computed once per frame and not validated again:
+    the frame's bound implies that it is unitary within
     B = max(10, 4n) * max(frame.tol, TOL_SYM) (see ``souriau_w``).  theta is
     checked by |det w - e^{i theta}| <= max(TOL_PHASE, n * B): for the
     frame's defect E, to first order | |det w| - 1 | = |tr E| <= n frame.tol,
@@ -49,21 +44,21 @@ class LagrangianLift:
 
     frame: LagrangianFrame
     theta: float
-    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ell = self.frame
-        w = _uut(ell.xblock, ell.pblock)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
         n = ell.n
         bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
-        if not abs(np.linalg.det(w) - np.exp(1j * self.theta)) <= bound:
+        if not abs(np.linalg.det(ell.w) - np.exp(1j * self.theta)) <= bound:
             raise BadInput("theta is not an argument of det w within tolerance")
 
     @property
     def n(self) -> int:
         return self.frame.n
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.frame.w
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 determinant phase, the loop winding index, and the canonical intersection
 indices for paths.
 
-Paths are ordered samples on [0, 1], held as one stacked array, plus an
-optional pure generator used for adaptive bisection when a phase step
-exceeds pi/2.  A generator takes a 1-d array of times and returns the
+Paths are ordered samples on [0, 1], held as one (N, 2n, n) or (N, 2n, 2n)
+array (a Lagrangian path's samples are frames in the layout of
+``LagrangianFrame.frame``, which only ``lagrangian`` splits into blocks),
+plus an optional pure generator used for adaptive bisection when a phase
+step exceeds pi/2.  A generator takes a 1-d array of times and returns the
 values there as one stack, so bisection is breadth-first: each refinement
 level sends all its pending midpoints to one generator call, in chunks of
 at most LEVEL_CHUNK_BYTES of frames.  Sampled-only paths that violate the
@@ -28,7 +30,6 @@ from .lagrangian import (
     check_frames,
     det_phase,
     frame_unitary,
-    souriau_w,
     transport_frames,
     unitary_frames,
 )
@@ -65,10 +66,10 @@ def _check_times(times: Sequence[float]) -> tuple[float, ...]:
 class LagrangianPath:
     """Samples of a Lagrangian path and an optional generator.
 
-    ``frames`` is one read-only (N, 2n, n) array of stacked [X; P] frames,
-    validated here in one batch by ``lagrangian.check_frames`` at ``tol``: a
-    float, or one per sample (read back as one per sample).  A sequence of
-    LagrangianFrames is accepted too, each sample keeping its frame's tol.
+    ``frames`` is one read-only (N, 2n, n) stack of frames, the layout of
+    ``LagrangianFrame.frame``, validated here in one batch by
+    ``lagrangian.check_frames`` at ``tol``: a float, or one per sample (read
+    back as one per sample).
 
     The generator maps a 1-d array ts of times to ``(frames, tol)``: the
     (len(ts), 2n, n) stack of frames at those times and the tolerance they
@@ -83,19 +84,9 @@ class LagrangianPath:
 
     def __post_init__(self):
         object.__setattr__(self, "times", _check_times(self.times))
-        frames, tol = self.frames, self.tol
-        if not isinstance(frames, np.ndarray):
-            frames = tuple(frames)
-        if len(frames) != len(self.times):
-            raise BadInput("one frame per sample time required")
-        if all(isinstance(f, LagrangianFrame) for f in frames):
-            if any(f.n != frames[0].n for f in frames):
-                raise BadInput("all frames must share a dimension")
-            tol = [f.tol for f in frames]
-            frames = [f.stacked() for f in frames]
         try:
-            frames = np.array(frames, dtype=float)
-            tol = np.array(np.broadcast_to(np.asarray(tol, dtype=float), len(frames)))
+            frames = np.array(self.frames, dtype=float)
+            tol = np.array(np.broadcast_to(np.asarray(self.tol, dtype=float), len(frames)))
             n = frames.shape[-1] if frames.ndim == 3 else 0
         except (TypeError, ValueError):
             n = 0
@@ -103,7 +94,9 @@ class LagrangianPath:
             raise BadInput(
                 "frames must be one (N, 2n, n) stack with n >= 1, tol a float or one per frame"
             )
-        check_frames(frames[:, :n], frames[:, n:], tol)
+        if len(frames) != len(self.times):
+            raise BadInput("one frame per sample time required")
+        check_frames(frames, tol)
         frames.setflags(write=False)
         tol.setflags(write=False)
         object.__setattr__(self, "frames", frames)
@@ -114,8 +107,7 @@ class LagrangianPath:
         return self.frames.shape[-1]
 
     def _frame(self, k: int) -> LagrangianFrame:
-        n = self.n
-        return LagrangianFrame(self.frames[k, :n], self.frames[k, n:], tol=float(self.tol[k]))
+        return LagrangianFrame(self.frames[k], float(self.tol[k]))
 
     def start(self) -> LagrangianFrame:
         return self._frame(0)
@@ -167,7 +159,9 @@ class SymplecticPath:
 
 
 def same_plane(f1: LagrangianFrame, f2: LagrangianFrame) -> bool:
-    return _same_w(souriau_w(f1), souriau_w(f2))
+    if f1.n != f2.n:
+        raise BadInput("planes live in different dimensions")
+    return _same_w(f1.w, f2.w)
 
 
 def _same_w(w1: np.ndarray, w2: np.ndarray) -> bool:
@@ -210,6 +204,8 @@ def reverse(lam: LagrangianPath) -> LagrangianPath:
 
 
 def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPath:
+    if sig.n != sig2.n:
+        raise BadInput("symplectic paths live in different dimensions")
     if float(np.abs(sig.end() - sig2.start()).max()) > 1e-8:
         raise BadInput("symplectic paths are not consecutive")
     times = _rescale(sig.times, 0.0, 0.5) + _rescale(sig2.times[1:], 0.5, 1.0)
@@ -240,6 +236,8 @@ def _by_half(ts: np.ndarray, g1: Callable, g2: Callable) -> list:
 def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
     """The path t -> S . sig(t)."""
     S = np.asarray(S, dtype=float)
+    if S.shape != (2 * sig.n, 2 * sig.n):
+        raise BadInput("matrix and path dimensions differ")
     mats = S @ sig.matrices
     gen = None
     if sig.generator is not None:
@@ -402,7 +400,7 @@ def _generated_phases(lam: LagrangianPath, ts: np.ndarray) -> np.ndarray:
         frames = np.asarray(frames, dtype=float)
         if frames.shape != (len(part), 2 * n, n):
             raise BadInput("a path generator must return one (len(ts), 2n, n) stack")
-        check_frames(frames[:, :n], frames[:, n:], tol)
+        check_frames(frames, tol)
         phases.append(det_phase(frames))
     return np.concatenate(phases)
 
@@ -437,11 +435,11 @@ def induced_path(sig: SymplecticPath, ell: LagrangianFrame) -> LagrangianPath:
     samples were validated by SymplecticPath and are not checked again."""
     if sig.n != ell.n:
         raise BadInput("path and plane dimensions differ")
-    frames, tol = transport_frames(sig.matrices, ell.stacked(), ell.tol)
+    frames, tol = transport_frames(sig.matrices, ell.frame, ell.tol)
     gen = None
     if sig.generator is not None:
         g = sig.generator
-        gen = lambda ts: transport_frames(g(ts), ell.stacked(), ell.tol)
+        gen = lambda ts: transport_frames(g(ts), ell.frame, ell.tol)
     return LagrangianPath(sig.times, frames, gen, tol)
 
 
@@ -528,6 +526,8 @@ def path_joining(
     ella: LagrangianFrame, ellb: LagrangianFrame, samples: int = 33
 ) -> LagrangianPath:
     """A geodesic-style path from ella to ellb through the unitary picture."""
+    if ella.n != ellb.n:
+        raise BadInput("planes live in different dimensions")
     ua = frame_unitary(ella)
     ub = frame_unitary(ellb)
     Z, phases = unitary_log_principal(ua.conj().T @ ub)
@@ -548,6 +548,8 @@ def symplectic_path_from_algebra(
     import scipy.linalg
 
     Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.size == 0 or Z.shape[0] % 2:
+        raise BadInput("generator must be a non-empty square matrix of even dimension")
     n = Z.shape[0] // 2
     M = omega_matrix(n)
     if np.abs(M @ Z + Z.T @ M).max() > 1e-10 * max(1.0, float(np.abs(Z).max())):

@@ -45,7 +45,7 @@ def triple_gram(
     if ell2.n != n or ell3.n != n:
         raise BadInput("the three planes must share a dimension")
     M = omega_matrix(n)
-    F = [ell1.stacked(), ell2.stacked(), ell3.stacked()]
+    F = [ell1.frame, ell2.frame, ell3.frame]
     B = np.zeros((3 * n, 3 * n))
     for i, j in ((0, 1), (1, 2), (2, 0)):
         B[i * n : (i + 1) * n, j * n : (j + 1) * n] = F[i].T @ M @ F[j]

@@ -45,9 +45,6 @@ class SymplecticVector:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])
-
 
 def omega(z: SymplecticVector, zp: SymplecticVector) -> float:
     """omega(z, z') = <p, x'> - <p', x>."""
@@ -108,11 +105,11 @@ class UnitaryEmbedding:
             raise BadInput(
                 "real and imaginary parts must be non-empty equal-shape square matrices"
             )
-        # u = a + ib is unitary iff [a; b] is a Lagrangian frame (whose
-        # P - iX is -iu); imported here because lagrangian imports this module
-        from .lagrangian import check_frames
+        # u = a + ib is unitary iff the frame of the plane u X* is a
+        # Lagrangian frame; imported here because lagrangian imports this module
+        from .lagrangian import check_frames, unitary_frames
 
-        check_frames(a, b, TOL_SYM)
+        check_frames(unitary_frames(a + 1j * b), TOL_SYM)
         a = a.copy()
         b = b.copy()
         a.setflags(write=False)

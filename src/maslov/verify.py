@@ -109,11 +109,11 @@ def _expect(cond, detail="") -> None:
 
 def winding_integral(lam: paths.LagrangianPath, samples: int = 1024) -> float:
     """Winding of det w around a loop by direct quadrature of d(det)/det."""
-    frames, n = lam.frames, lam.n
+    frames = lam.frames
     if lam.generator is not None:
         frames, tol = lam.generator(np.linspace(0.0, 1.0, samples))
-        lagrangian.check_frames(frames[:, :n], frames[:, n:], tol)
-    dets = np.linalg.det(lagrangian._uut(frames[:, :n], frames[:, n:]))
+        lagrangian.check_frames(frames, tol)
+    dets = np.linalg.det(lagrangian._uut(frames))
     steps = np.angle(dets[1:] / dets[:-1])
     if not np.all(np.abs(steps) < math.pi / 2):
         raise ValueError("quadrature grid too coarse for the winding integral")

@@ -590,7 +590,7 @@ def _sample_job(kind, count=5, n=2):
     A = np.array([[0.5, 0.2], [0.2, -0.3]])
     ts = np.linspace(0.0, 1.0, count)
     if kind == "lagrangian":
-        samples = [lagrangian.frame_from_graph(t * A).stacked().tolist() for t in ts]
+        samples = [lagrangian.frame_from_graph(t * A).frame.tolist() for t in ts]
         path = {"kind": "lagrangian_samples", "frames": samples}
         return {"n": n, "index": "lagrangian", "path": path, "plane": "coordinate_x"}
     samples = [np.block([[np.eye(n), np.zeros((n, n))], [t * A, np.eye(n)]]).tolist() for t in ts]
@@ -702,7 +702,8 @@ def test_transport_takes_every_validated_sample():
     assert exact == 1
     assert cli.compute_report(near, defaults.TOL_ROUND)["value"] == exact
     image = lagrangian.apply_symplectic(S, lagrangian.frame_from_graph(np.array(graph)))
-    assert np.abs(image.xblock.T @ image.pblock - image.pblock.T @ image.xblock).max() > 1e-8
+    X, P = np.split(image.frame, 2)
+    assert np.abs(X.T @ P - P.T @ X).max() > 1e-8
 
 
 def test_verify_passes(capsys):

@@ -40,11 +40,10 @@ def test_frame_from_graph_anchors():
 
     f1 = frame_from_graph(np.array([[1.0]]))
     s = 1 / np.sqrt(2)
-    assert np.abs(f1.xblock - s).max() < 1e-12
-    assert np.abs(f1.pblock - s).max() < 1e-12
+    assert np.abs(f1.frame - s).max() < 1e-12
 
     f2 = frame_from_graph(np.diag([1.0, 0.0]))
-    span = f2.stacked()
+    span = f2.frame
     expected = np.array([[s, 0.0], [0.0, 1.0], [s, 0.0], [0.0, 0.0]])
     # same column span
     assert np.linalg.matrix_rank(np.hstack([span, expected]), tol=1e-8) == 2
@@ -52,19 +51,22 @@ def test_frame_from_graph_anchors():
 
 def test_frame_validation():
     with pytest.raises(BadInput):
-        LagrangianFrame(np.eye(2), np.eye(2))  # not orthonormal
+        LagrangianFrame(np.vstack([np.eye(2), np.eye(2)]))  # not orthonormal
     with pytest.raises(BadInput):
         # orthonormal but not isotropic: span{(x1, p2-ish)} cross terms
-        LagrangianFrame(
+        LagrangianFrame(np.vstack([
             np.array([[1.0, 0.0], [0.0, 0.0]]) / np.sqrt(2),
             np.array([[0.0, 1.0], [1.0, 0.0], ])[::-1] / np.sqrt(2),
-        )
+        ]))
 
 
 NAN = float("nan")
 NAN_INPUTS = {
-    "frame-x": lambda: LagrangianFrame([[NAN]], [[1.0]]),
-    "frame-p": lambda: LagrangianFrame([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, NAN]]),
+    "frame-x": lambda: LagrangianFrame(np.vstack([[[NAN]], [[1.0]]])),
+    "frame-p": lambda: LagrangianFrame(np.vstack([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, NAN]]])),
+    "frame-square": lambda: LagrangianFrame([[1.0, 0.0], [NAN, 1.0]]),
+    "frame-odd-rows": lambda: LagrangianFrame([[1.0], [0.0], [NAN]]),
+    "frame-3d": lambda: LagrangianFrame([[[1.0], [NAN]]]),
     "souriau": lambda: frame_from_w([[NAN]]),
     "family": lambda: SymmetricFamily((0.0, 1.0), ([[1.0]], [[NAN]])),
     "symplectic-path": lambda: SymplecticPath(
@@ -85,7 +87,13 @@ def test_constructors_reject_nan(name):
 
 EMPTY = np.zeros((0, 0))
 EMPTY_INPUTS = {
-    "frame": lambda: LagrangianFrame(EMPTY, EMPTY),
+    "frame": lambda: LagrangianFrame(np.vstack([EMPTY, EMPTY])),
+    "frame-empty": lambda: LagrangianFrame(np.zeros((0,))),
+    "frame-square": lambda: LagrangianFrame(np.eye(2)),
+    "frame-odd-rows": lambda: LagrangianFrame(np.eye(5, 2)),
+    "frame-3d": lambda: LagrangianFrame(np.eye(4, 2)[None]),
+    "lagrangian-path-square": lambda: LagrangianPath((0.0, 1.0), np.stack([np.eye(2)] * 2)),
+    "lagrangian-path-odd-rows": lambda: LagrangianPath((0.0, 1.0), np.stack([np.eye(5, 2)] * 2)),
     "souriau": lambda: frame_from_w(EMPTY),
     "symplectic-matrix": lambda: SymplecticMatrix(EMPTY),
     "symplectic-path": lambda: SymplecticPath((0.0, 1.0), (EMPTY, EMPTY)),
@@ -114,8 +122,9 @@ def test_souriau_w_accepts_every_valid_frame(n):
     r = v - np.eye(n)[0]
     H = np.eye(n) - 2 * np.outer(r, r) / (r @ r) if n > 1 else np.eye(1)
     d = 0.49 * n * TOL_SYM
-    frame = LagrangianFrame(np.zeros((n, n)), H @ (np.eye(n) + d * np.outer(v, v)))
-    defect = np.abs(frame.pblock.T @ frame.pblock - np.eye(n)).max()
+    frame = LagrangianFrame(np.vstack([np.zeros((n, n)), H @ (np.eye(n) + d * np.outer(v, v))]))
+    P = frame.frame[n:]
+    defect = np.abs(P.T @ P - np.eye(n)).max()
     assert 0.9 * TOL_SYM < defect <= TOL_SYM
     w = souriau_w(frame)
     assert np.abs(w @ w.conj().T - np.eye(n)).max() > 1.9 * n * defect
@@ -136,7 +145,7 @@ def test_souriau_w_meets_the_former_souriau_matrix_bound(n, rng):
     # w symmetric and unitary within max(10, 4n) * max(tol, TOL_SYM)
     v = np.ones(n) / np.sqrt(n)
     for _ in range(5):
-        F = random_frame(rng, n).stacked()
+        F = random_frame(rng, n).frame
         shear = np.block([[np.eye(n), np.zeros((n, n))], [random_symmetric(rng, n, 3.0), np.eye(n)]])
         _, transported = transport_frames(shear, F, TOL_SYM)
         E = rng.standard_normal((n, n))
@@ -147,7 +156,7 @@ def test_souriau_w_meets_the_former_souriau_matrix_bound(n, rng):
                 G = F + 0.99 * tol / _frame_error(F + tol * D, n) * tol * D
                 defect = _frame_error(G, n)
                 assert 0.9 * tol < defect <= tol
-                w = souriau_w(LagrangianFrame(G[:n], G[n:], tol=tol))
+                w = souriau_w(LagrangianFrame(G, tol=tol))
                 bound = max(10, 4 * n) * max(tol, TOL_SYM)
                 assert np.abs(w - w.T).max() <= bound
                 assert np.abs(w @ w.conj().T - np.eye(n)).max() <= bound
@@ -187,7 +196,7 @@ def test_souriau_frame_independent(rng):
     for n in (1, 2, 3):
         f = random_frame(rng, n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        rotated = LagrangianFrame(f.xblock @ q, f.pblock @ q)
+        rotated = LagrangianFrame(f.frame @ q)
         assert np.abs(souriau_w(f) - souriau_w(rotated)).max() < 1e-10
 
 

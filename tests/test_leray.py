@@ -21,6 +21,7 @@ from maslov import (
     mu_bar,
     souriau_m,
 )
+from maslov import lagrangian
 from maslov.leray import companion_lift
 from maslov.random_gen import random_frame, random_frame_intersecting, random_lift
 from maslov.verify import mu_bar_via_companion
@@ -33,6 +34,28 @@ def test_lift_anchors():
     assert np.abs(l.w + 1).max() < 1e-12 and abs(l.theta - math.pi) < 1e-12
     l = lift_of(coordinate_xstar(1), 1)
     assert abs(l.theta - 2 * math.pi) < 1e-12
+
+
+def test_w_is_computed_once_per_plane(rng, monkeypatch):
+    # the frame keeps its w: lifting, the deck action and intersections
+    # all read it, so u u^t runs once for ell (and never at construction)
+    uut = lagrangian._uut
+    seen = []
+
+    def counted(F):
+        seen.append(F)
+        return uut(F)
+
+    monkeypatch.setattr(lagrangian, "_uut", counted)
+    ell, other = random_frame(rng, 2), random_frame(rng, 2)
+    assert seen == []
+    lift = lift_of(ell)
+    deck_apply(DeckAction(2), lift_of(ell, 1))
+    for _ in range(2):
+        intersection_dim(ell, other)
+    assert sum(F is ell.frame for F in seen) == 1
+    assert len(seen) == 2
+    assert lift.w is ell.w and not ell.w.flags.writeable
 
 
 def test_lift_validates_theta():

@@ -30,9 +30,10 @@ from maslov import (
     reverse,
     rotation_path,
     shear_path,
+    souriau_w,
     symplectic_path_from_algebra,
 )
-from maslov import cli, paths
+from maslov import cli, lagrangian, paths
 from maslov.defaults import TOL_SYM
 from maslov.lagrangian import det_phase, graph_frames
 from maslov.paths import same_plane
@@ -48,18 +49,17 @@ from maslov.verify import winding_integral
 
 def constant_path(frame, samples=5):
     ts = tuple(np.linspace(0.0, 1.0, samples))
-    F = frame.stacked()
-    return LagrangianPath(
-        ts, tuple(frame for _ in ts), lambda t: (np.broadcast_to(F, (len(t),) + F.shape), frame.tol)
-    )
+    F = frame.frame
+    stack = lambda k: np.broadcast_to(F, (k,) + F.shape)
+    return LagrangianPath(ts, stack(len(ts)), lambda t: (stack(len(t)), frame.tol), frame.tol)
 
 
 def test_path_validation():
     f = coordinate_x(1)
     with pytest.raises(BadInput):
-        LagrangianPath((0.0, 0.5), (f, f), None)  # does not end at 1
+        LagrangianPath((0.0, 0.5), (f.frame, f.frame), None)  # does not end at 1
     with pytest.raises(BadInput):
-        LagrangianPath((0.0, 0.7, 0.4, 1.0), (f, f, f, f), None)
+        LagrangianPath((0.0, 0.7, 0.4, 1.0), (f.frame,) * 4, None)
 
 
 def test_lift_constant_and_rotations():
@@ -117,28 +117,29 @@ LIFT_PATHS = {
 
 @pytest.mark.parametrize("name", sorted(LIFT_PATHS))
 def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
-    # interior samples, given or generated, are reduced to one phase each;
-    # only the two end lifts compute a w, once each, in LagrangianLift
+    # interior samples, given or generated, are reduced to one phase each
+    # (u u^t of a whole stack); only the two end lifts compute a w, one
+    # frame each, in LagrangianLift
     lam = LIFT_PATHS[name]()
-    calls = {"souriau_w": 0, "LagrangianLift": 0}
-    souriau_w = paths.souriau_w
+    calls = {"w": 0, "LagrangianLift": 0}
+    uut = lagrangian._uut
     post_init = LagrangianLift.__post_init__
 
-    def counted_w(frame):
-        calls["souriau_w"] += 1
-        return souriau_w(frame)
+    def counted_uut(F):
+        calls["w"] += F.ndim == 2
+        return uut(F)
 
     def counted_post_init(self):
         calls["LagrangianLift"] += 1
         post_init(self)
 
-    monkeypatch.setattr(paths, "souriau_w", counted_w)
+    monkeypatch.setattr(lagrangian, "_uut", counted_uut)
     monkeypatch.setattr(LagrangianLift, "__post_init__", counted_post_init)
     lifted = lift_path(lam)
     assert lifted.sample_count >= len(lam.times) > 2
     if lam.generator is not None:
         assert lifted.sample_count > len(lam.times)
-    assert calls == {"souriau_w": 0, "LagrangianLift": 2}
+    assert calls == {"w": 2, "LagrangianLift": 2}
     assert np.array_equal(lifted.start.w, souriau_w(lam.start()))
     assert np.array_equal(lifted.end.w, souriau_w(lam.end()))
 
@@ -148,11 +149,11 @@ def test_undersampled_without_generator():
     f0 = coordinate_xstar(1)
     f1 = coordinate_x(1)
     with pytest.raises(Undersampled):
-        lift_path(LagrangianPath((0.0, 1.0), (f0, f1), None))
+        lift_path(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame), None))
     # the loop index lifts before it checks closedness, so this open path
     # is undersampled rather than rejected as open
     with pytest.raises(Undersampled):
-        keller_maslov(LagrangianPath((0.0, 1.0), (f0, f1), None))
+        keller_maslov(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame), None))
 
 
 def _reference_lift(lam):
@@ -160,8 +161,7 @@ def _reference_lift(lam):
     and one det_phase per sample, each step wrapped and tested alone.
     Returns (end theta, sample count), or (None, i) for the first step i,
     from sample i - 1 to sample i, that is not below pi/2."""
-    n = lam.n
-    angs = [float(det_phase(LagrangianFrame(F[:n], F[n:]).stacked())) for F in lam.frames]
+    angs = [float(det_phase(LagrangianFrame(F).frame)) for F in lam.frames]
     theta = angs[0]
     for i in range(1, len(angs)):
         d = paths._wrap(angs[i] - angs[i - 1])
@@ -205,12 +205,10 @@ def _reference_descend(lam, max_depth=paths.MAX_REFINE_DEPTH):
     generator call and one validated frame per midpoint, each step wrapped
     and tested alone, theta accumulated as each step is accepted.  Returns
     (end theta, sample count, levels used), or raises Undersampled."""
-    n = lam.n
-
     def phase(t):
         frames, tol = lam.generator(np.array([t]))
         F = frames[0]
-        return float(det_phase(LagrangianFrame(F[:n], F[n:], float(np.ravel(tol)[0])).stacked()))
+        return float(det_phase(LagrangianFrame(F, float(np.ravel(tol)[0])).frame))
 
     angs = det_phase(lam.frames).tolist()
     theta, count, levels = angs[0], 1, 0
@@ -290,7 +288,7 @@ def test_breadth_first_matches_depth_first(kind):
 
 def _jump_path():
     # X* before t = 1/2 and X from there on: no refinement resolves the jump
-    xs, x = coordinate_xstar(1).stacked(), coordinate_x(1).stacked()
+    xs, x = coordinate_xstar(1).frame, coordinate_x(1).frame
     gen = lambda ts: (np.where((ts < 0.5)[:, None, None], xs, x), TOL_SYM)
     return LagrangianPath((0.0, 1.0), (xs, x), gen)
 
@@ -389,7 +387,7 @@ def test_mu_lagrangian_anchors(rng):
         assert mu_lagrangian(gamma, frame_from_graph(np.array([[0.4]]))) == 2 * wind
     # spectral-flow anchor: graph path of A(t) = 2t - 1 against X
     ts = np.linspace(0.0, 1.0, 21)
-    frames = tuple(frame_from_graph(np.array([[2 * t - 1.0]])) for t in ts)
+    frames = np.array([frame_from_graph(np.array([[2 * t - 1.0]])).frame for t in ts])
     lam = LagrangianPath(
         tuple(ts), frames, lambda t: (graph_frames((2 * t - 1.0)[:, None, None]), TOL_SYM)
     )
@@ -482,6 +480,29 @@ def test_induced_path_matches_action(rng):
 def test_symplectic_path_from_algebra_validates():
     with pytest.raises(BadInput):
         symplectic_path_from_algebra(np.eye(2))
+
+
+def _identity_path(n):
+    return SymplecticPath((0.0, 1.0), np.stack([np.eye(2 * n)] * 2))
+
+
+DIMENSION_MISMATCHES = {
+    "concat-symplectic": lambda: concat_symplectic(_identity_path(1), _identity_path(2)),
+    "path-joining": lambda: path_joining(coordinate_x(1), coordinate_x(2)),
+    "left-translate": lambda: left_translate(np.eye(4), _identity_path(1)),
+    "algebra-odd": lambda: symplectic_path_from_algebra(np.zeros((3, 3))),
+    "same-plane": lambda: same_plane(coordinate_x(2), coordinate_x(3)),
+    "concat": lambda: concat(rotation_path(2, 0.0, 1.0), rotation_path(3, 0.0, 1.0)),
+    "linear-family": lambda: SymmetricFamily.linear([[3.0]], np.diag([1.0, -2.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_MISMATCHES))
+def test_dimension_mismatch_is_bad_input(name):
+    # each raised numpy's ValueError, or (linear-family) broadcast the 1 x 1
+    # endpoint to a 2 x 2 family whose graph path had an index
+    with pytest.raises(BadInput):
+        DIMENSION_MISMATCHES[name]()
 
 
 def test_change_of_reference(rng):

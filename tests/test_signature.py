@@ -135,7 +135,7 @@ def test_coboundary_examples(rng):
     assert coboundary(const, pts) == 1
 
     def g(f):
-        return int(1e6 * f.xblock[0, 0]) % 97
+        return int(1e6 * f.frame[0, 0]) % 97
 
     diff = Cochain(1, lambda a, b: g(b) - g(a))
     assert coboundary(diff, pts) == 0

@@ -1,0 +1,131 @@
+"""Compare the outputs of two checkouts of maslov on the benchmark's jobs.
+
+    python tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT
+
+The job sets are those of ``perfbench/jobs.py`` (loaded from PARENT_ROOT,
+without writing bytecode) for every workload and seeds 1-3, one draw each.
+Each tree runs in its own subprocesses with that tree's ``src`` on
+PYTHONPATH:
+
+* the jobs of the in-process workloads, in one interpreter, each recorded
+  as ``cli._serialize(compute_report(job))`` or as its error's code and
+  message;
+* the cli-cold jobs, one ``python -m maslov.cli compute`` each, recorded as
+  stdout, stderr and exit code;
+* ``maslov verify --seed 42 --n-max 3`` and ``--seed 7 --n-max 1``, recorded
+  the same way.
+
+A tree's root is written as ``<root>`` in what it prints, so the two trees'
+tracebacks compare too.  The script prints the number of records, the first
+record that differs, and the number that differ, and exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+CLI_WORKLOAD = "cli-cold"
+VERIFY_RUNS = (("42", "3"), ("7", "1"))
+
+
+def load_jobs(root: Path):
+    """The perfbench job builder of a tree, imported without bytecode."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", root / "perfbench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def job_list(jobs) -> list[tuple[str, str, str]]:
+    """(workload, tag, canonical job text) of every job, in a fixed order."""
+    out = []
+    for workload in jobs.BUILDERS:
+        for seed in SEEDS:
+            for i, spec in enumerate(jobs.build(workload, seed)):
+                tag = f"{workload}/seed{seed}/{i:02d}-{spec['tag']} (n={spec['job']['n']})"
+                out.append((workload, tag, jobs.dumps(spec["job"])))
+    return out
+
+
+def in_process_main() -> None:
+    """Child mode: read [tag, job text] pairs on stdin, print {tag: record}."""
+    from maslov import cli
+    from maslov.errors import MaslovError
+
+    records = {}
+    for tag, text in json.load(sys.stdin):
+        try:
+            records[tag] = cli._serialize(cli.compute_report(json.loads(text)))
+        except MaslovError as exc:
+            records[tag] = f"{exc.code}: {exc}"
+        except Exception as exc:  # an escaped exception is an outcome too
+            records[tag] = f"{type(exc).__name__}: {exc}"
+    json.dump(records, sys.stdout)
+
+
+def run(args, env, stdin=None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable] + args, input=stdin, capture_output=True, text=True, env=env, timeout=600
+    )
+
+
+def outcomes(root: Path, jobs: list, scratch: Path) -> dict:
+    """{tag: record} of every job and verify run on one tree."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    pending = [(tag, text) for workload, tag, text in jobs if workload != CLI_WORKLOAD]
+    done = run([__file__, "--in-process"], env, json.dumps(pending))
+    if done.returncode != 0:
+        raise SystemExit(f"in-process jobs failed on {root}:\n{done.stderr}")
+    records = json.loads(done.stdout)
+    commands = {}
+    for workload, tag, text in jobs:
+        if workload == CLI_WORKLOAD:
+            path = scratch / f"{len(commands):03d}.json"
+            path.write_text(text, encoding="utf-8")
+            commands[tag] = ["-m", "maslov.cli", "compute", "--input", str(path)]
+    for seed, n_max in VERIFY_RUNS:
+        commands[f"verify --seed {seed} --n-max {n_max}"] = [
+            "-m", "maslov.cli", "verify", "--seed", seed, "--n-max", n_max,
+        ]
+    for tag, args in commands.items():
+        done = run(args, env)
+        records[tag] = json.dumps(
+            {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
+        ).replace(str(root), "<root>")
+    return records
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    jobs = job_list(load_jobs(parent))
+    with tempfile.TemporaryDirectory() as scratch:
+        before = outcomes(parent, jobs, Path(scratch))
+        after = outcomes(change, jobs, Path(scratch))
+    differing = [tag for tag in before if before[tag] != after.get(tag)]
+    print(f"{len(before)} records: {len(jobs)} jobs and {len(VERIFY_RUNS)} verify runs")
+    if differing:
+        tag = differing[0]
+        print(f"first difference: {tag}\n  parent: {before[tag]}\n  change: {after.get(tag)}")
+        print(f"{len(differing)} records differ")
+        return 1
+    print("no differences")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--in-process"]:
+        in_process_main()
+    else:
+        sys.exit(main(sys.argv[1:]))
