@@ -20,7 +20,7 @@ import numpy as np
 from . import lagrangian, leray, paths, signature
 from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE
 from .derived import SymmetricFamily, graph_path, hormander_xi, shear_path, spectral_flow
-from .errors import BadInput, MaslovError
+from .errors import BadInput, MaslovError, numeric_array
 
 EXIT_CODES = {"BAD_INPUT": 2, "UNDERSAMPLED": 3, "ILL_CONDITIONED": 4}
 
@@ -44,18 +44,9 @@ INDEX_KINDS = (
 
 
 def _matrix(data, shape, what):
-    """A job array of JSON numbers; strings and booleans, which numpy would
-    convert, are rejected."""
-    try:
-        arr = np.asarray(data)
-        kind = arr.dtype.kind
-        if kind == "O" and {type(x) for x in arr.flat} <= {int, float}:
-            kind = "f"  # integer literals too large for int64
-        if kind not in "iuf":
-            raise BadInput(f"{what}: entries must be numbers")
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadInput(f"{what}: not a numeric array ({exc})")
+    """A job array of JSON numbers by the library's intake rule, which
+    rejects strings and booleans, of the given shape with finite entries."""
+    arr = numeric_array(data, what)
     if arr.shape != shape:
         raise BadInput(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

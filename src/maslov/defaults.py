@@ -1,9 +1,23 @@
-"""Default tolerances.
+"""Default tolerances, and the one function that decides each kind.
 
 All tolerances are absolute unless noted.  Rank and signature thresholds are
-rescaled by the data at the point of use (see the corresponding functions);
-the values here are the base factors and the defaults of the ``tol_rank``,
-``tol_sig`` and ``tol_round`` arguments, which nothing rewrites at runtime.
+rescaled by the data at the point of use; the values here are the base
+factors and the defaults of the ``tol_rank``, ``tol_sig`` and ``tol_round``
+arguments, which nothing rewrites at runtime.  No other site restates a rule:
+
+    kind            function                    constant
+    caller arrays   errors.numeric_array        (none: numbers only)
+    frame           lagrangian.check_frames     the frame's tol, TOL_SYM
+    symmetric       lagrangian.is_symmetric     TOL_SYM, relative
+    symplectic      symplectic.is_symplectic    TOL_SYMPLECTIC, relative
+    w from outside  lagrangian.frame_from_w     TOL_SYM
+    corank          lagrangian.corank           TOL_RANK_BASE, AMBIGUITY_DECADE
+    signature       signature.sign_counts       TOL_SIG_BASE, AMBIGUITY_DECADE
+    theta           leray.LagrangianLift        TOL_PHASE, scaled by the frame
+    rounding        leray.nearest_integer       TOL_ROUND
+    matching        paths._matches              PLANE_MATCH_TOL
+    phase step      paths._step_ok              paths.MAX_PHASE_STEP
+    midpoint        paths._refine               1e-9 (used there only)
 """
 
 #: structural checks: unitarity, frame orthonormality (max-norm)
@@ -20,6 +34,9 @@ TOL_SIG_BASE = 1e-9
 
 #: an index value must land within TOL_ROUND of an integer
 TOL_ROUND = 1e-6
+
+#: two w matrices, or two symplectic matrices, match within this (max-norm)
+PLANE_MATCH_TOL = 1e-8
 
 #: floor of the |det w - e^{i theta}| bound for points of the universal
 #: cover, which otherwise scales with the frame's tol (leray.LagrangianLift)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
-from .errors import BadInput, IllConditioned
+from .errors import BadInput, IllConditioned, numeric_array
 from .lagrangian import (
     LagrangianFrame,
     coordinate_x,
@@ -20,7 +20,7 @@ from .lagrangian import (
     is_symmetric,
 )
 from .leray import LagrangianLift
-from .paths import LagrangianPath, SymplecticPath, _check_times, mu_lagrangian
+from .paths import LagrangianPath, SymplecticPath, _mapped, _sampled, mu_lagrangian
 from .signature import kashiwara_tau, sign_counts
 
 
@@ -37,20 +37,8 @@ class SymmetricFamily:
     generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        ts = _check_times(self.times)
-        try:
-            mats = np.array(self.matrices, dtype=float)
-        except (TypeError, ValueError):
-            mats = np.empty(0)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[2] == 0:
-            raise BadInput("family matrices must share a non-empty square shape")
-        if len(ts) != len(mats):
-            raise BadInput("family needs one matrix per sample time")
-        if not is_symmetric(mats):
+        if not is_symmetric(_sampled(self, "matrices", "(N, n, n)", lambda r, c: r == c)):
             raise BadInput("family matrix is not symmetric")
-        mats.setflags(write=False)
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "matrices", mats)
 
     @property
     def n(self) -> int:
@@ -65,8 +53,8 @@ class SymmetricFamily:
 
     @classmethod
     def linear(cls, A0, A1, samples: int = 33) -> "SymmetricFamily":
-        A0 = np.asarray(A0, dtype=float)
-        A1 = np.asarray(A1, dtype=float)
+        A0 = numeric_array(A0, "family endpoint")
+        A1 = numeric_array(A1, "family endpoint")
         if A0.shape != A1.shape:
             raise BadInput("family endpoints must share a shape")
 
@@ -95,7 +83,7 @@ class HalfInteger:
 
 def matrix_signature(A: np.ndarray, tol_sig: float = TOL_SIG_BASE) -> int:
     """sign A via eigenvalue sign counts; errors near singularity."""
-    vals = np.linalg.eigvalsh(np.asarray(A, dtype=float))
+    vals = np.linalg.eigvalsh(numeric_array(A, "matrix"))
     pos, neg, null = sign_counts(vals, tol_sig, "a matrix signature")
     if null:
         raise IllConditioned("matrix is singular or near-singular for signature")
@@ -113,26 +101,20 @@ def graph_path(family: SymmetricFamily) -> LagrangianPath:
     """The path of graph planes t -> {(x, A(t) x)}; the family checked that
     each A(t) is symmetric, and the path validates the frames in one batch.
     The generator checks the generated matrices by the same rule."""
-    frames = graph_frames(family.matrices)
-    gen = None
-    if family.generator is not None:
-        g = family.generator
 
-        def gen(ts: np.ndarray) -> tuple[np.ndarray, float]:
-            A = np.asarray(g(ts), dtype=float)
-            if not is_symmetric(A):
-                raise BadInput("graph matrix must be symmetric")
-            return graph_frames(A), TOL_SYM
+    def frames_of(A) -> tuple[np.ndarray, float]:
+        A = numeric_array(A, "generated matrices")
+        if not is_symmetric(A):
+            raise BadInput("graph matrix must be symmetric")
+        return graph_frames(A), TOL_SYM
 
-    return LagrangianPath(family.times, frames, gen)
+    gen = _mapped(frames_of, family.generator)
+    return LagrangianPath(family.times, graph_frames(family.matrices), gen)
 
 
 def shear_path(family: SymmetricFamily) -> SymplecticPath:
     """The symplectic path t -> [[I, 0], [A(t), I]]."""
-    gen = None
-    if family.generator is not None:
-        g = family.generator
-        gen = lambda ts: _shear(np.asarray(g(ts), dtype=float))
+    gen = _mapped(lambda A: _shear(numeric_array(A, "generated matrices")), family.generator)
     return SymplecticPath(family.times, _shear(family.matrices), gen)
 
 

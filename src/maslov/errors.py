@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one intake rule for
+arrays that come in from callers.
 
 Every error carries a machine-readable ``code`` so the CLI can map failures
 to exit codes without string matching.
 """
+
+import numpy as np
 
 
 class MaslovError(Exception):
@@ -27,3 +30,21 @@ class IllConditioned(MaslovError):
     """A rank or signature decision fell inside the tolerance ambiguity band."""
 
     code = "ILL_CONDITIONED"
+
+
+def numeric_array(data, what: str, dtype=float) -> np.ndarray:
+    """``data`` as a float (or complex) array by the one intake rule for
+    caller arrays: numpy must read it as one rectangular array of numbers,
+    complex ones only for dtype complex.  Strings and booleans, which numpy
+    would convert, ragged nests and other objects raise BadInput naming
+    ``what``.  The result may share memory with ``data``."""
+    try:
+        arr = np.asarray(data)
+        kind = arr.dtype.kind
+        if kind == "O" and {type(x) for x in arr.flat} <= {int, float}:
+            kind = "f"  # integer literals too large for int64
+        if kind not in ("iufc" if dtype is complex else "iuf"):
+            raise BadInput(f"{what}: entries must be numbers")
+        return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadInput(f"{what}: not a numeric array ({exc})")

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .defaults import AMBIGUITY_DECADE, TOL_RANK_BASE, TOL_SYM
-from .errors import BadInput, IllConditioned
+from .errors import BadInput, IllConditioned, numeric_array
 from .symplectic import SymplecticMatrix
 
 
@@ -36,7 +36,7 @@ class LagrangianFrame:
     tol: float = TOL_SYM
 
     def __post_init__(self):
-        F = np.array(self.frame, dtype=float, order="C")
+        F = np.array(numeric_array(self.frame, "frame"), order="C")
         if F.ndim != 2 or F.shape[0] != 2 * F.shape[1] or F.size == 0:
             raise BadInput("frame must be a non-empty 2n x n matrix")
         check_frames(F, self.tol)
@@ -102,7 +102,7 @@ def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
 
     Uses the closed form X = (I + A^2)^(-1/2), P = A X on the symmetric part.
     """
-    A = np.asarray(A, dtype=float)
+    A = numeric_array(A, "graph matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise BadInput("expected a non-empty square matrix")
     if not is_symmetric(A):
@@ -129,7 +129,7 @@ def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
 def unitary_frames(u: np.ndarray) -> np.ndarray:
     """The [X; P] = [-Im u; Re u] frames of the planes u X* of a unitary or
     of an (N, n, n) stack of them; validated where they are used."""
-    u = np.asarray(u, dtype=complex)
+    u = numeric_array(u, "unitary", complex)
     return np.concatenate((-u.imag, u.real), axis=-2)
 
 
@@ -208,7 +208,7 @@ def frame_from_w(w: np.ndarray) -> LagrangianFrame:
     fails).  The phase of each eigenvalue is halved on the principal branch;
     any branch yields a valid frame of the same plane.
     """
-    w = np.asarray(w, dtype=complex)
+    w = numeric_array(w, "w", complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
         raise BadInput("expected a non-empty square matrix")
     if not np.abs(w - w.T).max() <= TOL_SYM:
@@ -292,7 +292,7 @@ def apply_symplectic(S: SymplecticMatrix | np.ndarray, ell: LagrangianFrame) -> 
 
     S is a SymplecticMatrix or a 2n x 2n array its caller has validated
     already (a value of a ``SymplecticPath`` generator, say)."""
-    entries = S.entries if isinstance(S, SymplecticMatrix) else np.asarray(S, dtype=float)
+    entries = S.entries if isinstance(S, SymplecticMatrix) else numeric_array(S, "matrix")
     Q, tol = transport_frames(entries, ell.frame, ell.tol)
     return LagrangianFrame(Q, float(tol))
 

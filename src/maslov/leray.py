@@ -40,12 +40,14 @@ class LagrangianLift:
     checked by |det w - e^{i theta}| <= max(TOL_PHASE, n * B): for the
     frame's defect E, to first order | |det w| - 1 | = |tr E| <= n frame.tol,
     well inside.  It is never narrower than TOL_PHASE, the former fixed
-    bound."""
+    bound.  theta must be an int or a float (not a bool)."""
 
     frame: LagrangianFrame
     theta: float
 
     def __post_init__(self):
+        if isinstance(self.theta, bool) or not isinstance(self.theta, (float, int)):
+            raise BadInput("theta must be an int or a float")
         ell = self.frame
         n = ell.n
         bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
@@ -107,13 +109,17 @@ def mu_bar(
         )
     phases = np.angle(-lam[~at_one])
     value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
-    mu = round(value)
-    if abs(value - mu) > tol_round:
-        raise IllConditioned(
-            f"index residual {abs(value - mu):.3g} exceeds tol_round; "
-            "the pair is nearly non-transversal"
-        )
-    return int(mu)
+    message = "index residual {:.3g} exceeds tol_round; the pair is nearly non-transversal"
+    return nearest_integer(value, tol_round, IllConditioned, message)
+
+
+def nearest_integer(value: float, tol_round: float, error: type, message: str) -> int:
+    """The one rounding rule: the integer nearest value, which must lie
+    within tol_round of it, or error(message.format(residual)) is raised."""
+    k = round(value)
+    if abs(value - k) > tol_round:
+        raise error(message.format(abs(value - k)))
+    return int(k)
 
 
 def souriau_m(

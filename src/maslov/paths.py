@@ -23,17 +23,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SYM
-from .errors import BadInput, Undersampled
+from .defaults import PLANE_MATCH_TOL, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
+from .errors import BadInput, Undersampled, numeric_array
 from .lagrangian import (
     LagrangianFrame,
     check_frames,
     det_phase,
     frame_unitary,
+    is_symmetric,
     transport_frames,
     unitary_frames,
 )
-from .leray import LagrangianLift, lift_of, mu_bar
+from .leray import LagrangianLift, lift_of, mu_bar, nearest_integer
 from .symplectic import is_symplectic, omega_matrix
 
 #: step acceptance bound for the determinant phase (margin against aliasing)
@@ -45,21 +46,36 @@ MAX_SAMPLES = 10**6
 #: default bisection depth of lift_path
 MAX_REFINE_DEPTH = 40
 
-#: planes are considered equal when their w matrices agree to this
-PLANE_MATCH_TOL = 1e-8
-
 #: byte budget of the frames one generator call returns during refinement;
 #: a level with more pending midpoints is evaluated in chunks
 LEVEL_CHUNK_BYTES = 1 << 22
 
 
-def _check_times(times: Sequence[float]) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in times)
-    if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
+def _sampled(path, field: str, layout: str, shape_ok: Callable[[int, int], bool]) -> np.ndarray:
+    """The checks every sampled path shares, by the intake rule: strictly
+    increasing times from 0 to 1, and in ``field`` one (N, r, c) stack of the
+    given layout with c >= 1 and shape_ok(r, c), one sample per time.  Both
+    are stored, the stack as a read-only copy returned for the class's rule."""
+    ts = numeric_array(path.times, "times")
+    if ts.ndim != 1 or len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
         raise BadInput("path samples must start at t=0 and end at t=1")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if not np.all(ts[1:] > ts[:-1]):
         raise BadInput("sample times must be strictly increasing")
-    return ts
+    object.__setattr__(path, "times", tuple(ts.tolist()))
+    stack = np.array(numeric_array(getattr(path, field), field))
+    if stack.ndim != 3 or stack.shape[2] == 0 or not shape_ok(*stack.shape[1:]):
+        raise BadInput(f"{field} must be one {layout} stack with n >= 1")
+    if len(stack) != len(ts):
+        raise BadInput(f"{field}: one sample per time required")
+    stack.setflags(write=False)
+    object.__setattr__(path, field, stack)
+    return stack
+
+
+def _mapped(f: Callable, g: Optional[Callable]) -> Optional[Callable]:
+    """The generator ts -> f(g(ts)) of a path derived from one with
+    generator g, or None when g is None."""
+    return None if g is None else lambda ts: f(g(ts))
 
 
 @dataclass(frozen=True)
@@ -83,23 +99,13 @@ class LagrangianPath:
     tol: float | np.ndarray = TOL_SYM
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _check_times(self.times))
+        frames = _sampled(self, "frames", "(N, 2n, n)", lambda r, c: r == 2 * c)
         try:
-            frames = np.array(self.frames, dtype=float)
-            tol = np.array(np.broadcast_to(np.asarray(self.tol, dtype=float), len(frames)))
-            n = frames.shape[-1] if frames.ndim == 3 else 0
-        except (TypeError, ValueError):
-            n = 0
-        if n == 0 or frames.shape[1] != 2 * n:
-            raise BadInput(
-                "frames must be one (N, 2n, n) stack with n >= 1, tol a float or one per frame"
-            )
-        if len(frames) != len(self.times):
-            raise BadInput("one frame per sample time required")
+            tol = np.array(np.broadcast_to(numeric_array(self.tol, "tol"), len(frames)))
+        except ValueError:
+            raise BadInput("tol must be a float or one per frame") from None
         check_frames(frames, tol)
-        frames.setflags(write=False)
         tol.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "tol", tol)
 
     @property
@@ -129,23 +135,9 @@ class SymplecticPath:
     generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _check_times(self.times))
-        mats = self.matrices
-        if not isinstance(mats, np.ndarray):
-            mats = tuple(mats)
-        if len(mats) != len(self.times):
-            raise BadInput("one matrix per sample time required")
-        try:
-            mats = np.array(mats, dtype=float)
-            d = mats.shape[-1] if mats.ndim == 3 else 0
-        except (TypeError, ValueError):
-            d = 0
-        if d == 0 or d % 2 != 0 or mats.shape[1] != d:
-            raise BadInput("all matrices must be non-empty and square of one even dimension")
+        mats = _sampled(self, "matrices", "(N, 2n, 2n)", lambda r, c: r == c and c % 2 == 0)
         if not is_symplectic(mats):
             raise BadInput("path sample is not symplectic")
-        mats.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
 
     @property
     def n(self) -> int:
@@ -161,11 +153,13 @@ class SymplecticPath:
 def same_plane(f1: LagrangianFrame, f2: LagrangianFrame) -> bool:
     if f1.n != f2.n:
         raise BadInput("planes live in different dimensions")
-    return _same_w(f1.w, f2.w)
+    return _matches(f1.w, f2.w)
 
 
-def _same_w(w1: np.ndarray, w2: np.ndarray) -> bool:
-    return float(np.abs(w1 - w2).max()) <= PLANE_MATCH_TOL
+def _matches(a: np.ndarray, b: np.ndarray) -> bool:
+    """The one matching rule, for two w matrices or two symplectic matrices:
+    ||a - b||_max <= PLANE_MATCH_TOL; a NaN entry fails."""
+    return float(np.abs(a - b).max()) <= PLANE_MATCH_TOL
 
 
 def _rescale(times: Sequence[float], a: float, b: float) -> list[float]:
@@ -206,7 +200,7 @@ def reverse(lam: LagrangianPath) -> LagrangianPath:
 def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPath:
     if sig.n != sig2.n:
         raise BadInput("symplectic paths live in different dimensions")
-    if float(np.abs(sig.end() - sig2.start()).max()) > 1e-8:
+    if not _matches(sig.end(), sig2.start()):
         raise BadInput("symplectic paths are not consecutive")
     times = _rescale(sig.times, 0.0, 0.5) + _rescale(sig2.times[1:], 0.5, 1.0)
     mats = np.concatenate((sig.matrices, sig2.matrices[1:]))
@@ -235,15 +229,10 @@ def _by_half(ts: np.ndarray, g1: Callable, g2: Callable) -> list:
 
 def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
     """The path t -> S . sig(t)."""
-    S = np.asarray(S, dtype=float)
+    S = numeric_array(S, "matrix")
     if S.shape != (2 * sig.n, 2 * sig.n):
         raise BadInput("matrix and path dimensions differ")
-    mats = S @ sig.matrices
-    gen = None
-    if sig.generator is not None:
-        g = sig.generator
-        gen = lambda ts: S @ g(ts)
-    return SymplecticPath(sig.times, mats, gen)
+    return SymplecticPath(sig.times, S @ sig.matrices, _mapped(lambda M: S @ M, sig.generator))
 
 
 @dataclass(frozen=True)
@@ -260,9 +249,10 @@ class LiftedPath:
 
     def keller_maslov(self, tol_round: float = TOL_ROUND) -> int:
         """Winding number of det w around the lifted path, which must be a loop."""
-        if not _same_w(self.start.w, self.end.w):
+        if not _matches(self.start.w, self.end.w):
             raise BadInput("loop index requires a closed path")
-        return _integer(self.winding(), tol_round, "loop winding")
+        message = "loop winding residual {:.3g} exceeds tolerance"
+        return nearest_integer(self.winding(), tol_round, Undersampled, message)
 
     def mu_lagrangian(
         self,
@@ -281,6 +271,11 @@ class LiftedPath:
         """mu_ell when the path is t -> sig(t) ell with sig(0) = I: the
         canonical two-point index between its end and start lifts."""
         return mu_bar(self.end, self.start, tol_round, tol_rank)
+
+
+def _step_ok(d):
+    """The phase-step rule, elementwise: |d| < MAX_PHASE_STEP; NaN fails."""
+    return np.abs(d) < MAX_PHASE_STEP
 
 
 def _wrap(d):
@@ -320,7 +315,7 @@ def lift_path(
     theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else float(theta_start)
     if lam.generator is None:
         steps = _wrap(np.diff(angs))
-        bad = np.flatnonzero(~(np.abs(steps) < MAX_PHASE_STEP))
+        bad = np.flatnonzero(~_step_ok(steps))
         # the sample cap counts accepted samples, so it fires at step
         # MAX_SAMPLES unless a bad step comes first
         if len(steps) > MAX_SAMPLES and (bad.size == 0 or bad[0] >= MAX_SAMPLES):
@@ -361,8 +356,7 @@ def _refine(lam: LagrangianPath, angs: np.ndarray, max_depth: int) -> np.ndarray
         tm = (t0 + t1) / 2
         am = _generated_phases(lam, tm)
         d, d1, d2 = _wrap(a1 - a0), _wrap(am - a0), _wrap(a1 - am)
-        ok = (np.abs(d1 + d2 - d) < 1e-9) & (np.abs(d) < MAX_PHASE_STEP)
-        ok &= (np.abs(d1) < MAX_PHASE_STEP) & (np.abs(d2) < MAX_PHASE_STEP)
+        ok = (np.abs(d1 + d2 - d) < 1e-9) & _step_ok(d) & _step_ok(d1) & _step_ok(d2)
         starts.append(t0[ok])
         ends.append(t1[ok])
         pairs.append(np.stack((d1[ok], d2[ok]), axis=1))
@@ -397,19 +391,12 @@ def _generated_phases(lam: LagrangianPath, ts: np.ndarray) -> np.ndarray:
     for i in range(0, len(ts), chunk):
         part = ts[i : i + chunk]
         frames, tol = lam.generator(part)
-        frames = np.asarray(frames, dtype=float)
+        frames = numeric_array(frames, "generated frames")
         if frames.shape != (len(part), 2 * n, n):
             raise BadInput("a path generator must return one (len(ts), 2n, n) stack")
         check_frames(frames, tol)
         phases.append(det_phase(frames))
     return np.concatenate(phases)
-
-
-def _integer(value: float, tol_round: float, what: str) -> int:
-    k = round(value)
-    if abs(value - k) > tol_round:
-        raise Undersampled(f"{what} residual {abs(value - k):.3g} exceeds tolerance")
-    return int(k)
 
 
 def keller_maslov(gamma: LagrangianPath, tol_round: float = TOL_ROUND) -> int:
@@ -436,10 +423,7 @@ def induced_path(sig: SymplecticPath, ell: LagrangianFrame) -> LagrangianPath:
     if sig.n != ell.n:
         raise BadInput("path and plane dimensions differ")
     frames, tol = transport_frames(sig.matrices, ell.frame, ell.tol)
-    gen = None
-    if sig.generator is not None:
-        g = sig.generator
-        gen = lambda ts: transport_frames(g(ts), ell.frame, ell.tol)
+    gen = _mapped(lambda S: transport_frames(S, ell.frame, ell.tol), sig.generator)
     return LagrangianPath(sig.times, frames, gen, tol)
 
 
@@ -454,7 +438,7 @@ def mu_symplectic(
 
 def check_identity_start(sig: SymplecticPath) -> None:
     """BadInput unless the symplectic path starts at the identity."""
-    if float(np.abs(sig.start() - np.eye(2 * sig.n)).max()) > 1e-8:
+    if not _matches(sig.start(), np.eye(2 * sig.n)):
         raise BadInput("this index requires a path starting at the identity")
 
 
@@ -493,11 +477,11 @@ def rotation_path(
     The phase of det w moves at exactly 2 |alpha_end - alpha_start|, and
     every step of the linear sweep is equal, so a coarse grid aliases
     whole turns past the midpoint guard.  The grid therefore has at least
-    floor(4 |alpha_end - alpha_start| / pi) + 2 samples, which keeps every
-    step below pi/2; a sweep needing more than MAX_SAMPLES raises
-    Undersampled before anything is allocated.
+    floor(2 |alpha_end - alpha_start| / MAX_PHASE_STEP) + 2 samples, which
+    keeps every step below MAX_PHASE_STEP; a sweep needing more than
+    MAX_SAMPLES raises Undersampled before anything is allocated.
     """
-    ratio = 4 * abs(alpha_end - alpha_start) / math.pi
+    ratio = 2 * abs(alpha_end - alpha_start) / MAX_PHASE_STEP
     # a float comparison, so an infinite (or NaN) count fails it too
     if not ratio + 2 <= MAX_SAMPLES:
         raise Undersampled("rotation sweep needs more than MAX_SAMPLES samples")
@@ -517,7 +501,7 @@ def unitary_log_principal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and principal phases of a unitary matrix (Schur-based)."""
     import scipy.linalg
 
-    T, Z = scipy.linalg.schur(np.asarray(v, dtype=complex), output="complex")
+    T, Z = scipy.linalg.schur(numeric_array(v, "unitary", complex), output="complex")
     phases = np.angle(np.diag(T))
     return Z, phases
 
@@ -547,17 +531,16 @@ def symplectic_path_from_algebra(
     """The path t -> start . exp(tZ) for Z in the symplectic Lie algebra."""
     import scipy.linalg
 
-    Z = np.asarray(Z, dtype=float)
+    Z = numeric_array(Z, "generator")
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.size == 0 or Z.shape[0] % 2:
         raise BadInput("generator must be a non-empty square matrix of even dimension")
-    n = Z.shape[0] // 2
-    M = omega_matrix(n)
-    if np.abs(M @ Z + Z.T @ M).max() > 1e-10 * max(1.0, float(np.abs(Z).max())):
+    # M Z - (M Z)^T = M Z + Z^T M, since M^T = -M
+    if not is_symmetric(omega_matrix(Z.shape[0] // 2) @ Z):
         raise BadInput("generator is not in the symplectic Lie algebra")
-    s0 = np.eye(2 * n) if start is None else np.asarray(start, dtype=float)
 
     def S(ts: np.ndarray) -> np.ndarray:
-        return s0 @ scipy.linalg.expm(ts[:, None, None] * Z)
+        return scipy.linalg.expm(ts[:, None, None] * Z)
 
     grid = np.linspace(0.0, 1.0, samples)
-    return SymplecticPath(tuple(grid), S(grid), S)
+    path = SymplecticPath(tuple(grid), S(grid), S)
+    return path if start is None else left_translate(start, path)

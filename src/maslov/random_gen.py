@@ -22,6 +22,7 @@ from .leray import LagrangianLift, lift_of
 from .paths import (
     LagrangianPath,
     SymplecticPath,
+    _mapped,
     path_from_unitary_family,
     symplectic_path_from_algebra,
 )
@@ -132,14 +133,13 @@ def transported_path(S: SymplecticMatrix, lam: LagrangianPath) -> LagrangianPath
     base grid is chosen proportional to kappa before adaptive bisection
     takes over.
     """
-    grid, gen = lam, None
-    if lam.generator is not None:
-        g = lam.generator
-        gen = lambda ts: transport_frames(S.entries, *g(ts))
+    grid = lam
+    gen = _mapped(lambda out: transport_frames(S.entries, *out), lam.generator)
+    if gen is not None:
         kappa = float(np.linalg.cond(S.entries))
         samples = max(len(lam.times), min(4097, 2 * int(4 * kappa) + 1))
         ts = np.linspace(0.0, 1.0, samples)
-        frames, tol = g(ts)
+        frames, tol = lam.generator(ts)
         grid = LagrangianPath(tuple(ts), frames, None, tol)
     frames, tol = transport_frames(S.entries, grid.frames, grid.tol)
     return LagrangianPath(grid.times, frames, gen, tol)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import TOL_SYM, TOL_SYMPLECTIC
-from .errors import BadInput
+from .errors import BadInput, numeric_array
 
 
 def omega_matrix(n: int) -> np.ndarray:
@@ -34,8 +34,8 @@ class SymplecticVector:
     p: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
+        x = np.atleast_1d(numeric_array(self.x, "position block"))
+        p = np.atleast_1d(numeric_array(self.p, "momentum block"))
         if x.ndim != 1 or p.ndim != 1 or x.shape != p.shape:
             raise BadInput("position and momentum blocks must be equal-length vectors")
         object.__setattr__(self, "x", x)
@@ -60,7 +60,7 @@ def is_symplectic(S: np.ndarray) -> bool:
 
     S is one 2n x 2n matrix or an (N, 2n, 2n) stack, which is checked in one
     batch and passes iff every matrix of it does; a NaN entry fails."""
-    S = np.asarray(S, dtype=float)
+    S = numeric_array(S, "matrix")
     d = S.shape[-1] if S.ndim in (2, 3) else 0
     if d == 0 or d % 2 != 0 or S.shape[-2] != d:
         raise BadInput("expected a non-empty square matrix of even dimension")
@@ -77,7 +77,7 @@ class SymplecticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.entries, dtype=float)
+        S = numeric_array(self.entries, "matrix")
         if S.ndim != 2 or S.size == 0:
             raise BadInput("expected a non-empty square matrix of even dimension")
         if not is_symplectic(S):
@@ -99,8 +99,8 @@ class UnitaryEmbedding:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a = numeric_array(self.a, "real part")
+        b = numeric_array(self.b, "imaginary part")
         if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise BadInput(
                 "real and imaginary parts must be non-empty equal-shape square matrices"
@@ -119,7 +119,7 @@ class UnitaryEmbedding:
 
     @classmethod
     def from_complex(cls, u: np.ndarray) -> "UnitaryEmbedding":
-        u = np.asarray(u, dtype=complex)
+        u = numeric_array(u, "unitary", complex)
         return cls(u.real, u.imag)
 
     @property

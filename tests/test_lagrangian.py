@@ -9,6 +9,7 @@ from maslov import (
     SymmetricFamily,
     SymplecticMatrix,
     SymplecticPath,
+    SymplecticVector,
     UnitaryEmbedding,
     apply_symplectic,
     coordinate_x,
@@ -17,13 +18,20 @@ from maslov import (
     frame_from_graph,
     frame_from_unitary,
     frame_from_w,
+    graph_path,
+    induced_path,
     intersection_dim,
     is_symplectic,
+    left_translate,
+    lift_path,
     omega_matrix,
+    shear_path,
     souriau_w,
+    symplectic_path_from_algebra,
     transversal_companion,
 )
 from maslov.defaults import TOL_SYM
+from maslov.derived import matrix_signature
 from maslov.lagrangian import is_symmetric, transport_frames
 from maslov.paths import same_plane
 from maslov.random_gen import (
@@ -110,6 +118,69 @@ def test_constructors_reject_zero_dimension(name):
     # n = 0 fails the shape check, before any max over an empty array
     with pytest.raises(BadInput):
         EMPTY_INPUTS[name]()
+
+
+# caller arrays that numpy reads as no numeric array, or converts silently
+MALFORMED = {
+    "ragged": [[1.0], [0.0, 1.0]],
+    "string": [["0.5"]],
+    "boolean": [[True]],
+    "none": None,
+}
+X1 = np.eye(2, 1)
+I2 = np.stack([np.eye(2)] * 2)
+
+
+def _family_generating(out):
+    return SymmetricFamily((0.0, 1.0), np.zeros((2, 1, 1)), lambda ts: out)
+
+
+# every entry point that reads a caller array, including generator output
+INTAKE_SITES = {
+    "frame": LagrangianFrame,
+    "graph-plane": frame_from_graph,
+    "unitary-plane": frame_from_unitary,
+    "w-plane": frame_from_w,
+    "apply-symplectic": lambda x: apply_symplectic(x, coordinate_x(1)),
+    "vector": lambda x: SymplecticVector(x, [0.0]),
+    "is-symplectic": is_symplectic,
+    "symplectic-matrix": SymplecticMatrix,
+    "unitary-embedding": lambda x: UnitaryEmbedding(x, [[0.0]]),
+    "unitary-from-complex": UnitaryEmbedding.from_complex,
+    "lagrangian-path": lambda x: LagrangianPath((0.0, 1.0), x),
+    "lagrangian-path-tol": lambda x: LagrangianPath((0.0, 1.0), np.stack([X1] * 2), None, x),
+    "path-times": lambda x: SymplecticPath(x, I2),
+    "symplectic-path": lambda x: SymplecticPath((0.0, 1.0), x),
+    "family": lambda x: SymmetricFamily((0.0, 1.0), x),
+    "linear-family": lambda x: SymmetricFamily.linear(x, [[0.0]]),
+    "left-translate": lambda x: left_translate(x, SymplecticPath((0.0, 1.0), I2)),
+    "algebra": symplectic_path_from_algebra,
+    "algebra-start": lambda x: symplectic_path_from_algebra(np.zeros((2, 2)), start=x),
+    "signature": matrix_signature,
+    "generated-frames": lambda x: lift_path(
+        LagrangianPath((0.0, 1.0), np.stack([X1] * 2), lambda ts: (x, TOL_SYM))
+    ),
+    "graph-generator": lambda x: lift_path(graph_path(_family_generating(x))),
+    "shear-generator": lambda x: lift_path(
+        induced_path(shear_path(_family_generating(x)), coordinate_x(1))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "site, kind",
+    [
+        (site, kind)
+        for site in sorted(INTAKE_SITES)
+        for kind in sorted(MALFORMED)
+        if (site, kind) != ("algebra-start", "none")  # start=None is the identity
+    ],
+)
+def test_intake_rejects_malformed_arrays(site, kind):
+    # one intake rule reads every caller array: no numpy error escapes, and
+    # no string or boolean is converted
+    with pytest.raises(BadInput):
+        INTAKE_SITES[site](MALFORMED[kind])
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -70,6 +70,14 @@ def test_lift_rejects_non_finite_theta(theta):
         LagrangianLift(coordinate_xstar(2), theta)
 
 
+@pytest.mark.parametrize("theta", [None, [0.0], "0", np.zeros(1), False])
+def test_lift_rejects_theta_that_is_not_a_number(theta):
+    # det w of X* is 1: np.zeros(1) and False passed its bound as the
+    # argument 0, and the others escaped as TypeError
+    with pytest.raises(BadInput, match="theta must be an int or a float"):
+        LagrangianLift(coordinate_xstar(2), theta)
+
+
 def test_deck_apply():
     l = lift_of(coordinate_xstar(2), 0)
     assert deck_apply(DeckAction(0), l).theta == l.theta

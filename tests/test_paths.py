@@ -363,6 +363,20 @@ def test_runaway_refinement_stays_in_the_chunk_budget(monkeypatch):
     assert max(calls) == paths.LEVEL_CHUNK_BYTES // 16  # one 2 x 1 frame is 16 bytes
 
 
+def test_rotation_grid_matches_the_quarter_turn_formula(monkeypatch):
+    # floor(2 |da| / MAX_PHASE_STEP) + 2 is floor(4 |da| / pi) + 2 bit for
+    # bit, since halving pi is exact; checked one ulp around each k pi / 4
+    monkeypatch.setattr(paths, "path_from_unitary_family", lambda u, samples: samples)
+    quarter = np.arange(10**4 + 1) * math.pi / 4
+    sweeps = np.concatenate(
+        [np.nextafter(quarter, -math.inf), quarter, np.nextafter(quarter, math.inf)]
+    )
+    for da in sweeps.tolist():
+        expected = math.floor(4 * abs(da) / math.pi) + 2
+        assert rotation_path(1, 0.0, da, samples=2) == expected
+        assert rotation_path(1, da, 0.0, samples=2) == expected
+
+
 def test_keller_maslov_anchors():
     assert keller_maslov(rotation_path(1, 0.0, math.pi)) == 1
     assert keller_maslov(constant_path(coordinate_x(2))) == 0
@@ -453,6 +467,26 @@ def test_mu_ell_requires_identity_start(rng):
         mu_ell(sig, coordinate_x(1))
 
 
+@pytest.mark.parametrize(
+    "eps, matches",
+    [(paths.PLANE_MATCH_TOL, True), (np.nextafter(paths.PLANE_MATCH_TOL, 1.0), False)],
+)
+def test_identity_start_and_catenation_share_the_matching_rule(eps, matches):
+    # both compare the shear [[I, 0], [eps I, I]] with I at PLANE_MATCH_TOL
+    S = np.eye(4)
+    S[2:, :2] = eps * np.eye(2)
+    sheared = SymplecticPath((0.0, 1.0), np.stack([S] * 2))
+    for call in (
+        lambda: mu_ell(sheared, coordinate_x(2)),
+        lambda: concat_symplectic(_identity_path(2), sheared),
+    ):
+        if matches:
+            call()
+        else:
+            with pytest.raises(BadInput):
+                call()
+
+
 def test_mu_ell_anchors(rng):
     ts = np.linspace(0.0, 1.0, 21)
     sig = SymplecticPath(tuple(ts), _shear_stack(ts), _shear_stack)
@@ -482,6 +516,15 @@ def test_symplectic_path_from_algebra_validates():
         symplectic_path_from_algebra(np.eye(2))
 
 
+def test_algebra_membership_fails_on_nan():
+    # the membership test is the symmetric rule on M Z, whose `not err <= tol`
+    # fails on NaN before any sample is taken
+    Z = np.zeros((2, 2))
+    Z[0, 1] = math.nan
+    with pytest.raises(BadInput, match="generator is not in the symplectic Lie algebra"):
+        symplectic_path_from_algebra(Z)
+
+
 def _identity_path(n):
     return SymplecticPath((0.0, 1.0), np.stack([np.eye(2 * n)] * 2))
 
@@ -491,6 +534,7 @@ DIMENSION_MISMATCHES = {
     "path-joining": lambda: path_joining(coordinate_x(1), coordinate_x(2)),
     "left-translate": lambda: left_translate(np.eye(4), _identity_path(1)),
     "algebra-odd": lambda: symplectic_path_from_algebra(np.zeros((3, 3))),
+    "algebra-start": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), start=np.eye(4)),
     "same-plane": lambda: same_plane(coordinate_x(2), coordinate_x(3)),
     "concat": lambda: concat(rotation_path(2, 0.0, 1.0), rotation_path(3, 0.0, 1.0)),
     "linear-family": lambda: SymmetricFamily.linear([[3.0]], np.diag([1.0, -2.0])),

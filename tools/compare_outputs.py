@@ -13,7 +13,9 @@ PYTHONPATH:
 * the cli-cold jobs, one ``python -m maslov.cli compute`` each, recorded as
   stdout, stderr and exit code;
 * ``maslov verify --seed 42 --n-max 3`` and ``--seed 7 --n-max 1``, recorded
-  the same way.
+  the same way;
+* the PASS/FAIL line of each acceptance criterion, from
+  ``pytest -s tests/test_acceptance.py`` of the tree, keyed by its number.
 
 A tree's root is written as ``<root>`` in what it prints, so the two trees'
 tracebacks compare too.  The script prints the number of records, the first
@@ -26,6 +28,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +37,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 CLI_WORKLOAD = "cli-cold"
 VERIFY_RUNS = (("42", "3"), ("7", "1"))
+CRITERION_LINE = re.compile(r"(?:PASS|FAIL) criterion +(\d+): .*")
 
 
 def load_jobs(root: Path):
@@ -78,9 +82,20 @@ def run(args, env, stdin=None) -> subprocess.CompletedProcess:
     )
 
 
+def criterion_lines(root: Path, env: dict) -> dict:
+    """{tag: line} of the acceptance criteria's PASS/FAIL lines on one tree."""
+    test = root / "tests" / "test_acceptance.py"
+    done = run(["-m", "pytest", "-s", "-q", "-p", "no:cacheprovider", str(test)], env)
+    return {
+        f"acceptance criterion {int(m.group(1)):2d}": m.group(0)
+        for m in CRITERION_LINE.finditer(done.stdout)
+    }
+
+
 def outcomes(root: Path, jobs: list, scratch: Path) -> dict:
-    """{tag: record} of every job and verify run on one tree."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    """{tag: record} of every job, verify run and acceptance criterion on
+    one tree."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     pending = [(tag, text) for workload, tag, text in jobs if workload != CLI_WORKLOAD]
     done = run([__file__, "--in-process"], env, json.dumps(pending))
     if done.returncode != 0:
@@ -101,6 +116,7 @@ def outcomes(root: Path, jobs: list, scratch: Path) -> dict:
         records[tag] = json.dumps(
             {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
         ).replace(str(root), "<root>")
+    records.update(criterion_lines(root, env))
     return records
 
 
@@ -113,11 +129,15 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         before = outcomes(parent, jobs, Path(scratch))
         after = outcomes(change, jobs, Path(scratch))
-    differing = [tag for tag in before if before[tag] != after.get(tag)]
-    print(f"{len(before)} records: {len(jobs)} jobs and {len(VERIFY_RUNS)} verify runs")
+    differing = [tag for tag in {**before, **after} if before.get(tag) != after.get(tag)]
+    criteria = sum(tag.startswith("acceptance criterion") for tag in before)
+    print(
+        f"{len(before)} records: {len(jobs)} jobs, {len(VERIFY_RUNS)} verify runs"
+        f" and {criteria} acceptance criterion lines"
+    )
     if differing:
         tag = differing[0]
-        print(f"first difference: {tag}\n  parent: {before[tag]}\n  change: {after.get(tag)}")
+        print(f"first difference: {tag}\n  parent: {before.get(tag)}\n  change: {after.get(tag)}")
         print(f"{len(differing)} records differ")
         return 1
     print("no differences")
