@@ -18,9 +18,17 @@ import sys
 import numpy as np
 
 from . import lagrangian, leray, paths, signature
-from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE
-from .derived import SymmetricFamily, graph_path, hormander_xi, shear_path, spectral_flow
-from .errors import BadInput, MaslovError, numeric_array
+from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
+from .derived import (
+    SymmetricFamily,
+    _shear,
+    graph_path,
+    graph_phase_change,
+    hormander_xi,
+    shear_path,
+    spectral_flow,
+)
+from .errors import BadInput, MaslovError, numeric_array, scalar
 
 EXIT_CODES = {"BAD_INPUT": 2, "UNDERSAMPLED": 3, "ILL_CONDITIONED": 4}
 
@@ -28,6 +36,9 @@ PATH_KINDS = ("keller-maslov", "lagrangian", "symplectic", "mu-ell", "rs")
 
 #: largest accepted dimension, checked before anything is allocated
 MAX_N = 256
+
+#: the two times at which a closed-form lift evaluates its path
+ENDS = np.array([0.0, 1.0])
 
 INDEX_KINDS = (
     "keller-maslov",
@@ -97,7 +108,10 @@ def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
     raise BadInput(f"unrecognized plane description: {spec!r}")
 
 
-def _polynomial_family(coefficients, n) -> SymmetricFamily:
+def _polynomial(coefficients, n):
+    """The family ts -> A(ts) = sum_k c_k t^k, as a (len(ts), n, n) stack,
+    of a job's list of symmetric n x n coefficients c_k, read and checked
+    here."""
     if not isinstance(coefficients, (list, tuple)):
         raise BadInput("polynomial coefficients: expected a list of matrices")
     coeffs = [
@@ -119,7 +133,27 @@ def _polynomial_family(coefficients, n) -> SymmetricFamily:
             out += c * tk[:, None, None]
         return (out + out.swapaxes(-1, -2)) / 2
 
-    return SymmetricFamily.from_function(A)
+    return A
+
+
+def _polynomial_family(coefficients, n) -> SymmetricFamily:
+    return SymmetricFamily.from_function(_polynomial(coefficients, n))
+
+
+def _polynomial_ends(A) -> SymmetricFamily:
+    """A polynomial family at t = 0 and 1 only, by the same evaluation and
+    checks as at every sample."""
+    return SymmetricFamily((0.0, 1.0), A(ENDS))
+
+
+def _rotation_fields(spec, n) -> tuple[float, float, int]:
+    """alpha_start, alpha_end and samples of a rotation path job."""
+    if n not in (1, 2):
+        raise BadInput("rotation paths are defined for n = 1 or 2")
+    a0 = _number(spec.get("alpha_start", 0.0), "alpha_start")
+    a1 = _number(spec.get("alpha_end", math.pi), "alpha_end")
+    samples = paths.sample_count(_number(spec.get("samples", 33), "samples", integer=True))
+    return a0, a1, samples
 
 
 def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
@@ -131,14 +165,7 @@ def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
         frames = _samples(frames_raw, (2 * n, n), "frame sample")
         return paths.LagrangianPath(_times(spec, len(frames)), frames, None)
     if kind == "rotation":
-        if n not in (1, 2):
-            raise BadInput("rotation paths are defined for n = 1 or 2")
-        a0 = _number(spec.get("alpha_start", 0.0), "alpha_start")
-        a1 = _number(spec.get("alpha_end", math.pi), "alpha_end")
-        samples = _number(spec.get("samples", 33), "samples", integer=True)
-        if not 2 <= samples <= paths.MAX_SAMPLES:
-            raise BadInput(f"samples must lie in [2, {paths.MAX_SAMPLES}]")
-        return paths.rotation_path(n, a0, a1, samples)
+        return paths.rotation_path(n, *_rotation_fields(spec, n))
     if kind == "graph_polynomial":
         return graph_path(_polynomial_family(spec.get("coefficients", []), n))
     raise BadInput(f"unrecognized Lagrangian path kind: {kind!r}")
@@ -155,6 +182,51 @@ def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
     if kind == "shear":
         return shear_path(_polynomial_family(spec.get("coefficients", []), n))
     raise BadInput(f"unrecognized symplectic path kind: {kind!r}")
+
+
+def _lagrangian_lift(spec, n) -> paths.LiftedPath | paths.LagrangianPath:
+    """The lift of a rotation or graph_polynomial path, whose change of arg
+    det w is known in closed form from its two ends; any other path as
+    ``parse_lagrangian_path`` reads it, for ``lift_path``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind == "rotation":
+        a0, a1, _ = _rotation_fields(spec, n)
+        # checked before the end frames, which an infinite sweep makes NaN
+        dtheta = scalar(2 * (a1 - a0), "the rotation's phase change 2 (alpha_end - alpha_start)")
+        frames = lagrangian.unitary_frames(paths.rotation_unitaries(n, a0, a1, ENDS))
+        return paths.LiftedPath.from_phase_change(frames, TOL_SYM, dtheta)
+    if kind == "graph_polynomial":
+        ends = _polynomial_ends(_polynomial(spec.get("coefficients", []), n)).matrices
+        frames = lagrangian.graph_frames(ends)
+        return paths.LiftedPath.from_phase_change(frames, TOL_SYM, graph_phase_change(ends))
+    return parse_lagrangian_path(spec, n)
+
+
+def _symplectic_lift(spec, plane, n, identity_start, tol_rank):
+    """(lift, ell) for a symplectic path and the plane it moves, checking
+    that the path starts at the identity when ``identity_start``.  A shear
+    t -> [[I, 0], [A(t), I]] moves a plane ell = [X; P] with X invertible
+    along the graphs of A(t) + P X^-1, whose lift is a closed form; any other
+    path, or a shear of a plane that is not a graph over X, gives the induced
+    path for ``lift_path``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind != "shear":
+        sig = parse_symplectic_path(spec, n)
+        ell = parse_plane(plane, n)
+        if identity_start:
+            paths.check_identity_start(sig.start())
+        return paths.induced_path(sig, ell), ell
+    A = _polynomial(spec.get("coefficients", []), n)
+    ends = _polynomial_ends(A).matrices
+    ell = parse_plane(plane, n)
+    S = _shear(ends)
+    if identity_start:
+        paths.check_identity_start(S[0])
+    B = lagrangian.graph_matrix(ell, tol_rank)
+    if B is None:
+        return paths.induced_path(shear_path(SymmetricFamily.from_function(A)), ell), ell
+    frames, tol = lagrangian.transport_frames(S, ell.frame, ell.tol)
+    return paths.LiftedPath.from_phase_change(frames, tol, graph_phase_change(ends + B)), ell
 
 
 def _lift_from_spec(spec, n) -> leray.LagrangianLift:
@@ -196,18 +268,18 @@ def compute_report(
     report: dict = {"index": kind, "n": n}
 
     if kind in PATH_KINDS:
-        # every path index is read off one lift of the (induced) path
+        # every path index is read off one lift: a closed form where the
+        # path's phase change is known, else a lift of the (induced) path
         if kind in ("symplectic", "mu-ell"):
-            sig = parse_symplectic_path(job.get("path"), n)
-            ell = parse_plane(job.get("plane"), n)
-            if kind == "mu-ell":
-                paths.check_identity_start(sig)
-            lam = paths.induced_path(sig, ell)
+            lifted, ell = _symplectic_lift(
+                job.get("path"), job.get("plane"), n, kind == "mu-ell", tol_rank
+            )
         else:
-            lam = parse_lagrangian_path(job.get("path"), n)
+            lifted = _lagrangian_lift(job.get("path"), n)
             if kind != "keller-maslov":
                 ell = parse_plane(job.get("plane"), n)
-        lifted = paths.lift_path(lam, max_depth=max_depth)
+        if isinstance(lifted, paths.LagrangianPath):
+            lifted = paths.lift_path(lifted, max_depth=max_depth)
         if kind == "keller-maslov":
             value = lifted.keller_maslov(tol_round)
         elif kind == "mu-ell":
@@ -252,8 +324,7 @@ def compute_report(
             raise BadInput(
                 'spectral-flow needs {"family": {"coefficients": [A0, A1, ...]}}'
             )
-        fam = _polynomial_family(coeffs, n)
-        report["value"] = spectral_flow(fam, tol_sig)
+        report["value"] = spectral_flow(_polynomial_ends(_polynomial(coeffs, n)), tol_sig)
 
     report["inputs"] = job
     report["tolerances"] = {

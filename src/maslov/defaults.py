@@ -7,6 +7,8 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
 
     kind            function                    constant
     caller arrays   errors.numeric_array        (none: numbers only)
+    caller scalars  errors.scalar               (none: finite int or float)
+    sample count    paths.sample_count          paths.MAX_SAMPLES
     frame           lagrangian.check_frames     the frame's tol, TOL_SYM
     symmetric       lagrangian.is_symmetric     TOL_SYM, relative
     symplectic      symplectic.is_symplectic    TOL_SYMPLECTIC, relative

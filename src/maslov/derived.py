@@ -20,7 +20,7 @@ from .lagrangian import (
     is_symmetric,
 )
 from .leray import LagrangianLift
-from .paths import LagrangianPath, SymplecticPath, _mapped, _sampled, mu_lagrangian
+from .paths import LagrangianPath, SymplecticPath, _mapped, _sampled, mu_lagrangian, sample_count
 from .signature import kashiwara_tau, sign_counts
 
 
@@ -46,9 +46,9 @@ class SymmetricFamily:
 
     @classmethod
     def from_function(cls, fn, samples: int = 33) -> "SymmetricFamily":
-        """The family sampled at ``samples`` equally spaced times by one
-        call of fn, a generator ts -> (len(ts), n, n)."""
-        ts = np.linspace(0.0, 1.0, samples)
+        """The family sampled at ``samples`` (``paths.sample_count``) equally
+        spaced times by one call of fn, a generator ts -> (len(ts), n, n)."""
+        ts = np.linspace(0.0, 1.0, sample_count(samples))
         return cls(tuple(ts), fn(ts), fn)
 
     @classmethod
@@ -95,6 +95,21 @@ def spectral_flow(family: SymmetricFamily, tol_sig: float = TOL_SIG_BASE) -> int
     return matrix_signature(family.matrices[-1], tol_sig) - matrix_signature(
         family.matrices[0], tol_sig
     )
+
+
+def graph_phase_change(ends: np.ndarray) -> float:
+    """The change of arg det w along the graph path of any continuous family
+    of symmetric matrices from ends[0] to ends[1] (a (2, n, n) stack):
+
+        2 sum_k (arctan lambda_k(ends[1]) - arctan lambda_k(ends[0])).
+
+    Arnold's det^2 formula read on graphs: the w of the graph of A has the
+    eigenvalues ((lambda - i) / |lambda - i|)^2, so sum_k (2 arctan
+    lambda_k(t) - pi) is a continuous argument of det w(t).  The eigenvalues
+    move continuously and the summand has no branch cut on the real line,
+    so only the ends matter (two ``eigvalsh`` calls in one batch)."""
+    angles = np.arctan(np.linalg.eigvalsh(ends))
+    return 2 * float((angles[1] - angles[0]).sum())
 
 
 def graph_path(family: SymmetricFamily) -> LagrangianPath:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the one intake rule for
-arrays that come in from callers.
+"""Exception types shared across the package, and the one intake rule each
+for arrays and for scalars that come in from callers.
 
 Every error carries a machine-readable ``code`` so the CLI can map failures
 to exit codes without string matching.
 """
+
+import math
 
 import numpy as np
 
@@ -48,3 +50,20 @@ def numeric_array(data, what: str, dtype=float) -> np.ndarray:
         return arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"{what}: not a numeric array ({exc})")
+
+
+def scalar(x, what: str, integer: bool = False):
+    """``x`` by the one intake rule for caller scalars: a plain Python int or
+    float (numpy's float64 is a float), not a bool, and finite; an int when
+    ``integer``.  Strings, arrays, numpy integers and the rest raise
+    BadInput naming ``what``.  ``x`` is returned unchanged."""
+    kinds = int if integer else (int, float)
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        raise BadInput(f"{what} must be an int" + ("" if integer else " or a float"))
+    try:
+        finite = integer or math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise BadInput(f"{what} must be finite")
+    return x

@@ -121,6 +121,23 @@ def graph_frames(A: np.ndarray) -> np.ndarray:
     return np.concatenate((X, A @ X), axis=-2)
 
 
+def graph_matrix(ell: LagrangianFrame, tol_rank: float) -> np.ndarray | None:
+    """The symmetric B = P X^-1 with ell = {(x, Bx)}, when the X block of
+    ell's frame is invertible by the ``corank`` rule at tol_rank; None when
+    X is singular or inside the rule's ambiguity band."""
+    n = ell.n
+    X, P = ell.frame[:n], ell.frame[n:]
+    try:
+        k, _ = corank(X, tol_rank, "the X block of a plane")
+    except IllConditioned:
+        return None
+    if k:
+        return None
+    # B X = P, solved as X^T B^T = P^T; B is symmetric since X^T P is
+    B = np.linalg.solve(X.T, P.T).T
+    return (B + B.T) / 2
+
+
 def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
     """Frame of the plane u X* for unitary u (so that P - iX = u)."""
     return LagrangianFrame(unitary_frames(u))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
-from .errors import BadInput, IllConditioned
+from .errors import BadInput, IllConditioned, scalar
 from .lagrangian import LagrangianFrame, _scalar_frame, companion_phase, corank, souriau_w
 
 
@@ -40,14 +40,14 @@ class LagrangianLift:
     checked by |det w - e^{i theta}| <= max(TOL_PHASE, n * B): for the
     frame's defect E, to first order | |det w| - 1 | = |tr E| <= n frame.tol,
     well inside.  It is never narrower than TOL_PHASE, the former fixed
-    bound.  theta must be an int or a float (not a bool)."""
+    bound.  theta must pass the scalar intake rule ``errors.scalar``: a
+    finite int or float, not a bool."""
 
     frame: LagrangianFrame
     theta: float
 
     def __post_init__(self):
-        if isinstance(self.theta, bool) or not isinstance(self.theta, (float, int)):
-            raise BadInput("theta must be an int or a float")
+        scalar(self.theta, "theta")
         ell = self.frame
         n = ell.n
         bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
@@ -115,7 +115,12 @@ def mu_bar(
 
 def nearest_integer(value: float, tol_round: float, error: type, message: str) -> int:
     """The one rounding rule: the integer nearest value, which must lie
-    within tol_round of it, or error(message.format(residual)) is raised."""
+    within tol_round of it, or error(message.format(residual)) is raised.
+    A value whose float spacing exceeds tol_round raises error too: its
+    residual cannot show, and the rounding error of the phases it comes
+    from is of that spacing, so it may be whole integers off."""
+    if math.ulp(value) > tol_round:
+        raise error(f"value {value:.6g} is too large to round within tol_round")
     k = round(value)
     if abs(value - k) > tol_round:
         raise error(message.format(abs(value - k)))

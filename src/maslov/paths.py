@@ -12,6 +12,11 @@ level sends all its pending midpoints to one generator call, in chunks of
 at most LEVEL_CHUNK_BYTES of frames.  Sampled-only paths that violate the
 step bound fail loudly (UNDERSAMPLED) instead of interpolating:
 interpolation between Lagrangian frames is not canonical.
+
+Where the change of arg det w along a path is known in closed form from its
+two ends (a graph, shear or rotation path of the command line), the path is
+not sampled at all: ``LiftedPath.from_phase_change`` builds its lift from the
+two end frames and that change.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .defaults import PLANE_MATCH_TOL, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
-from .errors import BadInput, Undersampled, numeric_array
+from .errors import BadInput, Undersampled, numeric_array, scalar
 from .lagrangian import (
     LagrangianFrame,
     check_frames,
@@ -49,6 +54,14 @@ MAX_REFINE_DEPTH = 40
 #: byte budget of the frames one generator call returns during refinement;
 #: a level with more pending midpoints is evaluated in chunks
 LEVEL_CHUNK_BYTES = 1 << 22
+
+
+def sample_count(samples) -> int:
+    """The one rule for a caller's sample count: an int by the scalar intake
+    rule, in [2, MAX_SAMPLES]."""
+    if not 2 <= scalar(samples, "samples", integer=True) <= MAX_SAMPLES:
+        raise BadInput(f"samples must lie in [2, {MAX_SAMPLES}]")
+    return samples
 
 
 def _sampled(path, field: str, layout: str, shape_ok: Callable[[int, int], bool]) -> np.ndarray:
@@ -244,6 +257,24 @@ class LiftedPath:
     end: LagrangianLift
     sample_count: int
 
+    @classmethod
+    def from_phase_change(cls, frames: np.ndarray, tol, dtheta: float) -> "LiftedPath":
+        """The lift of a path from the plane of frames[0] to that of
+        frames[1] along which arg det w changes by dtheta, known in closed
+        form, so nothing between the ends is evaluated: sample_count is 2.
+
+        ``frames`` is a (2, 2n, n) stack, each frame validated by
+        ``LagrangianFrame`` at its tol (a float or one per frame); dtheta
+        must pass the scalar intake rule.  theta starts at the principal
+        argument, as ``lift_path``'s does, and the end lift's theta check,
+        |det w - e^{i theta}| within its bound, is the closed form's check
+        modulo 2 pi."""
+        scalar(dtheta, "phase change")
+        tol = np.broadcast_to(tol, 2)
+        ends = [LagrangianFrame(F, float(t)) for F, t in zip(frames, tol)]
+        theta0 = float(det_phase(frames)[0])
+        return cls(LagrangianLift(ends[0], theta0), LagrangianLift(ends[1], theta0 + dtheta), 2)
+
     def winding(self) -> float:
         return (self.end.theta - self.start.theta) / (2 * math.pi)
 
@@ -292,7 +323,8 @@ def lift_path(
     """Phase unwrapping of det w along the path.
 
     theta(0) is the principal argument plus 2 pi * branch (or the explicit
-    theta_start, which the start lift checks is an argument of det w(0)).
+    theta_start, which the start lift checks is an argument of det w(0));
+    both go through the scalar intake rule, branch as an int.
     Each step uses nearest-argument continuation and must stay below pi/2.
     The samples are reduced to their ``det_phase`` in one batch.  Without
     a generator the steps are wrapped and tested as one vector.  With one,
@@ -311,8 +343,11 @@ def lift_path(
     obtained by transporting with a badly conditioned symplectic matrix
     are the typical offenders; sample those proportionally to cond(S).
     """
+    scalar(branch, "branch", integer=True)
+    if theta_start is not None:
+        theta_start = float(scalar(theta_start, "theta_start"))
     angs = det_phase(lam.frames)
-    theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else float(theta_start)
+    theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else theta_start
     if lam.generator is None:
         steps = _wrap(np.diff(angs))
         bad = np.flatnonzero(~_step_ok(steps))
@@ -436,9 +471,9 @@ def mu_symplectic(
     return mu_lagrangian(induced_path(sig, ell), ell, tol_round)
 
 
-def check_identity_start(sig: SymplecticPath) -> None:
-    """BadInput unless the symplectic path starts at the identity."""
-    if not _matches(sig.start(), np.eye(2 * sig.n)):
+def check_identity_start(start: np.ndarray) -> None:
+    """BadInput unless a symplectic path's start matrix is the identity."""
+    if not _matches(start, np.eye(len(start))):
         raise BadInput("this index requires a path starting at the identity")
 
 
@@ -448,7 +483,7 @@ def mu_ell(
     tol_round: float = TOL_ROUND,
 ) -> int:
     """Index of a symplectic path from the identity, relative to ell."""
-    check_identity_start(sig)
+    check_identity_start(sig.start())
     return lift_path(induced_path(sig, ell)).mu_ell(tol_round)
 
 
@@ -460,8 +495,9 @@ def path_from_unitary_family(
     fn: Callable[[np.ndarray], np.ndarray], samples: int = 33
 ) -> LagrangianPath:
     """Path of planes u(t) X* for a continuous family of unitaries, given as
-    fn mapping a 1-d array ts of times to the (len(ts), n, n) stack u(ts)."""
-    grid = np.linspace(0.0, 1.0, samples)
+    fn mapping a 1-d array ts of times to the (len(ts), n, n) stack u(ts),
+    sampled at ``samples`` (``sample_count``) equally spaced times."""
+    grid = np.linspace(0.0, 1.0, sample_count(samples))
     gen = lambda ts: (unitary_frames(fn(ts)), TOL_SYM)
     return LagrangianPath(tuple(grid), unitary_frames(fn(grid)), gen)
 
@@ -479,22 +515,31 @@ def rotation_path(
     whole turns past the midpoint guard.  The grid therefore has at least
     floor(2 |alpha_end - alpha_start| / MAX_PHASE_STEP) + 2 samples, which
     keeps every step below MAX_PHASE_STEP; a sweep needing more than
-    MAX_SAMPLES raises Undersampled before anything is allocated.
+    MAX_SAMPLES raises Undersampled before anything is allocated.  n and
+    samples are ints and the angles numbers, by the scalar intake rule.
     """
+    if scalar(n, "n", integer=True) < 1:
+        raise BadInput("n must be >= 1")
+    scalar(alpha_start, "alpha_start")
+    scalar(alpha_end, "alpha_end")
+    sample_count(samples)
     ratio = 2 * abs(alpha_end - alpha_start) / MAX_PHASE_STEP
     # a float comparison, so an infinite (or NaN) count fails it too
     if not ratio + 2 <= MAX_SAMPLES:
         raise Undersampled("rotation sweep needs more than MAX_SAMPLES samples")
     samples = max(samples, math.floor(ratio) + 2)
-
-    def u(ts: np.ndarray) -> np.ndarray:
-        alpha = alpha_start + (alpha_end - alpha_start) * ts
-        out = np.zeros((len(ts), n, n), dtype=complex)
-        out[:, range(n), range(n)] = 1.0
-        out[:, 0, 0] = np.exp(1j * alpha)
-        return out
-
+    u = lambda ts: rotation_unitaries(n, alpha_start, alpha_end, ts)
     return path_from_unitary_family(u, samples)
+
+
+def rotation_unitaries(n: int, alpha_start: float, alpha_end: float, ts: np.ndarray) -> np.ndarray:
+    """The (len(ts), n, n) stack diag(e^{i alpha(t)}, 1, ..., 1) of the
+    rotation sweep alpha(t) = alpha_start + (alpha_end - alpha_start) t."""
+    alpha = alpha_start + (alpha_end - alpha_start) * ts
+    out = np.zeros((len(ts), n, n), dtype=complex)
+    out[:, range(n), range(n)] = 1.0
+    out[:, 0, 0] = np.exp(1j * alpha)
+    return out
 
 
 def unitary_log_principal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +57,8 @@ def test_lagrangian_loop_job(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["value"] == 2
-    assert report["samples"] >= 33
+    # the closed-form lift evaluates the rotation at its two ends only
+    assert report["samples"] == 2
     assert "start" in report["lifts"] and "end" in report["lifts"]
 
 
@@ -324,20 +326,29 @@ def test_non_finite_entries_exit_code(name, tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
+#: a plane whose X block diag(1, 0) is singular, so a shear of it is lifted
+#: by bisection, not in closed form
+SINGULAR_X_PLANE = {"frame": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]}
+
+
 def test_refine_depth_flag(tmp_path, capsys):
-    # the graph path of A(t) = 160 t - 47 crosses 0 fast: the steps of the
-    # 33-sample grid near the crossing exceed pi/2 and need three bisection
-    # levels to resolve (a rotation grid is fine enough to need none)
+    # the shear by A(t) = diag(160 t - 47, 0) moves the plane along the graph
+    # of 160 t - 47 in its first coordinate, which crosses 0 fast: the steps
+    # of the 33-sample grid near the crossing exceed pi/2 and need three
+    # bisection levels to resolve (graph, rotation and shear paths of planes
+    # with an invertible X have closed-form lifts and need none)
+    A0, A1 = [[-47.0, 0.0], [0.0, 0.0]], [[160.0, 0.0], [0.0, 0.0]]
     job = {
-        "n": 1,
-        "index": "lagrangian",
-        "path": {"kind": "graph_polynomial", "coefficients": [[[-47.0]], [[160.0]]]},
-        "plane": {"graph": [[0.3]]},
+        "n": 2,
+        "index": "symplectic",
+        "path": {"kind": "shear", "coefficients": [A0, A1]},
+        "plane": SINGULAR_X_PLANE,
     }
     path = write_job(tmp_path, "j.json", job)
     code, out, _ = run(["compute", "--input", path], capsys)
     assert code == 0
     value = json.loads(out)["value"]
+    assert value == 2 and json.loads(out)["samples"] > 33
     code, _, err = run(["compute", "--input", path, "--refine-depth", "1"], capsys)
     assert code == 3 and json.loads(err)["error"]["code"] == "UNDERSAMPLED"
     with pytest.raises(Undersampled):
@@ -358,12 +369,26 @@ def test_coarse_rotation_grid_is_refined():
 
 @pytest.mark.parametrize("alpha_end", [1e7, 1e308])
 def test_rotation_sweep_beyond_the_sample_cap_fails_loudly(alpha_end):
-    # a 0 -> 1e7 sweep on two samples gave -10 (right: about 2e7 / pi); it
-    # needs more than MAX_SAMPLES samples, and 1e308 overflows the count
+    # a 0 -> 1e7 sweep on two samples gave -10 when it was sampled; a grid
+    # fine enough needs more than MAX_SAMPLES samples, and 1e308 overflows
+    # the count, so the library's sampled rotation path refuses both
+    with pytest.raises(Undersampled, match="MAX_SAMPLES"):
+        paths.rotation_path(1, 0.0, alpha_end, 2)
     path = {"kind": "rotation", "alpha_start": 0.0, "alpha_end": alpha_end, "samples": 2}
     job = {"n": 1, "index": "lagrangian", "path": path, "plane": {"graph": [[0.3]]}}
-    with pytest.raises(Undersampled):
-        cli.compute_report(job)
+    # the command line's closed-form lift gives the right integer for 1e7
+    # (about 2e7 / pi; tests/test_closed_form.py checks sweeps like it in
+    # 50 digits); for 1e308 the phase change 2 (alpha_end - alpha_start)
+    # overflows, which is a loud BadInput raised before any exp, so no
+    # RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if alpha_end == 1e7:
+            report = cli.compute_report(job)
+            assert report["value"] == 6366198 and report["samples"] == 2
+        else:
+            with pytest.raises(BadInput, match="phase change"):
+                cli.compute_report(job)
 
 
 @pytest.mark.parametrize(
@@ -502,8 +527,9 @@ LIFT_ONCE_JOBS = {
 
 @pytest.mark.parametrize("index", sorted(LIFT_ONCE_JOBS))
 def test_path_report_lifts_once(index, monkeypatch):
-    # the value and the report's samples/lifts come from one lift
-    calls = {"lift_path": 0, "induced_path": 0}
+    # the value and the report's samples/lifts come from one closed-form
+    # lift of the two ends: no sampled path is built or lifted
+    calls = {"lift_path": 0, "induced_path": 0, "from_phase_change": 0}
 
     def counted(name):
         original = getattr(paths, name)
@@ -516,10 +542,17 @@ def test_path_report_lifts_once(index, monkeypatch):
 
     counted("lift_path")
     counted("induced_path")
+    original = paths.LiftedPath.from_phase_change
+
+    def counted_closed_form(*args):
+        calls["from_phase_change"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(paths.LiftedPath, "from_phase_change", counted_closed_form)
     job = dict({"plane": "coordinate_x"}, **LIFT_ONCE_JOBS[index], n=1, index=index)
     report = cli.compute_report(job, defaults.TOL_ROUND)
-    assert report["samples"] >= 33
-    assert calls["lift_path"] == 1 and calls["induced_path"] <= 1
+    assert report["samples"] == 2
+    assert calls == {"lift_path": 0, "induced_path": 0, "from_phase_change": 1}
 
 
 #: every check of `maslov verify --n-max 1` and its instance count

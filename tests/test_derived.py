@@ -70,14 +70,11 @@ def test_symmetric_family_rejects_non_matrices(matrices):
         SymmetricFamily((0.0, 1.0), matrices)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="an eigenvalue crossing zero between two samples fools the midpoint guard",
-)
 def test_graph_polynomial_index_matches_spectral_flow_on_a_fast_crossing():
     # the large eigenvalue of (1 - 3t) A passes 0 at t = 1/3, between the
-    # samples 10/32 and 11/32; the graph-path index against X is the
-    # spectral flow sign A(1) - sign A(0) = -4, the lift gives -2
+    # samples 10/32 and 11/32, which fooled the midpoint guard of the
+    # bisected lift (-2); the closed-form lift gives the graph-path index
+    # against X, the spectral flow sign A(1) - sign A(0) = -4
     A = np.array([[1000.0, 1000.0], [1000.0, 1001.0]])
     family = {"coefficients": [A.tolist(), (-3 * A).tolist()]}
     flow = cli.compute_report({"n": 2, "index": "spectral-flow", "family": family})

@@ -337,16 +337,22 @@ def test_one_generator_call_per_level(kind, n, monkeypatch):
         path = {"kind": kind, "coefficients": _bent_quadratic(rng, n)}
         index = "lagrangian" if kind == "graph_polynomial" else "symplectic"
         job = {"n": n, "index": index, "path": path, "plane": "coordinate_x"}
-        if kind == "shear":
-            lam = induced_path(cli.parse_symplectic_path(path, n), coordinate_x(n))
-        else:
-            lam = cli.parse_lagrangian_path(path, n)
-        _, count, levels = _reference_descend(lam)
+
+        def parsed():
+            if kind == "shear":
+                return induced_path(cli.parse_symplectic_path(path, n), coordinate_x(n))
+            return cli.parse_lagrangian_path(path, n)
+
+        _, count, levels = _reference_descend(parsed())
         calls = _count_generator_calls(monkeypatch)
+        lifted = lift_path(parsed())
+        assert lifted.sample_count == count
+        assert len(calls) == levels and calls[0] == 32
+        # the command line lifts these jobs in closed form: no generator call
+        calls.clear()
         report = cli.compute_report(job)
         monkeypatch.undo()
-        assert report["samples"] == count
-        assert len(calls) == levels and calls[0] == len(lam.times) - 1 == 32
+        assert calls == [] and report["samples"] == 2
 
 
 def test_runaway_refinement_stays_in_the_chunk_budget(monkeypatch):
@@ -547,6 +553,47 @@ def test_dimension_mismatch_is_bad_input(name):
     # endpoint to a 2 x 2 family whose graph path had an index
     with pytest.raises(BadInput):
         DIMENSION_MISMATCHES[name]()
+
+
+def _unit_family(ts):
+    return np.ones((len(ts), 1, 1))
+
+
+def _unit_unitaries(ts):
+    return np.ones((len(ts), 1, 1), dtype=complex)
+
+
+#: caller scalars outside the rule (a finite int or float, not a bool; an
+#: int for counts, n and branch)
+BAD_SCALARS = {
+    # lifted from 0 through float("0.0")
+    "lift-theta-start-string": lambda: lift_path(rotation_path(1, 0.0, 1.0), theta_start="0.0"),
+    "lift-theta-start-nan": lambda: lift_path(rotation_path(1, 0.0, 1.0), theta_start=math.nan),
+    "lift-branch-float": lambda: lift_path(rotation_path(1, 0.0, 1.0), branch=0.5),
+    "lift-branch-bool": lambda: lift_path(rotation_path(1, 0.0, 1.0), branch=True),
+    # TypeError from alpha_end - alpha_start
+    "rotation-alpha-start-string": lambda: rotation_path(1, "0", 1.0),
+    "rotation-alpha-end-inf": lambda: rotation_path(1, 0.0, math.inf),
+    "rotation-n-float": lambda: rotation_path(1.0, 0.0, 1.0),
+    "rotation-n-zero": lambda: rotation_path(0, 0.0, 1.0),
+    "rotation-samples-float": lambda: rotation_path(1, 0.0, 1.0, 33.0),
+    "rotation-samples-numpy": lambda: rotation_path(1, 0.0, 1.0, np.int64(33)),
+    "unitary-family-samples-bool": lambda: paths.path_from_unitary_family(_unit_unitaries, True),
+    "unitary-family-samples-over-cap": lambda: paths.path_from_unitary_family(
+        _unit_unitaries, paths.MAX_SAMPLES + 1
+    ),
+    "family-samples-string": lambda: SymmetricFamily.from_function(_unit_family, "33"),
+    "family-samples-one": lambda: SymmetricFamily.from_function(_unit_family, 1),
+    "phase-change-nan": lambda: paths.LiftedPath.from_phase_change(
+        np.stack([coordinate_x(1).frame] * 2), TOL_SYM, math.nan
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCALARS))
+def test_caller_scalars_are_bad_input(name):
+    with pytest.raises(BadInput):
+        BAD_SCALARS[name]()
 
 
 def test_change_of_reference(rng):

@@ -19,8 +19,13 @@ PYTHONPATH:
 
 A tree's root is written as ``<root>`` in what it prints, so the two trees'
 tracebacks compare too.  The script prints the number of records, the first
-record that differs, and the number that differ, and exits 1 on any
-difference.
+record that differs, and the number that differ.  For each differing job
+record it then prints the JSON paths of the report that differ, with the
+largest |change| on numeric leaves (or both outcomes when either side of an
+in-process job is an error; a cli-cold record's paths are ``exit``,
+``stderr`` and ``stdout.`` followed by the report's), and last a summary
+over those records: each differing path, the records it differs in and its
+largest |change|.  It exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -120,6 +125,65 @@ def outcomes(root: Path, jobs: list, scratch: Path) -> dict:
     return records
 
 
+def leaf_changes(a, b, path: str = "") -> list[tuple[str, float | None]]:
+    """(path, |b - a|) of every leaf where two decoded JSON values differ,
+    the change None where either leaf is not a number (or a key or list
+    entry exists on one side only)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            out += leaf_changes(a[key], b[key], sub) if key in a and key in b else [(sub, None)]
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [c for i, (x, y) in enumerate(zip(a, b)) for c in leaf_changes(x, y, f"{path}[{i}]")]
+    if type(a) is type(b) and a == b:
+        return []
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    return [(path or "<report>", abs(b - a) if numeric else None)]
+
+
+def _report(record):
+    """A record decoded: an in-process report, or a cli-cold record with
+    its stdout decoded when that is a report; None for an error."""
+    try:
+        report = json.loads(record)
+    except (TypeError, ValueError):  # an error's "CODE: message", or missing
+        return None
+    if not isinstance(report, dict):
+        return None
+    if "stdout" in report:
+        try:
+            report["stdout"] = json.loads(report["stdout"])
+        except ValueError:
+            pass
+    return report
+
+
+def describe_changes(tags: list, before: dict, after: dict) -> None:
+    """Print each differing job record's changed report paths and a summary
+    of them over all those records."""
+    summary: dict = {}
+    for tag in tags:
+        old, new = _report(before.get(tag)), _report(after.get(tag))
+        if old is None or new is None:
+            print(f"  {tag}: outcome {before.get(tag)!r} -> {after.get(tag)!r}")
+            summary.setdefault("<outcome>", [0, None])[0] += 1
+            continue
+        parts = []
+        for path, change in leaf_changes(old, new):
+            parts.append(path if change is None else f"{path} |d| {change:.3g}")
+            entry = summary.setdefault(path, [0, None])
+            entry[0] += 1
+            if change is not None:
+                entry[1] = max(change, entry[1] or 0.0)
+        print(f"  {tag}: " + "; ".join(parts))
+    print(f"differing paths over {len(tags)} job records:")
+    for path, (count, largest) in sorted(summary.items()):
+        size = "" if largest is None else f", largest |d| {largest:.3g}"
+        print(f"  {path}: {count} records{size}")
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         sys.stderr.write(__doc__)
@@ -139,6 +203,10 @@ def main(argv) -> int:
         tag = differing[0]
         print(f"first difference: {tag}\n  parent: {before.get(tag)}\n  change: {after.get(tag)}")
         print(f"{len(differing)} records differ")
+        job_tags = {tag for _, tag, _ in jobs}
+        changed = [tag for tag in differing if tag in job_tags]
+        if changed:
+            describe_changes(changed, before, after)
         return 1
     print("no differences")
     return 0
