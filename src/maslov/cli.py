@@ -111,7 +111,7 @@ def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
 def _polynomial(coefficients, n):
     """The family ts -> A(ts) = sum_k c_k t^k, as a (len(ts), n, n) stack,
     of a job's list of symmetric n x n coefficients c_k, read and checked
-    here."""
+    here: each is read by ``_matrix``, and their stack by ``is_symmetric``."""
     if not isinstance(coefficients, (list, tuple)):
         raise BadInput("polynomial coefficients: expected a list of matrices")
     coeffs = [
@@ -120,9 +120,9 @@ def _polynomial(coefficients, n):
     ]
     if not coeffs:
         raise BadInput("graph_polynomial needs at least one coefficient")
-    for i, c in enumerate(coeffs):
-        if not lagrangian.is_symmetric(c):
-            raise BadInput(f"polynomial coefficient {i} is not symmetric")
+    if not lagrangian.is_symmetric(np.array(coeffs)):
+        i = next(i for i, c in enumerate(coeffs) if not lagrangian.is_symmetric(c))
+        raise BadInput(f"polynomial coefficient {i} is not symmetric")
 
     def A(ts: np.ndarray) -> np.ndarray:
         # t**k by Python's scalar power, the value of A at a single t;
@@ -140,10 +140,13 @@ def _polynomial_family(coefficients, n) -> SymmetricFamily:
     return SymmetricFamily.from_function(_polynomial(coefficients, n))
 
 
-def _polynomial_ends(A) -> SymmetricFamily:
-    """A polynomial family at t = 0 and 1 only, by the same evaluation and
-    checks as at every sample."""
-    return SymmetricFamily((0.0, 1.0), A(ENDS))
+def _polynomial_ends(A) -> np.ndarray:
+    """A(0) and A(1) of a polynomial family; A(ts) is symmetrised, so the
+    symmetric rule would fail only a non-finite end."""
+    ends = A(ENDS)
+    if not np.isfinite(ends).all():
+        raise BadInput("family matrix is not symmetric")
+    return ends
 
 
 def _rotation_fields(spec, n) -> tuple[float, float, int]:
@@ -196,7 +199,7 @@ def _lagrangian_lift(spec, n) -> paths.LiftedPath | paths.LagrangianPath:
         frames = lagrangian.unitary_frames(paths.rotation_unitaries(n, a0, a1, ENDS))
         return paths.LiftedPath.from_phase_change(frames, TOL_SYM, dtheta)
     if kind == "graph_polynomial":
-        ends = _polynomial_ends(_polynomial(spec.get("coefficients", []), n)).matrices
+        ends = _polynomial_ends(_polynomial(spec.get("coefficients", []), n))
         frames = lagrangian.graph_frames(ends)
         return paths.LiftedPath.from_phase_change(frames, TOL_SYM, graph_phase_change(ends))
     return parse_lagrangian_path(spec, n)
@@ -217,7 +220,7 @@ def _symplectic_lift(spec, plane, n, identity_start, tol_rank):
             paths.check_identity_start(sig.start())
         return paths.induced_path(sig, ell), ell
     A = _polynomial(spec.get("coefficients", []), n)
-    ends = _polynomial_ends(A).matrices
+    ends = _polynomial_ends(A)
     ell = parse_plane(plane, n)
     S = _shear(ends)
     if identity_start:
@@ -324,7 +327,8 @@ def compute_report(
             raise BadInput(
                 'spectral-flow needs {"family": {"coefficients": [A0, A1, ...]}}'
             )
-        report["value"] = spectral_flow(_polynomial_ends(_polynomial(coeffs, n)), tol_sig)
+        ends = _polynomial_ends(_polynomial(coeffs, n))
+        report["value"] = spectral_flow(SymmetricFamily((0.0, 1.0), ends), tol_sig)
 
     report["inputs"] = job
     report["tolerances"] = {
@@ -380,9 +384,11 @@ def cmd_compute(args) -> int:
     if args.index is not None and isinstance(job, dict):
         job = dict(job, index=args.index)
     try:
-        report = compute_report(
-            job, args.tol_round, args.refine_depth, args.tol_rank, args.tol_sig
-        )
+        # an overflow reaches a check as inf or NaN, which fails it anyway
+        with np.errstate(all="ignore"):
+            report = compute_report(
+                job, args.tol_round, args.refine_depth, args.tol_rank, args.tol_sig
+            )
     except MaslovError as exc:
         return _fail(exc.code, str(exc))
     try:

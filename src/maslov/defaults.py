@@ -15,7 +15,7 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     w from outside  lagrangian.frame_from_w     TOL_SYM
     corank          lagrangian.corank           TOL_RANK_BASE, AMBIGUITY_DECADE
     signature       signature.sign_counts       TOL_SIG_BASE, AMBIGUITY_DECADE
-    theta           leray.LagrangianLift        TOL_PHASE, scaled by the frame
+    theta           leray.check_theta           TOL_PHASE, scaled by the frame
     rounding        leray.nearest_integer       TOL_ROUND
     matching        paths._matches              PLANE_MATCH_TOL
     phase step      paths._step_ok              paths.MAX_PHASE_STEP
@@ -41,7 +41,7 @@ TOL_ROUND = 1e-6
 PLANE_MATCH_TOL = 1e-8
 
 #: floor of the |det w - e^{i theta}| bound for points of the universal
-#: cover, which otherwise scales with the frame's tol (leray.LagrangianLift)
+#: cover, which otherwise scales with the frame's tol (leray.check_theta)
 TOL_PHASE = 1e-9
 
 #: width (in decades) of the ambiguity band around rank/signature thresholds

@@ -9,7 +9,9 @@ symmetric unitaries and is independent of the orthonormal frame chosen
 (u -> uO leaves u u^t fixed for real orthogonal O).  So the frame alone fixes
 w: the frame computes it on first use, keeps it, and never checks it again,
 since the frame's bound implies it.  The symmetric-unitary rule runs only in
-``frame_from_w``, where a w comes in from outside.
+``frame_from_w``, where a w comes in from outside.  A stack checked by
+``check_frames`` gives its end frames, with their w's, by ``_checked_frames``;
+``coordinate_x(n)`` and ``coordinate_xstar(n)`` are built once per n.
 
 Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 {p = ax} in n = 1 -> (a^2 - 1 - 2ia) / (1 + a^2).
@@ -18,7 +20,7 @@ Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,14 +80,29 @@ def check_frames(F: np.ndarray, tol) -> None:
     raise BadInput("frame columns are not orthonormal")
 
 
+# bounded: a plane and its w take 32 n^2 bytes, 180 MB over all n <= 256
+@lru_cache(maxsize=8)
 def coordinate_x(n: int) -> LagrangianFrame:
     """The plane X (p = 0)."""
     return LagrangianFrame(np.eye(2 * n, n))
 
 
+@lru_cache(maxsize=8)
 def coordinate_xstar(n: int) -> LagrangianFrame:
     """The plane X* (x = 0)."""
     return LagrangianFrame(np.eye(2 * n, n, k=-n))
+
+
+def _checked_frames(frames: np.ndarray, tol, W: np.ndarray) -> list[LagrangianFrame]:
+    """The frames of a stack that ``check_frames`` passed at tol (one per
+    frame), each keeping w = W[k] = u u^t; nothing is checked again.  The
+    caller owns frames and W, which become read-only."""
+    frames.setflags(write=False)
+    W.setflags(write=False)
+    out = [object.__new__(LagrangianFrame) for _ in frames]
+    for ell, F, t, w in zip(out, frames, tol, W):
+        ell.__dict__.update(frame=F, tol=float(t), w=w)  # w: the cached_property's slot
+    return out
 
 
 def is_symmetric(A: np.ndarray) -> bool:

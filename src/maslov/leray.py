@@ -15,7 +15,8 @@ pairs mu_bar = 2m - n for Souriau's integer m.
 A cover point keeps its plane in the one validated form, the frame, and
 reads w from it: the frame computes its w once and never validates it
 again, so a plane lifted, moved by the deck action or compared with other
-planes has one w.
+planes has one w.  A lift takes det w once, and the theta rule
+``check_theta`` reads that det (``_lift`` for a det its caller took).
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ class LagrangianLift:
     theta: float
 
     def __post_init__(self):
-        scalar(self.theta, "theta")
-        ell = self.frame
-        n = ell.n
-        bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
-        if not abs(np.linalg.det(ell.w) - np.exp(1j * self.theta)) <= bound:
-            raise BadInput("theta is not an argument of det w within tolerance")
+        check_theta(self.frame, self.theta, np.linalg.det(self.frame.w))
 
     @property
     def n(self) -> int:
@@ -70,10 +66,29 @@ class DeckAction:
     k: int
 
 
+def check_theta(ell: LagrangianFrame, theta, det_w) -> None:
+    """The one theta rule (see ``LagrangianLift``), on det_w = det ell.w as
+    the caller took it: theta passes ``errors.scalar`` and |det_w - e^{i
+    theta}| <= max(TOL_PHASE, n * B); a NaN distance fails."""
+    scalar(theta, "theta")
+    n = ell.n
+    bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
+    if not abs(det_w - np.exp(1j * theta)) <= bound:
+        raise BadInput("theta is not an argument of det w within tolerance")
+
+
+def _lift(ell: LagrangianFrame, theta: float, det_w) -> LagrangianLift:
+    """LagrangianLift(ell, theta), its theta rule read on the caller's det_w."""
+    check_theta(ell, theta, det_w)
+    lift = object.__new__(LagrangianLift)
+    lift.__dict__.update(frame=ell, theta=theta)
+    return lift
+
+
 def lift_of(ell: LagrangianFrame, k: int = 0) -> LagrangianLift:
     """The lift (ell, arg det w + 2k pi) with the principal argument in (-pi, pi]."""
-    theta0 = float(np.angle(np.linalg.det(souriau_w(ell))))
-    return LagrangianLift(ell, theta0 + 2 * math.pi * k)
+    det_w = np.linalg.det(souriau_w(ell))
+    return _lift(ell, float(np.angle(det_w)) + 2 * math.pi * k, det_w)
 
 
 def deck_apply(g: DeckAction, lift: LagrangianLift) -> LagrangianLift:

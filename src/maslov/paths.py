@@ -17,6 +17,10 @@ Where the change of arg det w along a path is known in closed form from its
 two ends (a graph, shear or rotation path of the command line), the path is
 not sampled at all: ``LiftedPath.from_phase_change`` builds its lift from the
 two end frames and that change.
+
+A lift validates once: ``LagrangianPath`` checks its frames as one stack,
+``lift_path`` and ``from_phase_change`` take u u^t and det of that stack
+once, and the two end lifts reuse its checked frames, w's and dets.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .defaults import PLANE_MATCH_TOL, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
 from .errors import BadInput, Undersampled, numeric_array, scalar
 from .lagrangian import (
     LagrangianFrame,
+    _checked_frames,
+    _uut,
     check_frames,
     det_phase,
     frame_unitary,
@@ -39,7 +45,7 @@ from .lagrangian import (
     transport_frames,
     unitary_frames,
 )
-from .leray import LagrangianLift, lift_of, mu_bar, nearest_integer
+from .leray import LagrangianLift, _lift, lift_of, mu_bar, nearest_integer
 from .symplectic import is_symplectic, omega_matrix
 
 #: step acceptance bound for the determinant phase (margin against aliasing)
@@ -263,17 +269,22 @@ class LiftedPath:
         frames[1] along which arg det w changes by dtheta, known in closed
         form, so nothing between the ends is evaluated: sample_count is 2.
 
-        ``frames`` is a (2, 2n, n) stack, each frame validated by
-        ``LagrangianFrame`` at its tol (a float or one per frame); dtheta
-        must pass the scalar intake rule.  theta starts at the principal
-        argument, as ``lift_path``'s does, and the end lift's theta check,
-        |det w - e^{i theta}| within its bound, is the closed form's check
-        modulo 2 pi."""
+        ``frames`` is a (2, 2n, n) stack, read by the intake rule into a
+        copy and checked by one ``check_frames`` call at tol (a float or
+        one per frame); dtheta must pass the scalar intake rule.  theta
+        starts at the principal argument, as ``lift_path``'s does, and the
+        end lift's theta check, |det w - e^{i theta}| within its bound, is
+        the closed form's check modulo 2 pi."""
         scalar(dtheta, "phase change")
+        frames = np.array(numeric_array(frames, "frames"))
+        if frames.ndim != 3 or frames.shape[:2] != (2, 2 * frames.shape[2]) or not frames.size:
+            raise BadInput("frames must be one (2, 2n, n) stack with n >= 1")
         tol = np.broadcast_to(tol, 2)
-        ends = [LagrangianFrame(F, float(t)) for F, t in zip(frames, tol)]
-        theta0 = float(det_phase(frames)[0])
-        return cls(LagrangianLift(ends[0], theta0), LagrangianLift(ends[1], theta0 + dtheta), 2)
+        check_frames(frames, tol)
+        W = _uut(frames)
+        dets = np.linalg.det(W)
+        theta0 = float(np.angle(dets[0]))
+        return _lifted(frames, tol, W, dets, theta0, theta0 + dtheta, 2)
 
     def winding(self) -> float:
         return (self.end.theta - self.start.theta) / (2 * math.pi)
@@ -304,6 +315,14 @@ class LiftedPath:
         return mu_bar(self.end, self.start, tol_round, tol_rank)
 
 
+def _lifted(frames, tol, W, dets, theta0: float, theta1: float, count: int) -> LiftedPath:
+    """The lift from (frames[0], theta0) to (frames[1], theta1) for a
+    (2, 2n, n) stack checked at tol, one per frame, whose W = u u^t and
+    dets = det W the end lifts keep and read; nothing is checked again."""
+    start, end = _checked_frames(frames, tol, W)
+    return LiftedPath(_lift(start, theta0, dets[0]), _lift(end, theta1, dets[1]), count)
+
+
 def _step_ok(d):
     """The phase-step rule, elementwise: |d| < MAX_PHASE_STEP; NaN fails."""
     return np.abs(d) < MAX_PHASE_STEP
@@ -326,7 +345,8 @@ def lift_path(
     theta_start, which the start lift checks is an argument of det w(0));
     both go through the scalar intake rule, branch as an int.
     Each step uses nearest-argument continuation and must stay below pi/2.
-    The samples are reduced to their ``det_phase`` in one batch.  Without
+    The samples are reduced to u u^t and its det in one batch each (the
+    arguments are their ``det_phase``), which the end lifts reuse.  Without
     a generator the steps are wrapped and tested as one vector.  With one,
     every step is split at its midpoint and accepted only if the split
     reproduces it; steps that fail are bisected breadth-first, up to
@@ -346,7 +366,9 @@ def lift_path(
     scalar(branch, "branch", integer=True)
     if theta_start is not None:
         theta_start = float(scalar(theta_start, "theta_start"))
-    angs = det_phase(lam.frames)
+    W = _uut(lam.frames)
+    dets = np.linalg.det(W)
+    angs = np.angle(dets)
     theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else theta_start
     if lam.generator is None:
         steps = _wrap(np.diff(angs))
@@ -364,10 +386,9 @@ def lift_path(
     theta = theta0
     for d in steps.tolist():
         theta += d
-    start = LagrangianLift(lam.start(), theta0)
-    end = LagrangianLift(lam.end(), theta)
+    e = [0, -1]
     # every step, or half-step, ends at one accepted sample
-    return LiftedPath(start, end, 1 + len(steps))
+    return _lifted(lam.frames[e], lam.tol[e], W[e], dets[e], theta0, theta, 1 + len(steps))
 
 
 def _refine(lam: LagrangianPath, angs: np.ndarray, max_depth: int) -> np.ndarray:

@@ -7,7 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from maslov import BadInput, Undersampled, cli, defaults, lagrangian, paths, signature
+from maslov import (
+    BadInput,
+    Undersampled,
+    cli,
+    defaults,
+    derived,
+    lagrangian,
+    leray,
+    paths,
+    signature,
+    symplectic,
+)
 from maslov.signature import TripleSignature
 
 
@@ -553,6 +564,127 @@ def test_path_report_lifts_once(index, monkeypatch):
     report = cli.compute_report(job, defaults.TOL_ROUND)
     assert report["samples"] == 2
     assert calls == {"lift_path": 0, "induced_path": 0, "from_phase_change": 1}
+
+
+_COEFFICIENTS = [[[1.0, 0.2], [0.2, -1.0]], [[0.5, 0.0], [0.0, 0.5]], [[-2.5, 0.1], [0.1, 1.0]]]
+_POLYNOMIAL = {"kind": "graph_polynomial", "coefficients": _COEFFICIENTS}
+_SHEAR = {"kind": "shear", "coefficients": _COEFFICIENTS}
+_SHEAR_FROM_IDENTITY = dict(_SHEAR, coefficients=[[[0.0, 0.0], [0.0, 0.0]]] + _COEFFICIENTS[1:])
+_ROTATION_LOOP = {"kind": "rotation", "alpha_start": 0.3, "alpha_end": 0.3 + 2 * math.pi}
+
+#: n = 2 path jobs and the calls of the frame rule, u u^t, det and the
+#: symmetric rule each makes once the coordinate planes are cached: one
+#: frame check, u u^t and det for the two ends, one det for lift_of(ell) in
+#: mu_lagrangian, one symmetric check for the coefficients, and one frame
+#: check, u u^t and symmetric check more for a graph plane
+PATH_JOB_CALLS = {
+    "graph-x": (
+        {"index": "lagrangian", "path": _POLYNOMIAL, "plane": "coordinate_x"},
+        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+    ),
+    "graph-graph": (
+        {"index": "lagrangian", "path": _POLYNOMIAL, "plane": {"graph": [[0.3, 0.1], [0.1, -0.5]]}},
+        {"check_frames": 2, "_uut": 2, "det": 2, "is_symmetric": 2},
+    ),
+    "graph-xstar": (
+        {"index": "lagrangian", "path": _POLYNOMIAL, "plane": "coordinate_xstar"},
+        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+    ),
+    "rs": (
+        {"index": "rs", "path": _POLYNOMIAL, "plane": "coordinate_x"},
+        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+    ),
+    "shear": (
+        {"index": "symplectic", "path": _SHEAR, "plane": "coordinate_x"},
+        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+    ),
+    "mu-ell": (
+        {"index": "mu-ell", "path": _SHEAR_FROM_IDENTITY, "plane": "coordinate_x"},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1},
+    ),
+    "rotation": (
+        {"index": "keller-maslov", "path": _ROTATION_LOOP},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_JOB_CALLS))
+def test_path_job_validates_once(name, monkeypatch):
+    # the end frames are checked, multiplied out and reduced to det once,
+    # as one stack, and the coefficients are checked as one stack; no end
+    # lift checks its frame, w or theta's det again
+    job, expected = PATH_JOB_CALLS[name]
+    job = dict(job, n=2)
+    cli.compute_report(job)  # fills the coordinate plane cache
+    calls = dict.fromkeys(expected, 0)
+
+    def count(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("check_frames", "_uut", "is_symmetric"):
+        for module in (cli, derived, lagrangian, leray, paths, signature, symplectic):
+            if hasattr(module, name):
+                count(module, name, name)
+    count(np.linalg, "det", "det")
+    cli.compute_report(job)
+    assert calls == expected
+
+
+def test_boolean_coefficient_stays_bad_input():
+    # each coefficient is read alone by the intake rule, so an all-boolean
+    # one is refused, not read as 1.0 by a batched conversion
+    path = {"kind": "graph_polynomial", "coefficients": [[[1.0]], [[True]]]}
+    job = {"n": 1, "index": "lagrangian", "path": path, "plane": "coordinate_x"}
+    with pytest.raises(BadInput) as excinfo:
+        cli.compute_report(job)
+    assert str(excinfo.value) == "polynomial coefficient 1: entries must be numbers"
+
+
+def test_asymmetric_coefficient_is_named():
+    # one symmetric check on the stack; the first failing coefficient is
+    # named only when it fails
+    asymmetric = [[0.0, 1.0], [0.0, 0.0]]
+    coefficients = [np.eye(2).tolist(), np.eye(2).tolist(), asymmetric, asymmetric]
+    job = {"n": 2, "index": "spectral-flow", "family": {"coefficients": coefficients}}
+    with pytest.raises(BadInput, match="^polynomial coefficient 2 is not symmetric$"):
+        cli.compute_report(job)
+
+
+OVERFLOW_JOBS = {
+    # A(1) = 2e308 overflows, and A(1) - A(1)^T is NaN
+    "spectral-flow": (
+        {"n": 1, "index": "spectral-flow", "family": {"coefficients": [[[1e308]], [[1e308]]]}},
+        "family matrix is not symmetric",
+    ),
+    # graph_frames squares the eigenvalue 2e200
+    "graph-polynomial": (
+        {
+            "n": 1,
+            "index": "lagrangian",
+            "path": {"kind": "graph_polynomial", "coefficients": [[[1e200]], [[1e200]]]},
+            "plane": "coordinate_x",
+        },
+        "frame columns are not orthonormal",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_JOBS))
+def test_overflow_leaves_only_the_payload_on_stderr(name, tmp_path, src_env):
+    # the overflow reaches a check as inf or NaN, which fails it; numpy's
+    # RuntimeWarnings would print before the JSON error
+    job, message = OVERFLOW_JOBS[name]
+    path = write_job(tmp_path, "j.json", job)
+    code, out, err = run_process(["compute", "--input", path], src_env)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": "BAD_INPUT", "message": message}}
 
 
 #: every check of `maslov verify --n-max 1` and its instance count

@@ -117,16 +117,26 @@ LIFT_PATHS = {
 
 @pytest.mark.parametrize("name", sorted(LIFT_PATHS))
 def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
-    # interior samples, given or generated, are reduced to one phase each
-    # (u u^t of a whole stack); only the two end lifts compute a w, one
-    # frame each, in LagrangianLift
+    # the samples are reduced to u u^t (and det) in one batch, and so is
+    # each generator level; the end lifts reuse the two ends' w's and dets
+    # from the sample stack, so no end computes a w of its own or goes
+    # through LagrangianLift's check
     lam = LIFT_PATHS[name]()
-    calls = {"w": 0, "LagrangianLift": 0}
+    levels = []
+    if lam.generator is not None:
+        generator = lam.generator
+
+        def counted_generator(ts):
+            levels.append(len(ts))
+            return generator(ts)
+
+        lam = LagrangianPath(lam.times, lam.frames, counted_generator, lam.tol)
+    calls = {"stacked w": 0, "single w": 0, "LagrangianLift": 0}
     uut = lagrangian._uut
     post_init = LagrangianLift.__post_init__
 
     def counted_uut(F):
-        calls["w"] += F.ndim == 2
+        calls["stacked w" if F.ndim == 3 else "single w"] += 1
         return uut(F)
 
     def counted_post_init(self):
@@ -134,14 +144,81 @@ def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(lagrangian, "_uut", counted_uut)
+    monkeypatch.setattr(paths, "_uut", counted_uut)
     monkeypatch.setattr(LagrangianLift, "__post_init__", counted_post_init)
     lifted = lift_path(lam)
     assert lifted.sample_count >= len(lam.times) > 2
     if lam.generator is not None:
-        assert lifted.sample_count > len(lam.times)
-    assert calls == {"w": 2, "LagrangianLift": 2}
+        assert lifted.sample_count > len(lam.times) and levels
+    assert calls == {"stacked w": 1 + len(levels), "single w": 0, "LagrangianLift": 0}
     assert np.array_equal(lifted.start.w, souriau_w(lam.start()))
     assert np.array_equal(lifted.end.w, souriau_w(lam.end()))
+
+
+def _frame_error(F, n):
+    """The larger of the orthonormality and isotropy defects of [X; P]."""
+    X, P = F[:n], F[n:]
+    orth = np.abs(X.T @ X + P.T @ P - np.eye(n)).max()
+    return max(orth, np.abs(X.T @ P - P.T @ X).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_end_lifts_skip_only_checks_that_would_pass(n, rng):
+    # the end lifts reuse the frames, w's and dets of a stack checked at
+    # one tol per frame; frames pushed to 0.9 of their tol pass the
+    # LagrangianFrame and LagrangianLift checks they skip, with the same w
+    F = random_frame(rng, n).frame
+    tol = np.array([TOL_SYM, 1e-7, 1e-6, TOL_SYM])
+    stack = []
+    for t in tol:
+        D = rng.standard_normal((2 * n, n))
+        # the defect is linear in a perturbation this small
+        G = F + 0.9 * t / _frame_error(F + t * D, n) * t * D
+        assert 0.8 * t < _frame_error(G, n) <= t
+        stack.append(G)
+    stack = np.array(stack)
+    lam = LagrangianPath(tuple(np.linspace(0.0, 1.0, len(tol))), stack, None, tol)
+    closed = paths.LiftedPath.from_phase_change(stack[[0, -1]], tol[[0, -1]], 0.0)
+    for lifted in (lift_path(lam), closed):
+        for k, lift in zip((0, -1), (lifted.start, lifted.end)):
+            frame = LagrangianFrame(stack[k], float(tol[k]))
+            assert np.array_equal(lift.frame.frame, frame.frame) and lift.frame.tol == frame.tol
+            assert np.array_equal(lift.w, frame.w) and not lift.w.flags.writeable
+            assert LagrangianLift(frame, lift.theta).theta == lift.theta
+    assert closed.end.theta == closed.start.theta == lift_path(lam).start.theta
+
+
+def _off_theta_lift_path():
+    lam = rotation_path(1, 0.0, 1.0)
+    return lift_path(lam, theta_start=lift_path(lam).start.theta + 1e-6)
+
+
+def _off_theta_closed_form():
+    # a quarter turn of w = e^{i theta} I in n = 1 changes arg det w by pi/2
+    frames = lagrangian.unitary_frames(np.exp(0.5j * np.array([[[0.0]], [[math.pi / 2]]])))
+    assert paths.LiftedPath.from_phase_change(frames, TOL_SYM, math.pi / 2).winding() == 0.25
+    return paths.LiftedPath.from_phase_change(frames, TOL_SYM, math.pi / 2 + 1e-3)
+
+
+THETA_OFF = {
+    "lift-path-theta-start": _off_theta_lift_path,
+    "closed-form-phase-change": _off_theta_closed_form,
+    "leray-branch-1e15": lambda: cli.compute_report(
+        {
+            "n": 2,
+            "index": "leray",
+            "lifts": [{"plane": "coordinate_x", "branch": 10**15}, {"plane": "coordinate_xstar"}],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_OFF))
+def test_theta_rule_reads_the_reused_dets(name):
+    # the theta rule runs once per lift, on the det its caller took, and
+    # still refuses a theta that is not an argument of det w
+    with pytest.raises(BadInput, match="^theta is not an argument of det w within tolerance$"):
+        THETA_OFF[name]()
 
 
 def test_undersampled_without_generator():

@@ -10,6 +10,13 @@ PYTHONPATH:
 * the jobs of the in-process workloads, in one interpreter, each recorded
   as ``cli._serialize(compute_report(job))`` or as its error's code and
   message;
+* in the same way, a tolerance-sensitive job set built here with numpy
+  (``tolerance_jobs``): each of the index kinds leray, kashiwara, inert,
+  hormander, spectral-flow, lagrangian, mu-ell and symplectic on a
+  configuration that is not transversal, for n = 1, 2, 3, perturbed by the
+  12 values of ``EPSILONS`` from 0 to 1e-2, which cross the corank,
+  signature and rounding thresholds and their ambiguity bands, so that
+  every corank and IllConditioned decision on them is compared;
 * the cli-cold jobs, one ``python -m maslov.cli compute`` each, recorded as
   stdout, stderr and exit code;
 * ``maslov verify --seed 42 --n-max 3`` and ``--seed 7 --n-max 1``, recorded
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -39,10 +47,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SEEDS = (1, 2, 3)
 CLI_WORKLOAD = "cli-cold"
 VERIFY_RUNS = (("42", "3"), ("7", "1"))
 CRITERION_LINE = re.compile(r"(?:PASS|FAIL) criterion +(\d+): .*")
+
+#: the perturbations of the tolerance-sensitive configurations
+EPSILONS = (0.0,) + tuple(10.0**k for k in range(-12, -1))
+TOLERANCE_DIMS = (1, 2, 3)
+TOLERANCE_SEED = 15
 
 
 def load_jobs(root: Path):
@@ -62,6 +77,83 @@ def job_list(jobs) -> list[tuple[str, str, str]]:
             for i, spec in enumerate(jobs.build(workload, seed)):
                 tag = f"{workload}/seed{seed}/{i:02d}-{spec['tag']} (n={spec['job']['n']})"
                 out.append((workload, tag, jobs.dumps(spec["job"])))
+    return out
+
+
+def _orthonormal(rng, n, kind=float):
+    """A random real orthogonal (or, for kind complex, unitary) n x n matrix."""
+    a = rng.standard_normal((n, n))
+    if kind is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def _plane(x, p, u):
+    """The frame job field of u . [x; p] for a unitary u = a + ib."""
+    a, b = u.real, u.imag
+    return {"frame": [(a @ x - b @ p).tolist(), (b @ x + a @ p).tolist()]}
+
+
+def _graph(s):
+    """The [X; P] blocks of the graph of a symmetric matrix."""
+    vals, vecs = np.linalg.eigh(s)
+    x = (vecs / np.sqrt(1.0 + vals**2)) @ vecs.T
+    return x, s @ x
+
+
+def tolerance_jobs() -> list[tuple[str, str]]:
+    """(tag, job text) of the tolerance-sensitive jobs.  For each n, q is a
+    fixed orthogonal and u a fixed unitary matrix, and sym(e) is
+    q diag(e, 1.0, -0.7)[:n] q^T, so near = sym(eps) has the one small
+    eigenvalue eps: graph(near) meets X in dimension 1 at eps = 0, and a
+    plane with X block q diag(cos(pi/2 - eps), ...) q^T has a nearly
+    singular X.  Each configuration touches that stratum at its end: the
+    pair (uX, u graph near), the triple (uX*, u graph near, uX), the
+    quadruple (X*, X, graph near, graph -sym(2)), the family from sym(-1)
+    to near (spectral flow, and its graph path against X), the shear from
+    0 to near (mu-ell against X), and the shear from near to sym(2)
+    against X and against the nearly singular plane (symplectic)."""
+    rng = np.random.default_rng(TOLERANCE_SEED)
+    out = []
+    for n in TOLERANCE_DIMS:
+        q, u = _orthonormal(rng, n), _orthonormal(rng, n, complex)
+        eye, zero = np.eye(n), np.zeros((n, n))
+        for eps in EPSILONS:
+
+            def sym(e):
+                return (q * np.array([e, 1.0, -0.7][:n])) @ q.T
+
+            near = sym(eps)
+            triple = [_plane(zero, eye, u), _plane(*_graph(near), u), _plane(eye, zero, u)]
+            quadruple = ["coordinate_xstar", "coordinate_x"]
+            quadruple += [{"graph": near.tolist()}, {"graph": sym(-2.0).tolist()}]
+            family = [sym(-1.0).tolist(), (near - sym(-1.0)).tolist()]
+            phi = np.array([math.pi / 2 - eps, 0.4, -0.9][:n])
+            singular_x = {"frame": [((q * f(phi)) @ q.T).tolist() for f in (np.cos, np.sin)]}
+            from_zero = {"kind": "shear", "coefficients": [zero.tolist(), near.tolist()]}
+            onto = {"kind": "shear", "coefficients": [near.tolist(), (sym(2.0) - near).tolist()]}
+            jobs = {
+                "leray": {
+                    "index": "leray",
+                    "lifts": [{"plane": triple[2], "branch": 0}, {"plane": triple[1], "branch": 1}],
+                },
+                "kashiwara": {"index": "kashiwara", "planes": triple},
+                "inert": {"index": "inert", "planes": triple},
+                "hormander": {"index": "hormander", "planes": quadruple},
+                "spectral-flow": {"index": "spectral-flow", "family": {"coefficients": family}},
+                "lagrangian": {
+                    "index": "lagrangian",
+                    "path": {"kind": "graph_polynomial", "coefficients": family},
+                    "plane": "coordinate_x",
+                },
+                "mu-ell": {"index": "mu-ell", "path": from_zero, "plane": "coordinate_x"},
+                "symplectic": {"index": "symplectic", "path": onto, "plane": "coordinate_x"},
+                "symplectic-singular-x": {"index": "symplectic", "path": onto, "plane": singular_x},
+            }
+            for name, job in jobs.items():
+                out.append((f"tolerance/{name}/n={n}/eps={eps:g}", json.dumps(dict(job, n=n))))
     return out
 
 
@@ -98,10 +190,11 @@ def criterion_lines(root: Path, env: dict) -> dict:
 
 
 def outcomes(root: Path, jobs: list, scratch: Path) -> dict:
-    """{tag: record} of every job, verify run and acceptance criterion on
-    one tree."""
+    """{tag: record} of every job, tolerance-sensitive job, verify run and
+    acceptance criterion on one tree."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     pending = [(tag, text) for workload, tag, text in jobs if workload != CLI_WORKLOAD]
+    pending += tolerance_jobs()
     done = run([__file__, "--in-process"], env, json.dumps(pending))
     if done.returncode != 0:
         raise SystemExit(f"in-process jobs failed on {root}:\n{done.stderr}")
@@ -195,15 +288,16 @@ def main(argv) -> int:
         after = outcomes(change, jobs, Path(scratch))
     differing = [tag for tag in {**before, **after} if before.get(tag) != after.get(tag)]
     criteria = sum(tag.startswith("acceptance criterion") for tag in before)
+    tolerance = {tag for tag, _ in tolerance_jobs()}
     print(
-        f"{len(before)} records: {len(jobs)} jobs, {len(VERIFY_RUNS)} verify runs"
-        f" and {criteria} acceptance criterion lines"
+        f"{len(before)} records: {len(jobs)} jobs, {len(tolerance)} tolerance-sensitive jobs,"
+        f" {len(VERIFY_RUNS)} verify runs and {criteria} acceptance criterion lines"
     )
     if differing:
         tag = differing[0]
         print(f"first difference: {tag}\n  parent: {before.get(tag)}\n  change: {after.get(tag)}")
         print(f"{len(differing)} records differ")
-        job_tags = {tag for _, tag, _ in jobs}
+        job_tags = {tag for _, tag, _ in jobs} | tolerance
         changed = [tag for tag in differing if tag in job_tags]
         if changed:
             describe_changes(changed, before, after)
