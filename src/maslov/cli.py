@@ -4,6 +4,10 @@
 the requested index, and writes a deterministic JSON report to stdout or
 ``--output``.  ``maslov verify`` runs the exact-identity suite.
 
+Each path kind has one route: ``rotation``, ``graph_polynomial`` and
+``shear`` paths are lifted in closed form from their two ends, and the two
+sample kinds by ``paths.lift_path`` without a generator.
+
 Exit codes: 0 success, 2 bad input, 3 undersampled, 4 ill-conditioned,
 5 verification failure.
 """
@@ -22,10 +26,9 @@ from .defaults import TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .derived import (
     SymmetricFamily,
     _shear,
-    graph_path,
     graph_phase_change,
     hormander_xi,
-    shear_path,
+    polynomial_values,
     spectral_flow,
 )
 from .errors import BadInput, MaslovError, numeric_array, scalar
@@ -108,10 +111,10 @@ def parse_plane(spec, n) -> lagrangian.LagrangianFrame:
     raise BadInput(f"unrecognized plane description: {spec!r}")
 
 
-def _polynomial(coefficients, n):
-    """The family ts -> A(ts) = sum_k c_k t^k, as a (len(ts), n, n) stack,
-    of a job's list of symmetric n x n coefficients c_k, read and checked
-    here: each is read by ``_matrix``, and their stack by ``is_symmetric``."""
+def _polynomial(coefficients, n) -> tuple[np.ndarray, np.ndarray]:
+    """A job's symmetric n x n coefficients c_k as one stack (each read by
+    ``_matrix``, the stack by ``is_symmetric``), and A(0), A(1) of the
+    family A(t) = sum_k c_k t^k, symmetrised: only a non-finite end fails."""
     if not isinstance(coefficients, (list, tuple)):
         raise BadInput("polynomial coefficients: expected a list of matrices")
     coeffs = [
@@ -120,46 +123,28 @@ def _polynomial(coefficients, n):
     ]
     if not coeffs:
         raise BadInput("graph_polynomial needs at least one coefficient")
-    if not lagrangian.is_symmetric(np.array(coeffs)):
+    coeffs = np.array(coeffs)
+    if not lagrangian.is_symmetric(coeffs):
         i = next(i for i, c in enumerate(coeffs) if not lagrangian.is_symmetric(c))
         raise BadInput(f"polynomial coefficient {i} is not symmetric")
-
-    def A(ts: np.ndarray) -> np.ndarray:
-        # t**k by Python's scalar power, the value of A at a single t;
-        # numpy's vectorised power can differ from it in the last bit
-        powers = np.array([[t**k for t in ts.tolist()] for k in range(len(coeffs))])
-        out = np.zeros((len(ts), n, n))
-        for c, tk in zip(coeffs, powers):
-            out += c * tk[:, None, None]
-        return (out + out.swapaxes(-1, -2)) / 2
-
-    return A
-
-
-def _polynomial_family(coefficients, n) -> SymmetricFamily:
-    return SymmetricFamily.from_function(_polynomial(coefficients, n))
-
-
-def _polynomial_ends(A) -> np.ndarray:
-    """A(0) and A(1) of a polynomial family; A(ts) is symmetrised, so the
-    symmetric rule would fail only a non-finite end."""
-    ends = A(ENDS)
+    ends = polynomial_values(coeffs, ENDS)
     if not np.isfinite(ends).all():
         raise BadInput("family matrix is not symmetric")
-    return ends
+    return coeffs, ends
 
 
-def _rotation_fields(spec, n) -> tuple[float, float, int]:
-    """alpha_start, alpha_end and samples of a rotation path job."""
+def _rotation_fields(spec, n) -> tuple[float, float]:
+    """alpha_start and alpha_end of a rotation path job; samples is checked."""
     if n not in (1, 2):
         raise BadInput("rotation paths are defined for n = 1 or 2")
     a0 = _number(spec.get("alpha_start", 0.0), "alpha_start")
     a1 = _number(spec.get("alpha_end", math.pi), "alpha_end")
-    samples = paths.sample_count(_number(spec.get("samples", 33), "samples", integer=True))
-    return a0, a1, samples
+    paths.sample_count(_number(spec.get("samples", 33), "samples", integer=True))
+    return a0, a1
 
 
 def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
+    """A ``lagrangian_samples`` path job (the other kinds: ``_lagrangian_lift``)."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "lagrangian_samples":
         frames_raw = spec.get("frames")
@@ -167,14 +152,11 @@ def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
             raise BadInput("lagrangian_samples needs at least two frames")
         frames = _samples(frames_raw, (2 * n, n), "frame sample")
         return paths.LagrangianPath(_times(spec, len(frames)), frames, None)
-    if kind == "rotation":
-        return paths.rotation_path(n, *_rotation_fields(spec, n))
-    if kind == "graph_polynomial":
-        return graph_path(_polynomial_family(spec.get("coefficients", []), n))
     raise BadInput(f"unrecognized Lagrangian path kind: {kind!r}")
 
 
 def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
+    """A ``symplectic_samples`` path job (a shear: ``_symplectic_lift``)."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "symplectic_samples":
         mats_raw = spec.get("matrices")
@@ -182,36 +164,32 @@ def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
             raise BadInput("symplectic_samples needs at least two matrices")
         mats = _samples(mats_raw, (2 * n, 2 * n), "matrix sample")
         return paths.SymplecticPath(_times(spec, len(mats)), mats, None)
-    if kind == "shear":
-        return shear_path(_polynomial_family(spec.get("coefficients", []), n))
     raise BadInput(f"unrecognized symplectic path kind: {kind!r}")
 
 
 def _lagrangian_lift(spec, n) -> paths.LiftedPath | paths.LagrangianPath:
     """The lift of a rotation or graph_polynomial path, whose change of arg
-    det w is known in closed form from its two ends; any other path as
+    det w is known in closed form from its two ends; a sampled path as
     ``parse_lagrangian_path`` reads it, for ``lift_path``."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "rotation":
-        a0, a1, _ = _rotation_fields(spec, n)
+        a0, a1 = _rotation_fields(spec, n)
         # checked before the end frames, which an infinite sweep makes NaN
         dtheta = scalar(2 * (a1 - a0), "the rotation's phase change 2 (alpha_end - alpha_start)")
         frames = lagrangian.unitary_frames(paths.rotation_unitaries(n, a0, a1, ENDS))
         return paths.LiftedPath.from_phase_change(frames, TOL_SYM, dtheta)
     if kind == "graph_polynomial":
-        ends = _polynomial_ends(_polynomial(spec.get("coefficients", []), n))
+        _, ends = _polynomial(spec.get("coefficients", []), n)
         frames = lagrangian.graph_frames(ends)
         return paths.LiftedPath.from_phase_change(frames, TOL_SYM, graph_phase_change(ends))
     return parse_lagrangian_path(spec, n)
 
 
-def _symplectic_lift(spec, plane, n, identity_start, tol_rank):
-    """(lift, ell) for a symplectic path and the plane it moves, checking
-    that the path starts at the identity when ``identity_start``.  A shear
-    t -> [[I, 0], [A(t), I]] moves a plane ell = [X; P] with X invertible
-    along the graphs of A(t) + P X^-1, whose lift is a closed form; any other
-    path, or a shear of a plane that is not a graph over X, gives the induced
-    path for ``lift_path``."""
+def _symplectic_lift(spec, plane, n, identity_start, tol_round, tol_rank):
+    """(lift, ell) for a symplectic path job and the plane it moves,
+    checking that the path starts at the identity when ``identity_start``:
+    a shear's lift in closed form (``lagrangian.graph_matrix``), or the
+    induced path of a sampled path, for ``lift_path``."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind != "shear":
         sig = parse_symplectic_path(spec, n)
@@ -219,17 +197,16 @@ def _symplectic_lift(spec, plane, n, identity_start, tol_rank):
         if identity_start:
             paths.check_identity_start(sig.start())
         return paths.induced_path(sig, ell), ell
-    A = _polynomial(spec.get("coefficients", []), n)
-    ends = _polynomial_ends(A)
+    coeffs, ends = _polynomial(spec.get("coefficients", []), n)
     ell = parse_plane(plane, n)
     S = _shear(ends)
     if identity_start:
         paths.check_identity_start(S[0])
-    B = lagrangian.graph_matrix(ell, tol_rank)
-    if B is None:
-        return paths.induced_path(shear_path(SymmetricFamily.from_function(A)), ell), ell
+    reach = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())  # >= ||A(t)||_2 on [0, 1]
+    U, B = lagrangian.graph_matrix(ell, tol_rank, reach, tol_round)
     frames, tol = lagrangian.transport_frames(S, ell.frame, ell.tol)
-    return paths.LiftedPath.from_phase_change(frames, tol, graph_phase_change(ends + B)), ell
+    dtheta = graph_phase_change(U.T @ ends @ U + B)
+    return paths.LiftedPath.from_phase_change(frames, tol, dtheta), ell
 
 
 def _lift_from_spec(spec, n) -> leray.LagrangianLift:
@@ -253,7 +230,6 @@ def _planes_of(job, n, count):
 def compute_report(
     job: dict,
     tol_round: float = TOL_ROUND,
-    max_depth: int = paths.MAX_REFINE_DEPTH,
     tol_rank: float = TOL_RANK_BASE,
     tol_sig: float = TOL_SIG_BASE,
 ) -> dict:
@@ -271,18 +247,18 @@ def compute_report(
     report: dict = {"index": kind, "n": n}
 
     if kind in PATH_KINDS:
-        # every path index is read off one lift: a closed form where the
-        # path's phase change is known, else a lift of the (induced) path
+        # every path index is read off one lift: a closed form for the
+        # generator kinds, else a lift of the sampled (induced) path
         if kind in ("symplectic", "mu-ell"):
             lifted, ell = _symplectic_lift(
-                job.get("path"), job.get("plane"), n, kind == "mu-ell", tol_rank
+                job.get("path"), job.get("plane"), n, kind == "mu-ell", tol_round, tol_rank
             )
         else:
             lifted = _lagrangian_lift(job.get("path"), n)
             if kind != "keller-maslov":
                 ell = parse_plane(job.get("plane"), n)
         if isinstance(lifted, paths.LagrangianPath):
-            lifted = paths.lift_path(lifted, max_depth=max_depth)
+            lifted = paths.lift_path(lifted)
         if kind == "keller-maslov":
             value = lifted.keller_maslov(tol_round)
         elif kind == "mu-ell":
@@ -327,7 +303,7 @@ def compute_report(
             raise BadInput(
                 'spectral-flow needs {"family": {"coefficients": [A0, A1, ...]}}'
             )
-        ends = _polynomial_ends(_polynomial(coeffs, n))
+        _, ends = _polynomial(coeffs, n)
         report["value"] = spectral_flow(SymmetricFamily((0.0, 1.0), ends), tol_sig)
 
     report["inputs"] = job
@@ -368,8 +344,6 @@ def cmd_compute(args) -> int:
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):
             return _fail("BAD_INPUT", f"--{flag.replace('_', '-')} must be finite and > 0")
-    if args.refine_depth < 0:
-        return _fail("BAD_INPUT", "--refine-depth must be >= 0")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             job = json.load(fh)
@@ -386,9 +360,7 @@ def cmd_compute(args) -> int:
     try:
         # an overflow reaches a check as inf or NaN, which fails it anyway
         with np.errstate(all="ignore"):
-            report = compute_report(
-                job, args.tol_round, args.refine_depth, args.tol_rank, args.tol_sig
-            )
+            report = compute_report(job, args.tol_round, args.tol_rank, args.tol_sig)
     except MaslovError as exc:
         return _fail(exc.code, str(exc))
     try:
@@ -442,12 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--tol-round", TOL_ROUND, "integer rounding tolerance"),
     ):
         comp.add_argument(flag, type=float, default=default, help=what)
-    comp.add_argument(
-        "--refine-depth",
-        type=int,
-        default=paths.MAX_REFINE_DEPTH,
-        help="maximum bisection depth for path lifting",
-    )
     comp.set_defaults(func=cmd_compute)
 
     ver = sub.add_parser("verify", help="run the exact-identity verification suite")

@@ -14,6 +14,7 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     symplectic      symplectic.is_symplectic    TOL_SYMPLECTIC, relative
     w from outside  lagrangian.frame_from_w     TOL_SYM
     corank          lagrangian.corank           TOL_RANK_BASE, AMBIGUITY_DECADE
+    shear split     lagrangian.graph_matrix     corank's t / AMBIGUITY_DECADE; TOL_ROUND
     signature       signature.sign_counts       TOL_SIG_BASE, AMBIGUITY_DECADE
     theta           leray.check_theta           TOL_PHASE, scaled by the frame
     rounding        leray.nearest_integer       TOL_ROUND

@@ -24,7 +24,7 @@ from .paths import LagrangianPath, SymplecticPath, _mapped, _sampled, mu_lagrang
 from .signature import kashiwara_tau, sign_counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricFamily:
     """A family t -> A(t) of real symmetric matrices on [0, 1].
 
@@ -63,6 +63,16 @@ class SymmetricFamily:
             return (1 - t) * A0 + t * A1
 
         return cls.from_function(fn, samples)
+
+
+def polynomial_values(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The symmetrised (len(ts), n, n) stack of sum_k coeffs[k] t^k, t**k by
+    Python's scalar power (numpy's vectorised one can differ in the last bit)."""
+    powers = np.array([[t**k for t in ts.tolist()] for k in range(len(coeffs))])
+    out = np.zeros((len(ts),) + coeffs.shape[1:])
+    for c, tk in zip(coeffs, powers):
+        out += c * tk[:, None, None]
+    return (out + out.swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -29,10 +30,10 @@ from .errors import BadInput, IllConditioned, numeric_array
 from .symplectic import SymplecticMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianFrame:
     """Orthonormal 2n x n frame [X; P] of a Lagrangian plane, a read-only
-    copy checked by ``check_frames`` at tol, and the plane's w."""
+    copy checked by ``check_frames`` at tol, and the plane's w; == is identity."""
 
     frame: np.ndarray
     tol: float = TOL_SYM
@@ -138,21 +139,36 @@ def graph_frames(A: np.ndarray) -> np.ndarray:
     return np.concatenate((X, A @ X), axis=-2)
 
 
-def graph_matrix(ell: LagrangianFrame, tol_rank: float) -> np.ndarray | None:
-    """The symmetric B = P X^-1 with ell = {(x, Bx)}, when the X block of
-    ell's frame is invertible by the ``corank`` rule at tol_rank; None when
-    X is singular or inside the rule's ambiguity band."""
+def graph_matrix(ell: LagrangianFrame, tol_rank: float, reach: float, tol_round: float):
+    """(U_r, B_r) for the shears S(t) = [[I, 0], [A(t), I]] of ell = [X; P]
+    with ||A(t)||_2 <= reach on [0, 1]: U_r the kept left singular vectors
+    of X = U diag(sigma) V^T, B_r the symmetric (U_r^T P V_r) / sigma_r.  As
+    S(t) fixes X*, u(t) = A(t) X + P - iX is block triangular in those bases,
+    and arg det w moves as along the graphs of U_r^T A(t) U_r + B_r.  Kept
+    are the sigma above t / AMBIGUITY_DECADE (``corank``'s t), in its band
+    too.  Dropping k directions moves u(t) by at most (1 + reach) sigma_0 +
+    p (p = ||U_r^T P V_0||_F, sigma_0 the largest dropped sigma) in k
+    columns; as ||u(t)^-1||_2 <= 1 + reach, theta = 2 arg det u moves by at
+    most 2 pi k kappa, kappa = (1 + reach)((1 + reach) sigma_0 + p).  Raises
+    IllConditioned unless kappa < 1 and 2 pi k kappa <= tol_round.  A sigma_0
+    or p within the SVD's rounding, n eps, counts as 0 (an exact kernel)."""
     n = ell.n
     X, P = ell.frame[:n], ell.frame[n:]
-    try:
-        k, _ = corank(X, tol_rank, "the X block of a plane")
-    except IllConditioned:
-        return None
-    if k:
-        return None
-    # B X = P, solved as X^T B^T = P^T; B is symmetric since X^T P is
-    B = np.linalg.solve(X.T, P.T).T
-    return (B + B.T) / 2
+    U, sigma, Vt = np.linalg.svd(X)
+    r = int(np.count_nonzero(sigma > _rank_threshold(sigma, tol_rank) / AMBIGUITY_DECADE))
+    U_r = U[:, :r]
+    B = (U_r.T @ P @ Vt[:r].T) / sigma[:r]
+    if r < n:
+        sigma_0, p = float(sigma[r]), float(np.linalg.norm(U_r.T @ P @ Vt[r:].T))
+        floor = n * np.finfo(float).eps
+        kappa = (1 + reach) * ((1 + reach) * sigma_0 * (sigma_0 > floor) + p * (p > floor))
+        bound = 2 * math.pi * (n - r) * kappa
+        if not (kappa < 1 and bound <= tol_round):
+            raise IllConditioned(
+                f"dropping the near-kernel of X may move a shear's lift by {bound:.3g},"
+                f" above tol_round={tol_round:g}"
+            )
+    return U_r, (B + B.T) / 2
 
 
 def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
@@ -264,12 +280,17 @@ def corank(m: np.ndarray, tol_rank: float, what: str) -> tuple[int, float]:
     value) it was decided at; a singular value inside the ambiguity band
     (t / AMBIGUITY_DECADE, t * AMBIGUITY_DECADE) raises IllConditioned."""
     sigma = np.linalg.svd(m, compute_uv=False)
-    t = tol_rank * max(1.0, float(sigma.max(initial=0.0)))
+    t = _rank_threshold(sigma, tol_rank)
     if np.any((sigma > t / AMBIGUITY_DECADE) & (sigma < t * AMBIGUITY_DECADE)):
         raise IllConditioned(
             f"singular value inside the ambiguity band around tol={t:g} in {what}"
         )
     return int(np.count_nonzero(sigma <= t)), t
+
+
+def _rank_threshold(sigma: np.ndarray, tol_rank: float) -> float:
+    """The corank rule's threshold for singular values sigma."""
+    return tol_rank * max(1.0, float(sigma.max(initial=0.0)))
 
 
 def intersection_dim(

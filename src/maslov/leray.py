@@ -31,7 +31,7 @@ from .errors import BadInput, IllConditioned, scalar
 from .lagrangian import LagrangianFrame, _scalar_frame, companion_phase, corank, souriau_w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianLift:
     """A cover point (frame, theta); theta is an unreduced argument of det w.
 

@@ -14,9 +14,9 @@ step bound fail loudly (UNDERSAMPLED) instead of interpolating:
 interpolation between Lagrangian frames is not canonical.
 
 Where the change of arg det w along a path is known in closed form from its
-two ends (a graph, shear or rotation path of the command line), the path is
-not sampled at all: ``LiftedPath.from_phase_change`` builds its lift from the
-two end frames and that change.
+two ends, the path is not sampled at all: ``LiftedPath.from_phase_change``
+builds its lift from the two end frames and that change.  The command line
+lifts its graph, shear and rotation paths so and never bisects.
 
 A lift validates once: ``LagrangianPath`` checks its frames as one stack,
 ``lift_path`` and ``from_phase_change`` take u u^t and det of that stack
@@ -97,7 +97,7 @@ def _mapped(f: Callable, g: Optional[Callable]) -> Optional[Callable]:
     return None if g is None else lambda ts: f(g(ts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianPath:
     """Samples of a Lagrangian path and an optional generator.
 
@@ -141,7 +141,7 @@ class LagrangianPath:
         return self._frame(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticPath:
     """Samples of a symplectic path and an optional generator mapping a 1-d
     array ts of times to the (len(ts), 2n, 2n) stack of matrices there;
@@ -594,7 +594,7 @@ def path_joining(
 def symplectic_path_from_algebra(
     Z: np.ndarray, start: np.ndarray | None = None, samples: int = 33
 ) -> SymplecticPath:
-    """The path t -> start . exp(tZ) for Z in the symplectic Lie algebra."""
+    """The path t -> start . exp(tZ), Z in the symplectic Lie algebra."""
     import scipy.linalg
 
     Z = numeric_array(Z, "generator")
@@ -607,6 +607,6 @@ def symplectic_path_from_algebra(
     def S(ts: np.ndarray) -> np.ndarray:
         return scipy.linalg.expm(ts[:, None, None] * Z)
 
-    grid = np.linspace(0.0, 1.0, samples)
+    grid = np.linspace(0.0, 1.0, sample_count(samples))
     path = SymplecticPath(tuple(grid), S(grid), S)
     return path if start is None else left_translate(start, path)

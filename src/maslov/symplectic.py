@@ -26,7 +26,7 @@ def omega_matrix(n: int) -> np.ndarray:
     return np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticVector:
     """A vector z = (x, p) of X x X*."""
 
@@ -70,7 +70,7 @@ def is_symplectic(S: np.ndarray) -> bool:
     return bool(np.all(err <= TOL_SYMPLECTIC * scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
     """A 2n x 2n real matrix validated by ``is_symplectic`` at construction."""
 
@@ -91,7 +91,7 @@ class SymplecticMatrix:
         return self.entries.shape[0] // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryEmbedding:
     """Real and imaginary parts (a, b) of a unitary matrix u = a + ib."""
 

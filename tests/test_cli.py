@@ -337,36 +337,33 @@ def test_non_finite_entries_exit_code(name, tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
-#: a plane whose X block diag(1, 0) is singular, so a shear of it is lifted
-#: by bisection, not in closed form
+#: a plane whose X block diag(1, 0) is singular, and one whose X block
+#: diag(3e-8, 1) has a singular value inside the corank rule's ambiguity band
 SINGULAR_X_PLANE = {"frame": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]}
+IN_BAND_X_PLANE = {"frame": [[[3e-8, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+#: the shear by A(t) = diag(160 t - 47, 0), which moves SINGULAR_X_PLANE
+#: along the graph of 160 t - 47 in its first coordinate: sampled on 33
+#: points, its steps near the crossing of 0 exceed pi/2
+STEEP_SHEAR = {
+    "kind": "shear",
+    "coefficients": [[[-47.0, 0.0], [0.0, 0.0]], [[160.0, 0.0], [0.0, 0.0]]],
+}
 
 
-def test_refine_depth_flag(tmp_path, capsys):
-    # the shear by A(t) = diag(160 t - 47, 0) moves the plane along the graph
-    # of 160 t - 47 in its first coordinate, which crosses 0 fast: the steps
-    # of the 33-sample grid near the crossing exceed pi/2 and need three
-    # bisection levels to resolve (graph, rotation and shear paths of planes
-    # with an invertible X have closed-form lifts and need none)
-    A0, A1 = [[-47.0, 0.0], [0.0, 0.0]], [[160.0, 0.0], [0.0, 0.0]]
-    job = {
-        "n": 2,
-        "index": "symplectic",
-        "path": {"kind": "shear", "coefficients": [A0, A1]},
-        "plane": SINGULAR_X_PLANE,
-    }
+def test_singular_x_shear_lifts_in_closed_form(tmp_path, capsys, monkeypatch):
+    # the kernel of X stays put under a shear, so the lift is the graph
+    # path's over the range of X: two samples, no sampled lift, and no
+    # bisection depth to set
+    job = {"n": 2, "index": "symplectic", "path": STEEP_SHEAR, "plane": SINGULAR_X_PLANE}
     path = write_job(tmp_path, "j.json", job)
+    calls = []
+    monkeypatch.setattr(paths, "lift_path", lambda *a, **k: calls.append(a))
     code, out, _ = run(["compute", "--input", path], capsys)
-    assert code == 0
-    value = json.loads(out)["value"]
-    assert value == 2 and json.loads(out)["samples"] > 33
-    code, _, err = run(["compute", "--input", path, "--refine-depth", "1"], capsys)
-    assert code == 3 and json.loads(err)["error"]["code"] == "UNDERSAMPLED"
-    with pytest.raises(Undersampled):
-        cli.compute_report(job, defaults.TOL_ROUND, max_depth=1)
-    # deeper refinement reproduces the default value
-    code, out, _ = run(["compute", "--input", path, "--refine-depth", "12"], capsys)
-    assert code == 0 and json.loads(out)["value"] == value
+    assert code == 0 and calls == []
+    report = json.loads(out)
+    assert report["value"] == 2 and report["samples"] == 2
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["compute", "--input", path, "--refine-depth", "1"])
 
 
 def test_coarse_rotation_grid_is_refined():
@@ -411,7 +408,6 @@ def test_rotation_sweep_beyond_the_sample_cap_fails_loudly(alpha_end):
         ("--tol-sig", "inf"),
         ("--tol-round", "nan"),
         ("--tol-round", "inf"),
-        ("--refine-depth", "-1"),
     ],
 )
 def test_bad_flag_values(flag, value, tmp_path, capsys):
@@ -533,37 +529,35 @@ LIFT_ONCE_JOBS = {
     # shear paths from A(0) = -1 and, for mu-ell, from the identity (A(0) = 0)
     "symplectic": {"path": {"kind": "shear", "coefficients": [[[-1.0]], [[2.0]]]}},
     "mu-ell": {"path": {"kind": "shear", "coefficients": [[[0.0]], [[2.0]]]}},
+    # shears of planes whose X block is singular or inside the corank band
+    "singular-x": {"index": "symplectic", "n": 2, "path": STEEP_SHEAR, "plane": SINGULAR_X_PLANE},
+    "in-band-x": {"index": "symplectic", "n": 2, "path": STEEP_SHEAR, "plane": IN_BAND_X_PLANE},
 }
 
 
-@pytest.mark.parametrize("index", sorted(LIFT_ONCE_JOBS))
-def test_path_report_lifts_once(index, monkeypatch):
+@pytest.mark.parametrize("name", sorted(LIFT_ONCE_JOBS))
+def test_path_report_lifts_once(name, monkeypatch):
     # the value and the report's samples/lifts come from one closed-form
-    # lift of the two ends: no sampled path is built or lifted
-    calls = {"lift_path": 0, "induced_path": 0, "from_phase_change": 0}
+    # lift of the two ends: no sampled path is built, lifted or refined
+    counted = ("lift_path", "induced_path", "_refine", "_generated_phases", "from_phase_change")
+    calls = dict.fromkeys(counted, 0)
 
-    def counted(name):
-        original = getattr(paths, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(paths, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted("lift_path")
-    counted("induced_path")
-    original = paths.LiftedPath.from_phase_change
-
-    def counted_closed_form(*args):
-        calls["from_phase_change"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(paths.LiftedPath, "from_phase_change", counted_closed_form)
-    job = dict({"plane": "coordinate_x"}, **LIFT_ONCE_JOBS[index], n=1, index=index)
+    for fn in counted[:-1]:
+        counting(paths, fn)
+    counting(paths.LiftedPath, "from_phase_change")
+    job = dict({"plane": "coordinate_x", "index": name, "n": 1}, **LIFT_ONCE_JOBS[name])
     report = cli.compute_report(job, defaults.TOL_ROUND)
     assert report["samples"] == 2
-    assert calls == {"lift_path": 0, "induced_path": 0, "from_phase_change": 1}
+    assert calls == dict.fromkeys(counted, 0) | {"from_phase_change": 1}
 
 
 _COEFFICIENTS = [[[1.0, 0.2], [0.2, -1.0]], [[0.5, 0.0], [0.0, 0.5]], [[-2.5, 0.1], [0.1, 1.0]]]

@@ -1,22 +1,34 @@
 """The closed-form lifts of the command line's graph, shear and rotation
 paths, against two oracles: the bisected lift (``paths.lift_path`` of the
-same path parsed as a sampled path with a generator, the library route),
-and for long rotation sweeps a 50-digit evaluation of the trace-log formula
-that ``leray.mu_bar`` reads the index from."""
+same path built by the library's sampled constructors ``graph_path``,
+``shear_path`` and ``rotation_path``, with a generator), and 50-digit
+evaluations: of the trace-log formula that ``leray.mu_bar`` reads the index
+from, for long rotation sweeps, and of the phase change along a shear of a
+plane whose X block is singular or nearly so."""
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from maslov import MaslovError, cli, lagrangian, paths
-from maslov.defaults import TOL_RANK_BASE
+from maslov import IllConditioned, MaslovError, cli, lagrangian, paths
+from maslov.defaults import TOL_RANK_BASE, TOL_ROUND
+from maslov.derived import (
+    SymmetricFamily,
+    _shear,
+    graph_path,
+    graph_phase_change,
+    polynomial_values,
+    shear_path,
+)
 from maslov.random_gen import random_frame, random_symmetric
 
 
-def _quadratic(rng, n, start=None):
+def _quadratic(rng, n, start=None, scale=2.0):
     """Coefficients [A0, B, A1 - A0 - B] of a quadratic family from A0 (or
     from ``start``) to A1, bent away from the segment by B."""
-    A0, A1, B = (random_symmetric(rng, n, 2.0) for _ in range(3))
+    A0, A1, B = (random_symmetric(rng, n, scale) for _ in range(3))
     A0 = A0 if start is None else start
     return [c.tolist() for c in (A0, B, A1 - A0 - B)]
 
@@ -30,15 +42,44 @@ def _plane(rng, n, against):
     return {"x": "coordinate_x", "xstar": "coordinate_xstar"}[against]
 
 
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _split_plane(rng, n, sigmas):
+    """The frame job field of a plane [X; P] = [O diag(x) V^T; O diag(p) V^T]
+    whose X block has the singular values ``sigmas`` (each with p = +-sqrt(1
+    - sigma^2)) and n - len(sigmas) others drawn away from 0; every plane
+    has this form, for real orthogonal O and V."""
+    phi = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
+    x, p = np.cos(phi), np.sin(phi)
+    k = len(sigmas)
+    x[:k] = sigmas
+    p[:k] = np.sqrt(1.0 - np.square(sigmas)) * rng.choice([-1.0, 1.0], k)
+    O, V = _orthogonal(rng, n), _orthogonal(rng, n)
+    return {"frame": [((O * x) @ V.T).tolist(), ((O * p) @ V.T).tolist()]}
+
+
+def _polynomial_family(coefficients):
+    """The sampled family sum_k c_k t^k, with the polynomial as generator."""
+    coeffs = np.array(coefficients, dtype=float)
+    return SymmetricFamily.from_function(lambda ts: polynomial_values(coeffs, ts))
+
+
 def _bisected(job):
     """The lift and index of a job's path by the library route: the path
     sampled on its default grid and lifted by bisection."""
     n, spec = job["n"], job["path"]
     ell = cli.parse_plane(job.get("plane", "coordinate_x"), n)
-    if spec["kind"] == "shear":
-        lam = paths.induced_path(cli.parse_symplectic_path(spec, n), ell)
+    if spec["kind"] == "rotation":
+        lam = paths.rotation_path(n, spec.get("alpha_start", 0.0), spec["alpha_end"])
     else:
-        lam = cli.parse_lagrangian_path(spec, n)
+        family = _polynomial_family(spec["coefficients"])
+        if spec["kind"] == "shear":
+            lam = paths.induced_path(shear_path(family), ell)
+        else:
+            lam = graph_path(family)
     lifted = paths.lift_path(lam)
     if job["index"] == "mu-ell":
         return lifted, lifted.mu_ell()
@@ -74,10 +115,121 @@ def test_shear_closed_form_matches_bisection(against, n):
             start = np.zeros((n, n)) if index == "mu-ell" else None
             path = {"kind": "shear", "coefficients": _quadratic(rng, n, start)}
             plane = _plane(rng, n, against)
-            # the closed form needs X invertible by the corank rule
-            assert lagrangian.graph_matrix(cli.parse_plane(plane, n), TOL_RANK_BASE) is not None
+            # X is invertible: the split keeps every direction
+            U, _ = lagrangian.graph_matrix(cli.parse_plane(plane, n), TOL_RANK_BASE, 0.0, TOL_ROUND)
+            assert U.shape == (n, n)
             job = {"n": n, "index": index, "path": path, "plane": plane}
             _assert_matches_bisection(job, 1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_singular_x_shear_matches_bisection(n):
+    # a shear fixes X* pointwise, so the plane's part in the kernel of X
+    # stays put and the lift is read off the graphs over the range of X
+    rng = np.random.default_rng([n, 17])
+    for corank in range(1, n + 1):
+        for index in ("symplectic", "mu-ell"):
+            start = np.zeros((n, n)) if index == "mu-ell" else None
+            path = {"kind": "shear", "coefficients": _quadratic(rng, n, start)}
+            plane = _split_plane(rng, n, np.zeros(corank))
+            U, _ = lagrangian.graph_matrix(cli.parse_plane(plane, n), TOL_RANK_BASE, 0.0, TOL_ROUND)
+            assert U.shape == (n, n - corank)
+            job = {"n": n, "index": index, "path": path, "plane": plane}
+            _assert_matches_bisection(job, 1e-9)
+
+
+def _fifty_digit_phase_change(frame, coeffs):
+    """2 (arg q(1) - arg q(0)) along [0, 1] for q(t) = det(A(t) X + P - iX),
+    A(t) = sum_k c_k t^k, in 50 digits: theta = arg det w moves by twice the
+    argument of det u of the unnormalised frame [X; A(t) X + P].  q is a
+    polynomial of degree at most n deg A, interpolated at equally spaced
+    times; each root r moves arg (t - r) by arg((1 - r) / -r) on [0, 1]."""
+    n = frame.shape[1]
+    with mpmath.workdps(50):
+        X, P = mpmath.matrix(frame[:n].tolist()), mpmath.matrix(frame[n:].tolist())
+        C = [mpmath.matrix(c.tolist()) for c in coeffs]
+
+        def q(t):
+            A = mpmath.zeros(n)
+            for k, c in enumerate(C):
+                A += c * t**k
+            return mpmath.det(A * X + P - 1j * X)
+
+        d = n * (len(C) - 1)
+        ts = [mpmath.mpf(j) / max(d, 1) for j in range(d + 1)]
+        V = mpmath.matrix([[t**k for k in range(d + 1)] for t in ts])
+        a = mpmath.lu_solve(V, mpmath.matrix([q(t) for t in ts]))
+        top = max(abs(x) for x in a)
+        a = [a[k] for k in range(d + 1)]
+        while abs(a[-1]) <= mpmath.mpf(10) ** -40 * top:
+            a.pop()
+        roots = mpmath.polyroots(a[::-1], maxsteps=200, extraprec=200) if len(a) > 1 else []
+        # q has no zero on [0, 1]: u of a Lagrangian frame is invertible
+        assert all(abs(r.imag) > 1e-30 or not 0 <= r.real <= 1 for r in roots)
+        return float(2 * sum(mpmath.arg((1 - r) / -r) for r in roots))
+
+
+NEAR_KERNEL_SIGMAS = (0.0, 1e-14, 1e-12, 1e-10, 1e-9, 5e-9, 1e-8)
+COEFFICIENT_SCALES = (1.0, 30.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_near_kernel_shears_match_fifty_digits_or_fail_loudly(n):
+    # sigma = 5e-9 and 1e-8 lie inside the corank band and are kept; the
+    # others are dropped, with a bound on the error that this makes
+    rng = np.random.default_rng([n, 29])
+    outcomes = set()
+    for sigma in NEAR_KERNEL_SIGMAS:
+        for scale in COEFFICIENT_SCALES:
+            for corank in range(1, n + 1):
+                coeffs = np.array(_quadratic(rng, n, scale=scale))
+                plane = _split_plane(rng, n, np.full(corank, sigma))
+                path = {"kind": "shear", "coefficients": coeffs.tolist()}
+                job = {"n": n, "index": "symplectic", "path": path, "plane": plane}
+                try:
+                    report = cli.compute_report(job)
+                except MaslovError as exc:
+                    assert exc.code == "ILL_CONDITIONED", exc
+                    # an exact kernel never trips the guard
+                    assert sigma > 0 or "near-kernel" not in str(exc)
+                    outcomes.add("ill-conditioned")
+                    continue
+                ell = cli.parse_plane(plane, n)
+                dtheta = _fifty_digit_phase_change(ell.frame, coeffs)
+                lifts = report["lifts"]
+                assert abs(lifts["end"]["theta"] - lifts["start"]["theta"] - dtheta) <= TOL_ROUND
+                # the index of the exact lift, read by the same mu_bar
+                _, ends = cli._polynomial(coeffs.tolist(), n)
+                frames, tol = lagrangian.transport_frames(_shear(ends), ell.frame, ell.tol)
+                exact = paths.LiftedPath.from_phase_change(frames, tol, dtheta)
+                try:
+                    expected = exact.mu_lagrangian(ell)
+                except MaslovError:
+                    continue
+                assert report["value"] == expected
+                outcomes.add("value")
+    assert outcomes == {"value", "ill-conditioned"}
+
+
+@pytest.mark.parametrize("sigma, L", [(1e-10, 1e7), (1e-12, 1e8)])
+def test_near_kernel_guard_stops_a_wrong_integer(sigma, L):
+    # X = diag(cos 0.7, sigma): the kept graph moves from L to 1, while the
+    # coupling c to the dropped direction, gone at t = 1, pulls the true
+    # graph at t = 0 from L to about -L, a whole turn of theta away; the
+    # split alone lands on the wrong integer, with no residual to show it
+    c = math.sqrt(2 * L / sigma)
+    X, P = np.diag([math.cos(0.7), sigma]), np.diag([math.sin(0.7), math.sqrt(1 - sigma**2)])
+    coeffs = np.array([[[L - math.tan(0.7), c], [c, 0.0]], [[1.0 - L, -c], [-c, 0.0]]])
+    plane = {"frame": [X.tolist(), P.tolist()]}
+    ell = cli.parse_plane(plane, 2)
+    dtheta = _fifty_digit_phase_change(ell.frame, coeffs)
+    _, ends = cli._polynomial(coeffs.tolist(), 2)
+    U, B = lagrangian.graph_matrix(ell, TOL_RANK_BASE, 0.0, math.inf)
+    assert abs(graph_phase_change(U.T @ ends @ U + B) + 2 * math.pi - dtheta) < 1e-6
+    job = {"n": 2, "index": "symplectic", "plane": plane}
+    job["path"] = {"kind": "shear", "coefficients": coeffs.tolist()}
+    with pytest.raises(IllConditioned, match="near-kernel"):
+        cli.compute_report(job)
 
 
 ROTATION_PLANES = {1: {"graph": [[0.3]]}, 2: {"graph": [[0.3, 0.1], [0.1, -1.2]]}}

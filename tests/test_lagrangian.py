@@ -23,6 +23,7 @@ from maslov import (
     intersection_dim,
     is_symplectic,
     left_translate,
+    lift_of,
     lift_path,
     omega_matrix,
     shear_path,
@@ -353,3 +354,29 @@ def test_direct_sum_frame_dims(rng):
     wb = souriau_w(fb)
     w = souriau_w(f)
     assert abs(np.linalg.det(w) - np.linalg.det(wa) * np.linalg.det(wb)) < 1e-10
+
+
+def test_frames_compare_and_hash_by_identity():
+    # the generated __eq__ compared the frame arrays, which raised, and
+    # the generated __hash__ hashed them, which raised too
+    assert (coordinate_x(1) == LagrangianFrame(np.eye(2, 1))) is False
+    assert {coordinate_x(1)} == {coordinate_x(1)}
+
+
+#: a constructor of each frozen dataclass with an array field
+ARRAY_CLASSES = {
+    "frame": lambda: LagrangianFrame(np.eye(2, 1)),
+    "lift": lambda: lift_of(coordinate_x(1)),
+    "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), np.stack([np.eye(2, 1)] * 2)),
+    "symplectic-path": lambda: SymplecticPath((0.0, 1.0), np.stack([np.eye(2)] * 2)),
+    "family": lambda: SymmetricFamily((0.0, 1.0), np.zeros((2, 1, 1))),
+    "vector": lambda: SymplecticVector([1.0], [0.0]),
+    "matrix": lambda: SymplecticMatrix(np.eye(2)),
+    "unitary": lambda: UnitaryEmbedding(np.eye(1), np.zeros((1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CLASSES))
+def test_array_classes_compare_by_identity(name):
+    a, b = ARRAY_CLASSES[name](), ARRAY_CLASSES[name]()
+    assert a == a and (a == b) is False and len({a, b}) == 2

@@ -35,6 +35,7 @@ from maslov import (
 )
 from maslov import cli, lagrangian, paths
 from maslov.defaults import TOL_SYM
+from maslov.derived import polynomial_values
 from maslov.lagrangian import det_phase, graph_frames
 from maslov.paths import same_plane
 from maslov.random_gen import (
@@ -416,9 +417,11 @@ def test_one_generator_call_per_level(kind, n, monkeypatch):
         job = {"n": n, "index": index, "path": path, "plane": "coordinate_x"}
 
         def parsed():
+            coeffs = np.array(path["coefficients"])
+            family = SymmetricFamily.from_function(lambda ts: polynomial_values(coeffs, ts))
             if kind == "shear":
-                return induced_path(cli.parse_symplectic_path(path, n), coordinate_x(n))
-            return cli.parse_lagrangian_path(path, n)
+                return induced_path(shear_path(family), coordinate_x(n))
+            return graph_path(family)
 
         _, count, levels = _reference_descend(parsed())
         calls = _count_generator_calls(monkeypatch)
@@ -661,6 +664,10 @@ BAD_SCALARS = {
     ),
     "family-samples-string": lambda: SymmetricFamily.from_function(_unit_family, "33"),
     "family-samples-one": lambda: SymmetricFamily.from_function(_unit_family, 1),
+    # TypeError from linspace for "3" and 2.5, the time-grid message for 1
+    "algebra-samples-string": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), samples="3"),
+    "algebra-samples-float": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), samples=2.5),
+    "algebra-samples-one": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), samples=1),
     "phase-change-nan": lambda: paths.LiftedPath.from_phase_change(
         np.stack([coordinate_x(1).frame] * 2), TOL_SYM, math.nan
     ),

@@ -16,7 +16,8 @@ PYTHONPATH:
   configuration that is not transversal, for n = 1, 2, 3, perturbed by the
   12 values of ``EPSILONS`` from 0 to 1e-2, which cross the corank,
   signature and rounding thresholds and their ambiguity bands, so that
-  every corank and IllConditioned decision on them is compared;
+  every corank, shear split and IllConditioned decision on them is
+  compared;
 * the cli-cold jobs, one ``python -m maslov.cli compute`` each, recorded as
   stdout, stderr and exit code;
 * ``maslov verify --seed 42 --n-max 3`` and ``--seed 7 --n-max 1``, recorded
@@ -58,6 +59,8 @@ CRITERION_LINE = re.compile(r"(?:PASS|FAIL) criterion +(\d+): .*")
 EPSILONS = (0.0,) + tuple(10.0**k for k in range(-12, -1))
 TOLERANCE_DIMS = (1, 2, 3)
 TOLERANCE_SEED = 15
+#: the coefficient scales of the steep shears of the nearly singular plane
+STEEP_SCALES = (1e3, 1e6)
 
 
 def load_jobs(root: Path):
@@ -114,7 +117,9 @@ def tolerance_jobs() -> list[tuple[str, str]]:
     quadruple (X*, X, graph near, graph -sym(2)), the family from sym(-1)
     to near (spectral flow, and its graph path against X), the shear from
     0 to near (mu-ell against X), and the shear from near to sym(2)
-    against X and against the nearly singular plane (symplectic)."""
+    against X and against the nearly singular plane (symplectic), that last
+    one also with its coefficients scaled by each of STEEP_SCALES, where
+    dropping the plane's near-kernel moves the lift the most."""
     rng = np.random.default_rng(TOLERANCE_SEED)
     out = []
     for n in TOLERANCE_DIMS:
@@ -152,6 +157,11 @@ def tolerance_jobs() -> list[tuple[str, str]]:
                 "symplectic": {"index": "symplectic", "path": onto, "plane": "coordinate_x"},
                 "symplectic-singular-x": {"index": "symplectic", "path": onto, "plane": singular_x},
             }
+            for scale in STEEP_SCALES:
+                steep = dict(onto, coefficients=(scale * np.array(onto["coefficients"])).tolist())
+                jobs[f"symplectic-singular-x-steep{scale:g}"] = dict(
+                    jobs["symplectic-singular-x"], path=steep
+                )
             for name, job in jobs.items():
                 out.append((f"tolerance/{name}/n={n}/eps={eps:g}", json.dumps(dict(job, n=n))))
     return out
