@@ -202,8 +202,7 @@ def _symplectic_lift(spec, plane, n, identity_start, tol_round, tol_rank):
     S = _shear(ends)
     if identity_start:
         paths.check_identity_start(S[0])
-    reach = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())  # >= ||A(t)||_2 on [0, 1]
-    U, B = lagrangian.graph_matrix(ell, tol_rank, reach, tol_round)
+    U, B = lagrangian.graph_matrix(ell, tol_rank, coeffs, tol_round)
     frames, tol = lagrangian.transport_frames(S, ell.frame, ell.tol)
     dtheta = graph_phase_change(U.T @ ends @ U + B)
     return paths.LiftedPath.from_phase_change(frames, tol, dtheta), ell

@@ -139,36 +139,37 @@ def graph_frames(A: np.ndarray) -> np.ndarray:
     return np.concatenate((X, A @ X), axis=-2)
 
 
-def graph_matrix(ell: LagrangianFrame, tol_rank: float, reach: float, tol_round: float):
-    """(U_r, B_r) for the shears S(t) = [[I, 0], [A(t), I]] of ell = [X; P]
-    with ||A(t)||_2 <= reach on [0, 1]: U_r the kept left singular vectors
-    of X = U diag(sigma) V^T, B_r the symmetric (U_r^T P V_r) / sigma_r.  As
-    S(t) fixes X*, u(t) = A(t) X + P - iX is block triangular in those bases,
-    and arg det w moves as along the graphs of U_r^T A(t) U_r + B_r.  Kept
-    are the sigma above t / AMBIGUITY_DECADE (``corank``'s t), in its band
-    too.  Dropping k directions moves u(t) by at most (1 + reach) sigma_0 +
-    p (p = ||U_r^T P V_0||_F, sigma_0 the largest dropped sigma) in k
-    columns; as ||u(t)^-1||_2 <= 1 + reach, theta = 2 arg det u moves by at
-    most 2 pi k kappa, kappa = (1 + reach)((1 + reach) sigma_0 + p).  Raises
-    IllConditioned unless kappa < 1 and 2 pi k kappa <= tol_round.  A sigma_0
-    or p within the SVD's rounding, n eps, counts as 0 (an exact kernel)."""
+def graph_matrix(ell: LagrangianFrame, tol_rank: float, coefficients: np.ndarray, tol_round: float):
+    """(U_r, B_r) for the shears S(t) = [[I, 0], [A(t), I]] of ell = [X; P],
+    A(t) = sum_k c_k t^k on [0, 1] for the (m, n, n) stack ``coefficients``:
+    U_r the kept left singular vectors of X = U diag(sigma) V^T, B_r the
+    symmetric (U_r^T P V_r) / sigma_r.  As S(t) fixes X*, u(t) = A(t) X + P
+    - iX is block triangular in those bases, and arg det w moves as along
+    the graphs of U_r^T A(t) U_r + B_r.  Kept are the sigma above
+    t / AMBIGUITY_DECADE (``corank``'s t), in its band too.  Raises
+    IllConditioned unless kappa < 1 and 2 pi k kappa <= tol_round, the
+    first-order bound on dropping k directions that README's "Closed-form
+    lifts" derives; the SVD's rounding, n eps, is added to s, a and p."""
     n = ell.n
     X, P = ell.frame[:n], ell.frame[n:]
     U, sigma, Vt = np.linalg.svd(X)
     r = int(np.count_nonzero(sigma > _rank_threshold(sigma, tol_rank) / AMBIGUITY_DECADE))
-    U_r = U[:, :r]
-    B = (U_r.T @ P @ Vt[:r].T) / sigma[:r]
+    B = (U[:, :r].T @ P @ Vt[:r].T) / sigma[:r]
     if r < n:
-        sigma_0, p = float(sigma[r]), float(np.linalg.norm(U_r.T @ P @ Vt[r:].T))
-        floor = n * np.finfo(float).eps
-        kappa = (1 + reach) * ((1 + reach) * sigma_0 * (sigma_0 > floor) + p * (p > floor))
-        bound = 2 * math.pi * (n - r) * kappa
-        if not (kappa < 1 and bound <= tol_round):
-            raise IllConditioned(
-                f"dropping the near-kernel of X may move a shear's lift by {bound:.3g},"
-                f" above tol_round={tol_round:g}"
-            )
-    return U_r, (B + B.T) / 2
+        M, floor = U.T @ P @ Vt.T, n * np.finfo(float).eps
+        A = U.T @ (coefficients + coefficients.swapaxes(-1, -2)) @ U / 2
+        reach = float(np.linalg.norm(coefficients, axis=(1, 2)).sum())
+        s = float(sigma[r]) + floor
+        a = float(np.linalg.norm(A[:, r:, :r], axis=(1, 2)).sum()) + floor * reach
+        p = float(np.linalg.norm(M[:r, r:])) + floor * (1 + reach)
+        q = float(np.linalg.norm(M[r:, :r] / sigma[:r]))
+        gap = float(np.linalg.svd(M[r:, r:], compute_uv=False)[-1]) - reach * s
+        kappa = (s + (a + q) * (a * s + p)) / gap if gap > 0 else math.inf
+        bound = 2 * math.pi * (n - r) * kappa if kappa < 1 else math.inf  # NaN too
+        if not bound <= tol_round:
+            msg = f"dropping the near-kernel of X may move a shear's lift by {bound:.3g}"
+            raise IllConditioned(f"{msg}, above tol_round={tol_round:g}")
+    return U[:, :r], (B + B.T) / 2
 
 
 def frame_from_unitary(u: np.ndarray) -> LagrangianFrame:
