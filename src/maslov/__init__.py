@@ -25,7 +25,7 @@ from .lagrangian import (
     souriau_w,
     transversal_companion,
 )
-from .leray import DeckAction, LagrangianLift, deck_apply, lift_of, mu_bar, souriau_m
+from .leray import LagrangianLift, deck_apply, lift_of, mu_bar, souriau_m
 from .paths import (
     LagrangianPath,
     SymplecticPath,
@@ -46,8 +46,6 @@ from .paths import (
 from .signature import Cochain, TripleSignature, coboundary, inert_index, kashiwara_tau
 from .symplectic import (
     SymplecticMatrix,
-    SymplecticVector,
-    UnitaryEmbedding,
     direct_sum_symplectic,
     embed_unitary,
     is_symplectic,

@@ -129,7 +129,8 @@ def _polynomial(coefficients, n) -> tuple[np.ndarray, np.ndarray]:
         raise BadInput(f"polynomial coefficient {i} is not symmetric")
     ends = polynomial_values(coeffs, ENDS)
     if not np.isfinite(ends).all():
-        raise BadInput("family matrix is not symmetric")
+        t = int(np.isfinite(ends[0]).all())  # the first non-finite end
+        raise BadInput(f"family matrix A({t}) is not finite: the coefficients overflow")
     return coeffs, ends
 
 

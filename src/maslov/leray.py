@@ -17,6 +17,10 @@ reads w from it: the frame computes its w once and never validates it
 again, so a plane lifted, moved by the deck action or compared with other
 planes has one w.  A lift takes det w once, and the theta rule
 ``check_theta`` reads that det (``_lift`` for a det its caller took).
+
+The deck group Z of the cover acts by theta -> theta + 2k pi
+(``deck_apply``).  A sheet number k is a plain int, which ``lift_of`` and
+``deck_apply`` read by one rule, ``_turns``.
 """
 
 from __future__ import annotations
@@ -59,13 +63,6 @@ class LagrangianLift:
         return self.frame.w
 
 
-@dataclass(frozen=True)
-class DeckAction:
-    """Power of the generator of the fundamental group; acts by theta += 2k pi."""
-
-    k: int
-
-
 def check_theta(ell: LagrangianFrame, theta, det_w) -> None:
     """The one theta rule (see ``LagrangianLift``), on det_w = det ell.w as
     the caller took it: theta passes ``errors.scalar`` and |det_w - e^{i
@@ -85,14 +82,25 @@ def _lift(ell: LagrangianFrame, theta: float, det_w) -> LagrangianLift:
     return lift
 
 
+def _turns(k: int) -> float:
+    """2 pi k for a sheet number k, read by the scalar intake rule as an int;
+    a 2 pi k beyond the float range is BadInput."""
+    try:
+        turns = 2 * math.pi * scalar(k, "sheet number k", integer=True)
+    except OverflowError:  # an int beyond the float range
+        turns = math.inf
+    return scalar(turns, "2 pi k")
+
+
 def lift_of(ell: LagrangianFrame, k: int = 0) -> LagrangianLift:
     """The lift (ell, arg det w + 2k pi) with the principal argument in (-pi, pi]."""
     det_w = np.linalg.det(souriau_w(ell))
-    return _lift(ell, float(np.angle(det_w)) + 2 * math.pi * k, det_w)
+    return _lift(ell, float(np.angle(det_w)) + _turns(k), det_w)
 
 
-def deck_apply(g: DeckAction, lift: LagrangianLift) -> LagrangianLift:
-    return LagrangianLift(lift.frame, lift.theta + 2 * math.pi * g.k)
+def deck_apply(k: int, lift: LagrangianLift) -> LagrangianLift:
+    """The deck transformation k of the cover: theta -> theta + 2k pi."""
+    return LagrangianLift(lift.frame, lift.theta + _turns(k))
 
 
 def _pair_corank(

@@ -335,15 +335,14 @@ def _wrap(d):
 
 def lift_path(
     lam: LagrangianPath,
-    branch: int = 0,
     theta_start: float | None = None,
     max_depth: int = MAX_REFINE_DEPTH,
 ) -> LiftedPath:
     """Phase unwrapping of det w along the path.
 
-    theta(0) is the principal argument plus 2 pi * branch (or the explicit
-    theta_start, which the start lift checks is an argument of det w(0));
-    both go through the scalar intake rule, branch as an int.
+    theta(0) is the principal argument of det w(0), or theta_start, which
+    passes the scalar intake rule and which the start lift checks is an
+    argument of det w(0); sheet k starts at lift_of(lam.start(), k).theta.
     Each step uses nearest-argument continuation and must stay below pi/2.
     The samples are reduced to u u^t and its det in one batch each (the
     arguments are their ``det_phase``), which the end lifts reuse.  Without
@@ -363,13 +362,13 @@ def lift_path(
     obtained by transporting with a badly conditioned symplectic matrix
     are the typical offenders; sample those proportionally to cond(S).
     """
-    scalar(branch, "branch", integer=True)
     if theta_start is not None:
         theta_start = float(scalar(theta_start, "theta_start"))
     W = _uut(lam.frames)
     dets = np.linalg.det(W)
     angs = np.angle(dets)
-    theta0 = float(angs[0]) + 2 * math.pi * branch if theta_start is None else theta_start
+    # + 0.0 reads an argument of -0.0 as 0.0, which the reports print
+    theta0 = float(angs[0]) + 0.0 if theta_start is None else theta_start
     if lam.generator is None:
         steps = _wrap(np.diff(angs))
         bad = np.flatnonzero(~_step_ok(steps))

@@ -26,7 +26,7 @@ from .paths import (
     path_from_unitary_family,
     symplectic_path_from_algebra,
 )
-from .symplectic import SymplecticMatrix, UnitaryEmbedding, embed_unitary, omega_matrix
+from .symplectic import SymplecticMatrix, embed_unitary, omega_matrix
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -53,7 +53,7 @@ def random_symplectic(
     """
     while True:
         u = random_unitary(rng, n)
-        U = embed_unitary(UnitaryEmbedding.from_complex(u)).entries
+        U = embed_unitary(u).entries
         A = random_symmetric(rng, n)
         shear = np.block([[np.eye(n), np.zeros((n, n))], [A, np.eye(n)]])
         L = rng.standard_normal((n, n)) + 0.5 * np.eye(n)

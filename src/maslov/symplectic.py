@@ -2,7 +2,9 @@
 
 Conventions (used by every other module):
 
-* vectors are ordered (x-block, p-block);
+* a vector of X x X* is a plain 1-d array (x-block, p-block), and a
+  unitary a plain complex matrix: neither needs a class, and ``omega`` and
+  ``embed_unitary`` check each where they read it;
 * the form is omega(z, z') = <p, x'> - <p', x>, with matrix
   M_omega = [[0, -I], [I, 0]] in that block order;
 * the unitary group U(n) sits inside Sp(n) via u = A + iB -> [[A, -B], [B, A]].
@@ -26,31 +28,14 @@ def omega_matrix(n: int) -> np.ndarray:
     return np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticVector:
-    """A vector z = (x, p) of X x X*."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(numeric_array(self.x, "position block"))
-        p = np.atleast_1d(numeric_array(self.p, "momentum block"))
-        if x.ndim != 1 or p.ndim != 1 or x.shape != p.shape:
-            raise BadInput("position and momentum blocks must be equal-length vectors")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-def omega(z: SymplecticVector, zp: SymplecticVector) -> float:
-    """omega(z, z') = <p, x'> - <p', x>."""
-    if z.n != zp.n:
-        raise BadInput("dimension mismatch in omega")
-    return float(z.p @ zp.x - zp.p @ z.x)
+def omega(z: np.ndarray, zp: np.ndarray) -> float:
+    """omega(z, z') = z^T M z' for two vectors in (x, p) order, read by the
+    array intake rule; they must have one even, non-zero length."""
+    z = numeric_array(z, "vector")
+    zp = numeric_array(zp, "vector")
+    if z.ndim != 1 or z.shape != zp.shape or z.size % 2 or z.size == 0:
+        raise BadInput("omega needs two vectors (x, p) of one even, non-zero length")
+    return float(z @ omega_matrix(z.size // 2) @ zp)
 
 
 def is_symplectic(S: np.ndarray) -> bool:
@@ -91,46 +76,18 @@ class SymplecticMatrix:
         return self.entries.shape[0] // 2
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryEmbedding:
-    """Real and imaginary parts (a, b) of a unitary matrix u = a + ib."""
+def embed_unitary(u: np.ndarray) -> SymplecticMatrix:
+    """The block matrix [[A, -B], [B, A]] of the U(n) action, for a complex
+    unitary u = A + iB read by the array intake rule."""
+    u = numeric_array(u, "unitary", complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+        raise BadInput("a unitary must be a non-empty square matrix")
+    # u is unitary iff the frame of the plane u X* is a Lagrangian frame;
+    # imported here because lagrangian imports this module
+    from .lagrangian import check_frames, unitary_frames
 
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = numeric_array(self.a, "real part")
-        b = numeric_array(self.b, "imaginary part")
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-            raise BadInput(
-                "real and imaginary parts must be non-empty equal-shape square matrices"
-            )
-        # u = a + ib is unitary iff the frame of the plane u X* is a
-        # Lagrangian frame; imported here because lagrangian imports this module
-        from .lagrangian import check_frames, unitary_frames
-
-        check_frames(unitary_frames(a + 1j * b), TOL_SYM)
-        a = a.copy()
-        b = b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_complex(cls, u: np.ndarray) -> "UnitaryEmbedding":
-        u = numeric_array(u, "unitary", complex)
-        return cls(u.real, u.imag)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-
-def embed_unitary(u: UnitaryEmbedding) -> SymplecticMatrix:
-    """The block matrix [[A, -B], [B, A]] of the U(n) action."""
-    S = np.block([[u.a, -u.b], [u.b, u.a]])
-    return SymplecticMatrix(S)
+    check_frames(unitary_frames(u), TOL_SYM)
+    return SymplecticMatrix(np.block([[u.real, -u.imag], [u.imag, u.real]]))
 
 
 def _interleave_indices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:

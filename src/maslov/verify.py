@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import derived, lagrangian, leray, paths, signature, symplectic
-from .errors import BadInput
+from .errors import BadInput, IllConditioned
 from .random_gen import (
     random_frame,
     random_frame_intersecting,
@@ -200,8 +200,8 @@ def _admissible_companion(rng, f1, f2):
 
 @per_dimension("omega-antisymmetry", 50)
 def check_omega_antisymmetry(rng, n):
-    z = symplectic.SymplecticVector(rng.standard_normal(n), rng.standard_normal(n))
-    zp = symplectic.SymplecticVector(rng.standard_normal(n), rng.standard_normal(n))
+    z = np.concatenate((rng.standard_normal(n), rng.standard_normal(n)))
+    zp = np.concatenate((rng.standard_normal(n), rng.standard_normal(n)))
     _expect(abs(symplectic.omega(z, zp) + symplectic.omega(zp, z)) <= 1e-12)
     _expect(abs(symplectic.omega(z, z)) <= 1e-12)
 
@@ -209,7 +209,7 @@ def check_omega_antisymmetry(rng, n):
 @per_dimension("embed-unitary-symplectic", 30)
 def check_embed_unitary_symplectic(rng, n):
     u = random_unitary(rng, n)
-    S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
+    S = symplectic.embed_unitary(u)
     _expect(symplectic.is_symplectic(S.entries))
 
 
@@ -267,7 +267,7 @@ def check_intersection_dim(rng, n_max):
 @per_dimension("unitary-action", 20)
 def check_unitary_action(rng, n):
     u = random_unitary(rng, n)
-    S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
+    S = symplectic.embed_unitary(u)
     img = lagrangian.apply_symplectic(S, lagrangian.coordinate_xstar(n))
     expected = lagrangian.frame_from_unitary(u)
     _expect(paths.same_plane(img, expected))
@@ -340,7 +340,7 @@ def check_tau_local_constancy(rng, n):
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
     )
-    S = symplectic.embed_unitary(symplectic.UnitaryEmbedding.from_complex(u))
+    S = symplectic.embed_unitary(u)
     moved = [lagrangian.apply_symplectic(S, f) for f in fs]
     dims_ok = all(
         lagrangian.intersection_dim(moved[i], moved[j])
@@ -380,10 +380,7 @@ def check_deck_equivariance(rng, n):
     base = leray.mu_bar(l1, l2)
     for k1 in range(-3, 4):
         for k2 in (-3, 0, 2):
-            shifted = leray.mu_bar(
-                leray.deck_apply(leray.DeckAction(k1), l1),
-                leray.deck_apply(leray.DeckAction(k2), l2),
-            )
+            shifted = leray.mu_bar(leray.deck_apply(k1, l1), leray.deck_apply(k2, l2))
             _expect(shifted - base == 2 * (k1 - k2))
 
 
@@ -623,9 +620,8 @@ def check_spectral_flow(rng, n_max):
             fam = derived.SymmetricFamily.linear(A0, A1)
             try:
                 sf = derived.spectral_flow(fam)
-            except Exception:
+            except IllConditioned:
                 continue  # near-singular endpoint; redraw implicitly
-            lam = derived.graph_path(fam)
             _expect(derived.spectral_flow_path_index(fam) == sf)
             _expect(paths.mu_lagrangian(
                 derived.graph_path(fam), lagrangian.coordinate_xstar(n)

@@ -17,7 +17,6 @@ import numpy as np
 
 from maslov import (
     SymplecticMatrix,
-    DeckAction,
     HalfInteger,
     SymmetricFamily,
     apply_symplectic,
@@ -148,16 +147,14 @@ def test_criterion_04_deck_equivariance(capsys):
         base = mu_bar(l1, l2)
         k1 = int(rng.integers(-3, 4))
         k2 = int(rng.integers(-3, 4))
-        got = mu_bar(deck_apply(DeckAction(k1), l1), deck_apply(DeckAction(k2), l2))
+        got = mu_bar(deck_apply(k1, l1), deck_apply(k2, l2))
         ok = ok and got - base == 2 * (k1 - k2)
     for n in (1, 3, 5):
         l1, l2 = random_lift(rng, n), random_lift(rng, n)
         base = mu_bar(l1, l2)
         for k1 in range(-3, 4):
             for k2 in range(-3, 4):
-                got = mu_bar(
-                    deck_apply(DeckAction(k1), l1), deck_apply(DeckAction(k2), l2)
-                )
+                got = mu_bar(deck_apply(k1, l1), deck_apply(k2, l2))
                 ok = ok and got - base == 2 * (k1 - k2)
     _report(capsys, 4, "deck equivariance shift 2(k1 - k2), k in [-3, 3]", ok)
 

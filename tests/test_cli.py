@@ -18,6 +18,7 @@ from maslov import (
     paths,
     signature,
     symplectic,
+    verify,
 )
 from maslov.signature import TripleSignature
 
@@ -321,6 +322,87 @@ NON_FINITE_JOBS = {
         "planes": ["coordinate_xstar", {"graph": [[math.nan]]}, "coordinate_x"],
     },
 }
+
+
+def _lagrangian_job(path, plane="coordinate_x"):
+    return {"n": 1, "index": "lagrangian", "path": path, "plane": plane}
+
+
+def _symplectic_job(path):
+    return {"n": 1, "index": "symplectic", "path": path, "plane": "coordinate_x"}
+
+
+#: name -> (job, the exact message of the BadInput it raises)
+BAD_INPUT_MESSAGES = {
+    "shape": (
+        {
+            "n": 2,
+            "index": "kashiwara",
+            "planes": ["coordinate_x", {"graph": [[0.0]]}, "coordinate_x"],
+        },
+        "graph plane: expected shape (2, 2), got (1, 1)",
+    ),
+    "frame-not-a-pair": (
+        _lagrangian_job({"kind": "rotation"}, {"frame": [[[0.0]]]}),
+        "frame plane: expected [X, P]",
+    ),
+    "plane-unknown": (
+        _lagrangian_job({"kind": "rotation"}, "coordinate_y"),
+        "unrecognized plane description: 'coordinate_y'",
+    ),
+    "coefficients-empty": (
+        _lagrangian_job({"kind": "graph_polynomial", "coefficients": []}),
+        "graph_polynomial needs at least one coefficient",
+    ),
+    "family-end-overflow": (
+        {"n": 1, "index": "spectral-flow", "family": {"coefficients": [[[1e307]], [[1.7e308]]]}},
+        "family matrix A(1) is not finite: the coefficients overflow",
+    ),
+    "rotation-n": (
+        dict(_lagrangian_job({"kind": "rotation"}), n=3),
+        "rotation paths are defined for n = 1 or 2",
+    ),
+    "lagrangian-one-sample": (
+        _lagrangian_job({"kind": "lagrangian_samples", "frames": [[[0.0], [1.0]]]}),
+        "lagrangian_samples needs at least two frames",
+    ),
+    "symplectic-one-sample": (
+        _symplectic_job({"kind": "symplectic_samples", "matrices": [np.eye(2).tolist()]}),
+        "symplectic_samples needs at least two matrices",
+    ),
+    "lagrangian-kind": (
+        _lagrangian_job({"kind": "spiral"}),
+        "unrecognized Lagrangian path kind: 'spiral'",
+    ),
+    "symplectic-kind": (
+        _symplectic_job({"kind": "spiral"}),
+        "unrecognized symplectic path kind: 'spiral'",
+    ),
+    "lift-without-plane": (
+        {"n": 1, "index": "leray", "lifts": [{"branch": 0}, {"plane": "coordinate_x"}]},
+        'lift description must be {"plane": ..., "branch": k}',
+    ),
+    "index-unknown": (
+        {"n": 1, "index": "conley-zehnder"},
+        "index must be one of " + ", ".join(cli.INDEX_KINDS),
+    ),
+    "lift-count": (
+        {"n": 1, "index": "leray", "lifts": [{"plane": "coordinate_x"}]},
+        "the two-point index needs exactly two lifts",
+    ),
+    "spectral-flow-without-coefficients": (
+        {"n": 1, "index": "spectral-flow", "family": {}},
+        'spectral-flow needs {"family": {"coefficients": [A0, A1, ...]}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUT_MESSAGES))
+def test_bad_input_branches_name_their_fault(name):
+    job, message = BAD_INPUT_MESSAGES[name]
+    with pytest.raises(BadInput) as info, np.errstate(all="ignore"):
+        cli.compute_report(job)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_JOBS))
@@ -652,10 +734,10 @@ def test_asymmetric_coefficient_is_named():
 
 
 OVERFLOW_JOBS = {
-    # A(1) = 2e308 overflows, and A(1) - A(1)^T is NaN
+    # symmetrising A(0) = 1e308 sums 2e308, which overflows
     "spectral-flow": (
         {"n": 1, "index": "spectral-flow", "family": {"coefficients": [[[1e308]], [[1e308]]]}},
-        "family matrix is not symmetric",
+        "family matrix A(0) is not finite: the coefficients overflow",
     ),
     # graph_frames squares the eigenvalue 2e200
     "graph-polynomial": (
@@ -910,6 +992,17 @@ def test_verify_full_strength_under_optimize(src_env):
     )
     assert done.returncode == 5, done.stderr
     assert "FAIL mu-bar-coboundary" in done.stdout
+
+
+def test_spectral_flow_check_fails_on_a_broken_spectral_flow(monkeypatch):
+    # the check redraws an ill-conditioned endpoint only: a spectral_flow
+    # that raises anything else fails it, where it passed with 0 instances
+    def broken(family, tol_sig=defaults.TOL_SIG_BASE):
+        raise TypeError("broken spectral_flow")
+
+    monkeypatch.setattr(derived, "spectral_flow", broken)
+    with pytest.raises(TypeError, match="^broken spectral_flow$"):
+        verify.CHECKS["spectral-flow"](np.random.default_rng(7), 1)
 
 
 def test_verify_detects_sign_flip(capsys, monkeypatch):

@@ -9,12 +9,11 @@ from maslov import (
     SymmetricFamily,
     SymplecticMatrix,
     SymplecticPath,
-    SymplecticVector,
-    UnitaryEmbedding,
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,
     direct_sum_frame,
+    embed_unitary,
     frame_from_graph,
     frame_from_unitary,
     frame_from_w,
@@ -25,6 +24,7 @@ from maslov import (
     left_translate,
     lift_of,
     lift_path,
+    omega,
     omega_matrix,
     shear_path,
     souriau_w,
@@ -83,7 +83,7 @@ NAN_INPUTS = {
     ),
     "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), [[[1.0], [0.0]], [[NAN], [1.0]]]),
     "graph-plane": lambda: frame_from_graph(np.array([[NAN]])),
-    "unitary-embedding": lambda: UnitaryEmbedding([[NAN]], [[0.0]]),
+    "unitary-embedding": lambda: embed_unitary([[NAN]]),
 }
 
 
@@ -108,7 +108,7 @@ EMPTY_INPUTS = {
     "symplectic-path": lambda: SymplecticPath((0.0, 1.0), (EMPTY, EMPTY)),
     "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), np.zeros((2, 0, 0))),
     "is-symplectic": lambda: is_symplectic(EMPTY),
-    "unitary-embedding": lambda: UnitaryEmbedding(EMPTY, EMPTY),
+    "unitary-embedding": lambda: embed_unitary(EMPTY),
     "family": lambda: SymmetricFamily((0.0, 1.0), (EMPTY, EMPTY)),
     "graph-plane": lambda: frame_from_graph(EMPTY),
 }
@@ -143,11 +143,10 @@ INTAKE_SITES = {
     "unitary-plane": frame_from_unitary,
     "w-plane": frame_from_w,
     "apply-symplectic": lambda x: apply_symplectic(x, coordinate_x(1)),
-    "vector": lambda x: SymplecticVector(x, [0.0]),
+    "vector": lambda x: omega(x, [0.0, 0.0]),
     "is-symplectic": is_symplectic,
     "symplectic-matrix": SymplecticMatrix,
-    "unitary-embedding": lambda x: UnitaryEmbedding(x, [[0.0]]),
-    "unitary-from-complex": UnitaryEmbedding.from_complex,
+    "unitary-embedding": embed_unitary,
     "lagrangian-path": lambda x: LagrangianPath((0.0, 1.0), x),
     "lagrangian-path-tol": lambda x: LagrangianPath((0.0, 1.0), np.stack([X1] * 2), None, x),
     "path-times": lambda x: SymplecticPath(x, I2),
@@ -370,9 +369,7 @@ ARRAY_CLASSES = {
     "lagrangian-path": lambda: LagrangianPath((0.0, 1.0), np.stack([np.eye(2, 1)] * 2)),
     "symplectic-path": lambda: SymplecticPath((0.0, 1.0), np.stack([np.eye(2)] * 2)),
     "family": lambda: SymmetricFamily((0.0, 1.0), np.zeros((2, 1, 1))),
-    "vector": lambda: SymplecticVector([1.0], [0.0]),
     "matrix": lambda: SymplecticMatrix(np.eye(2)),
-    "unitary": lambda: UnitaryEmbedding(np.eye(1), np.zeros((1, 1))),
 }
 
 

@@ -6,7 +6,6 @@ import scipy.integrate
 
 from maslov import (
     BadInput,
-    DeckAction,
     IllConditioned,
     LagrangianLift,
     coordinate_x,
@@ -50,7 +49,7 @@ def test_w_is_computed_once_per_plane(rng, monkeypatch):
     ell, other = random_frame(rng, 2), random_frame(rng, 2)
     assert seen == []
     lift = lift_of(ell)
-    deck_apply(DeckAction(2), lift_of(ell, 1))
+    deck_apply(2, lift_of(ell, 1))
     for _ in range(2):
         intersection_dim(ell, other)
     assert sum(F is ell.frame for F in seen) == 1
@@ -80,9 +79,9 @@ def test_lift_rejects_theta_that_is_not_a_number(theta):
 
 def test_deck_apply():
     l = lift_of(coordinate_xstar(2), 0)
-    assert deck_apply(DeckAction(0), l).theta == l.theta
-    assert abs(deck_apply(DeckAction(1), l).theta - (l.theta + 2 * math.pi)) < 1e-12
-    assert abs(deck_apply(DeckAction(-2), l).theta - (l.theta - 4 * math.pi)) < 1e-12
+    assert deck_apply(0, l).theta == l.theta
+    assert abs(deck_apply(1, l).theta - (l.theta + 2 * math.pi)) < 1e-12
+    assert abs(deck_apply(-2, l).theta - (l.theta - 4 * math.pi)) < 1e-12
 
 
 def test_souriau_m_scalar_anchors():
@@ -91,7 +90,7 @@ def test_souriau_m_scalar_anchors():
     assert souriau_m(xstar, x) == 0
     assert souriau_m(x, xstar) == 1
     # deck shift on the first argument adds 1
-    assert souriau_m(deck_apply(DeckAction(1), xstar), x) == 1
+    assert souriau_m(deck_apply(1, xstar), x) == 1
 
 
 def test_souriau_m_requires_transversality(rng):
@@ -171,9 +170,7 @@ def test_mu_bar_deck_equivariance(rng):
         base = mu_bar(l1, l2)
         for k1 in range(-3, 4):
             for k2 in range(-3, 4):
-                got = mu_bar(
-                    deck_apply(DeckAction(k1), l1), deck_apply(DeckAction(k2), l2)
-                )
+                got = mu_bar(deck_apply(k1, l1), deck_apply(k2, l2))
                 assert got - base == 2 * (k1 - k2)
 
 

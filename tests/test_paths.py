@@ -16,12 +16,14 @@ from maslov import (
     concat_symplectic,
     coordinate_x,
     coordinate_xstar,
+    deck_apply,
     frame_from_graph,
     graph_path,
     induced_path,
     kashiwara_tau,
     keller_maslov,
     left_translate,
+    lift_of,
     lift_path,
     mu_ell,
     mu_lagrangian,
@@ -77,8 +79,9 @@ def test_lift_constant_and_rotations():
 
 def test_lift_branch_and_theta_start():
     lam = rotation_path(1, 0.0, math.pi)
-    l0 = lift_path(lam, branch=0)
-    l1 = lift_path(lam, branch=1)
+    # sheet 1 is the start lift's theta on that sheet
+    l0 = lift_path(lam)
+    l1 = lift_path(lam, theta_start=lift_of(lam.start(), 1).theta)
     assert abs(l1.start.theta - l0.start.theta - 2 * math.pi) < 1e-12
     assert abs(l1.winding() - l0.winding()) < 1e-12
     shifted = lift_path(lam, theta_start=l0.start.theta - 2 * math.pi)
@@ -643,14 +646,34 @@ def _unit_unitaries(ts):
     return np.ones((len(ts), 1, 1), dtype=complex)
 
 
+#: the two entries that read a sheet number k
+SHEET_SITES = {
+    "lift": lambda k: lift_of(coordinate_x(1), k),
+    "deck": lambda k: deck_apply(k, lift_of(coordinate_x(1))),
+}
+
+
 #: caller scalars outside the rule (a finite int or float, not a bool; an
-#: int for counts, n and branch)
+#: int for counts, n and sheet numbers)
 BAD_SCALARS = {
     # lifted from 0 through float("0.0")
     "lift-theta-start-string": lambda: lift_path(rotation_path(1, 0.0, 1.0), theta_start="0.0"),
     "lift-theta-start-nan": lambda: lift_path(rotation_path(1, 0.0, 1.0), theta_start=math.nan),
-    "lift-branch-float": lambda: lift_path(rotation_path(1, 0.0, 1.0), branch=0.5),
-    "lift-branch-bool": lambda: lift_path(rotation_path(1, 0.0, 1.0), branch=True),
+    # a sheet number k, read by one rule in lift_of and deck_apply: 0.5 was
+    # "theta is not an argument of det w", True added 2 pi, "1" raised
+    # TypeError and 10**400 OverflowError; 10**308 makes 2 pi k infinite
+    **{
+        f"{site}-branch-{name}": lambda site=site, k=k: SHEET_SITES[site](k)
+        for site in SHEET_SITES
+        for name, k in [
+            ("float", 0.5),
+            ("bool", True),
+            ("string", "1"),
+            ("numpy-int", np.int64(1)),
+            ("overflow", 10**400),
+            ("infinite-turns", 10**308),
+        ]
+    },
     # TypeError from alpha_end - alpha_start
     "rotation-alpha-start-string": lambda: rotation_path(1, "0", 1.0),
     "rotation-alpha-end-inf": lambda: rotation_path(1, 0.0, math.inf),

@@ -5,8 +5,6 @@ from maslov import (
     BadInput,
     SymplecticMatrix,
     SymplecticPath,
-    SymplecticVector,
-    UnitaryEmbedding,
     direct_sum_symplectic,
     embed_unitary,
     is_symplectic,
@@ -17,8 +15,8 @@ from maslov.random_gen import random_symplectic, random_unitary
 
 
 def test_omega_anchor_values():
-    z = SymplecticVector([1.0], [0.0])
-    zp = SymplecticVector([0.0], [1.0])
+    z = [1.0, 0.0]  # (x, p)
+    zp = [0.0, 1.0]
     assert omega(z, zp) == -1.0
     assert omega(zp, z) == 1.0
     assert omega(z, z) == 0.0
@@ -38,14 +36,20 @@ def test_omega_matches_matrix_form(rng):
     for _ in range(20):
         a = rng.standard_normal(2 * n)
         b = rng.standard_normal(2 * n)
-        z = SymplecticVector(a[:n], a[n:])
-        zp = SymplecticVector(b[:n], b[n:])
-        assert abs(omega(z, zp) - a @ M @ b) < 1e-12
+        assert abs(omega(a, b) - a @ M @ b) < 1e-12
 
 
 def test_omega_dimension_mismatch():
-    with pytest.raises(BadInput):
-        omega(SymplecticVector([1.0], [0.0]), SymplecticVector([1, 0], [0, 1]))
+    # two lengths, an odd length, no entries, and matrices: none is a pair
+    # of (x, p) vectors of one even, non-zero length
+    for z, zp in [
+        ([1.0, 0.0], [1, 0, 0, 1]),
+        ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([], []),
+        (np.eye(2), np.eye(2)),
+    ]:
+        with pytest.raises(BadInput, match="^omega needs two vectors"):
+            omega(z, zp)
 
 
 def test_is_symplectic_examples():
@@ -125,12 +129,12 @@ def test_symplectic_matrix_validates():
 
 def test_embed_unitary_anchors():
     n = 2
-    ident = embed_unitary(UnitaryEmbedding(np.eye(n), np.zeros((n, n))))
+    ident = embed_unitary(np.eye(n))
     assert np.abs(ident.entries - np.eye(2 * n)).max() < 1e-14
-    jmat = embed_unitary(UnitaryEmbedding(np.zeros((n, n)), np.eye(n)))
+    jmat = embed_unitary(1j * np.eye(n))
     assert np.abs(jmat.entries - omega_matrix(n)).max() < 1e-14
     alpha = 0.3
-    rot = embed_unitary(UnitaryEmbedding.from_complex(np.array([[np.exp(1j * alpha)]])))
+    rot = embed_unitary([[np.exp(1j * alpha)]])
     expected = np.array(
         [[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]]
     )
@@ -138,15 +142,22 @@ def test_embed_unitary_anchors():
 
 
 def test_embed_unitary_rejects_non_unitary():
+    # the frame rule at TOL_SYM: 2e-9 off unitary passes SymplecticMatrix's
+    # looser 1e-8 test, but not this one
     with pytest.raises(BadInput):
-        UnitaryEmbedding(2 * np.eye(2), np.zeros((2, 2)))
+        embed_unitary(2 * np.eye(2))
+    with pytest.raises(BadInput, match="^frame columns are not orthonormal$"):
+        embed_unitary((1 + 1e-9) * np.eye(2))
+    assert is_symplectic(np.eye(4) * (1 + 1e-9))
+    with pytest.raises(BadInput, match="^a unitary must be a non-empty square matrix$"):
+        embed_unitary(np.eye(2, 3))
 
 
 def test_embedded_unitaries_are_symplectic(rng):
     for n in (1, 2, 3):
         for _ in range(25):
             u = random_unitary(rng, n)
-            S = embed_unitary(UnitaryEmbedding.from_complex(u))
+            S = embed_unitary(u)
             assert is_symplectic(S.entries)
 
 
