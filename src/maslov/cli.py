@@ -63,7 +63,7 @@ def _matrix(data, shape, what):
     arr = numeric_array(data, what)
     if arr.shape != shape:
         raise BadInput(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise BadInput(f"{what}: entries must be finite")
     return arr
 
@@ -81,8 +81,16 @@ def _samples(data, shape, what):
 
 
 def _number(data, what, integer=False):
-    """A scalar job field: a finite number, integral if ``integer``."""
-    x = float(_matrix(data, (), what))
+    """A scalar job field: a finite number, integral if ``integer``.  A plain
+    int or float, all that JSON yields, is decided on the Python number;
+    anything else (numpy scalars, bool, str, None, lists, an int that may
+    overflow a float) is read by ``_matrix``, which names its fault."""
+    if type(data) is float or (type(data) is int and abs(data) < 2**1000):
+        x = float(data)
+        if not math.isfinite(x):
+            raise BadInput(f"{what}: entries must be finite")
+    else:
+        x = float(_matrix(data, (), what))
     if integer and not x.is_integer():
         raise BadInput(f"{what}: expected an integer, got {data!r}")
     return int(x) if integer else x

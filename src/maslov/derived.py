@@ -67,12 +67,13 @@ class SymmetricFamily:
 
 def polynomial_values(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The symmetrised (len(ts), n, n) stack of sum_k coeffs[k] t^k, t**k by
-    Python's scalar power (numpy's vectorised one can differ in the last bit)."""
+    Python's scalar power (numpy's vectorised one can differ in the last bit).
+    Each half is taken before the sum, so a finite A(t) stays finite."""
     powers = np.array([[t**k for t in ts.tolist()] for k in range(len(coeffs))])
     out = np.zeros((len(ts),) + coeffs.shape[1:])
     for c, tk in zip(coeffs, powers):
         out += c * tk[:, None, None]
-    return (out + out.swapaxes(-1, -2)) / 2
+    return out / 2 + out.swapaxes(-1, -2) / 2
 
 
 @dataclass(frozen=True)

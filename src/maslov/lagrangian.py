@@ -68,17 +68,24 @@ def check_frames(F: np.ndarray, tol) -> None:
     `not err <= tol`, so a NaN entry fails.  The first failing frame, in
     stack order, names the failed check, orthonormality before isotropy."""
     n = F.shape[-1]
-    X, P = F[..., :n, :], F[..., n:, :]
-    Xt = X.swapaxes(-1, -2)
-    Pt = P.swapaxes(-1, -2)
-    orth = np.abs(Xt @ X + Pt @ P - np.eye(n)).max(axis=(-2, -1)) <= tol
-    ok = orth & (np.abs(Xt @ P - Pt @ X).max(axis=(-2, -1)) <= tol)
+    Ft = F.swapaxes(-1, -2)
+    A = Ft[..., :n] @ F[..., n:, :]  # X^T P, isotropic iff symmetric
+    orth = np.abs(Ft @ F - _identity(n)).max(axis=(-2, -1)) <= tol
+    ok = orth & (np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol)
     # one frame gives a numpy bool, whose truth needs no reduction
     if ok if ok.ndim == 0 else ok.all():
         return
     if np.ravel(orth)[np.argmin(np.ravel(ok))]:
         raise BadInput("frame does not span an isotropic subspace")
     raise BadInput("frame columns are not orthonormal")
+
+
+@lru_cache(maxsize=8, typed=True)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity of the frame rule, built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 # bounded (a plane and its w: 32 n^2 bytes, 180 MB over n <= 256); typed: 2.0 never hits 2
@@ -112,7 +119,7 @@ def is_symmetric(A: np.ndarray) -> bool:
     one non-empty square matrix or an (N, n, n) stack of them, checked
     matrix by matrix in one batch: it passes when every matrix does."""
     err = np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1))
-    return bool(np.all(err <= TOL_SYM * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))))
+    return bool((err <= TOL_SYM * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))).all())
 
 
 def frame_from_graph(A: np.ndarray) -> LagrangianFrame:
@@ -282,11 +289,13 @@ def corank(m: np.ndarray, tol_rank: float, what: str) -> tuple[int, float]:
     (t / AMBIGUITY_DECADE, t * AMBIGUITY_DECADE) raises IllConditioned."""
     sigma = np.linalg.svd(m, compute_uv=False)
     t = _rank_threshold(sigma, tol_rank)
-    if np.any((sigma > t / AMBIGUITY_DECADE) & (sigma < t * AMBIGUITY_DECADE)):
+    lo, hi = t / AMBIGUITY_DECADE, t * AMBIGUITY_DECADE
+    values = sigma.tolist()  # at most 2n floats; a NaN fails every comparison
+    if any(lo < s < hi for s in values):
         raise IllConditioned(
             f"singular value inside the ambiguity band around tol={t:g} in {what}"
         )
-    return int(np.count_nonzero(sigma <= t)), t
+    return sum(s <= t for s in values), t
 
 
 def _rank_threshold(sigma: np.ndarray, tol_rank: float) -> float:

@@ -125,12 +125,12 @@ def mu_bar(
     k, t = _pair_corank(l1, l2, tol_rank)
     lam = np.linalg.eigvals(l1.w @ l2.w.conj())
     at_one = np.abs(lam - 1) <= t
-    if np.count_nonzero(at_one) != k:
+    count = int(np.count_nonzero(at_one))
+    if count != k:
         raise IllConditioned(
-            f"{np.count_nonzero(at_one)} eigenvalues within {t:g} of 1 "
-            f"but intersection dimension {k}"
+            f"{count} eigenvalues within {t:g} of 1 but intersection dimension {k}"
         )
-    phases = np.angle(-lam[~at_one])
+    phases = np.angle(-(lam[~at_one] if k else lam))
     value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
     message = "index residual {:.3g} exceeds tol_round; the pair is nearly non-transversal"
     return nearest_integer(value, tol_round, IllConditioned, message)

@@ -12,6 +12,7 @@ blocks F_i^T M F_j / 2 following the cyclic pattern above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,16 +57,19 @@ def sign_counts(vals: np.ndarray, tol_sig: float, what: str) -> tuple[int, int, 
     """Positive, negative and null counts of eigenvalues at the threshold
     t = tol_sig * max(1, largest |eigenvalue|); a magnitude in the ambiguity
     band (t, AMBIGUITY_DECADE * t) raises IllConditioned."""
-    mags = np.abs(vals)
-    t = tol_sig * max(1.0, float(mags.max(initial=0.0)))
-    if np.any((mags > t) & (mags < t * AMBIGUITY_DECADE)):
+    values = vals.tolist()  # at most 3n floats; a NaN fails every comparison
+    mags = [abs(v) for v in values]
+    # numpy's max, which any NaN makes NaN (and max(1.0, NaN) is 1.0)
+    t = tol_sig * (1.0 if math.isnan(sum(mags)) else max(1.0, max(mags, default=0.0)))
+    hi = t * AMBIGUITY_DECADE
+    if any(t < m < hi for m in mags):
         raise IllConditioned(
             f"eigenvalue inside the ambiguity band around tol={t:g} in {what}; "
             "inputs are too close to a stratum change"
         )
-    pos = int(np.count_nonzero(vals > t))
-    neg = int(np.count_nonzero(vals < -t))
-    return pos, neg, len(vals) - pos - neg
+    pos = sum(v > t for v in values)
+    neg = sum(v < -t for v in values)
+    return pos, neg, len(values) - pos - neg
 
 
 def kashiwara_tau(

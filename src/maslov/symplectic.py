@@ -16,6 +16,7 @@ p-blocks of the two factors independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +24,14 @@ from .defaults import TOL_SYM, TOL_SYMPLECTIC
 from .errors import BadInput, numeric_array
 
 
+# bounded (32 n^2 bytes each) and typed as lagrangian.coordinate_x
+@lru_cache(maxsize=8, typed=True)
 def omega_matrix(n: int) -> np.ndarray:
-    """Matrix of the symplectic form in (x, p) block order."""
-    return np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
+    """Matrix of the symplectic form in (x, p) block order, built once per n
+    and read-only."""
+    M = np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
+    M.setflags(write=False)
+    return M
 
 
 def omega(z: np.ndarray, zp: np.ndarray) -> float:

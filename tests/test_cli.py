@@ -734,10 +734,10 @@ def test_asymmetric_coefficient_is_named():
 
 
 OVERFLOW_JOBS = {
-    # symmetrising A(0) = 1e308 sums 2e308, which overflows
+    # A(0) = 1e308 is finite, but A(1) = 1e308 + 1e308 overflows
     "spectral-flow": (
         {"n": 1, "index": "spectral-flow", "family": {"coefficients": [[[1e308]], [[1e308]]]}},
-        "family matrix A(0) is not finite: the coefficients overflow",
+        "family matrix A(1) is not finite: the coefficients overflow",
     ),
     # graph_frames squares the eigenvalue 2e200
     "graph-polynomial": (
@@ -750,6 +750,21 @@ OVERFLOW_JOBS = {
         "frame columns are not orthonormal",
     ),
 }
+
+
+#: families whose ends are finite though their entries exceed half the
+#: float range: A = 1e308 throughout, and A(0) = 1.7e308, A(1) = 7e307
+NEAR_OVERFLOW_FAMILIES = {
+    "constant": [[[1e308]]],
+    "linear": [[[1.7e308]], [[-1e308]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_OVERFLOW_FAMILIES))
+def test_finite_family_near_the_float_range_is_read(name):
+    coefficients = NEAR_OVERFLOW_FAMILIES[name]
+    job = {"n": 1, "index": "spectral-flow", "family": {"coefficients": coefficients}}
+    assert cli.compute_report(job)["value"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOW_JOBS))
