@@ -389,7 +389,7 @@ def cmd_verify(args) -> int:
         return _fail("BAD_INPUT", "--seed must be >= 0")
     if args.n_max < 1:
         return _fail("BAD_INPUT", "--n-max must be >= 1")
-    # the verification layer and scipy stay out of the compute path's imports
+    # the verification layer stays out of the compute path's imports
     from . import verify
 
     results = verify.run_all(seed=args.seed, n_max=args.n_max)

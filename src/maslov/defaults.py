@@ -13,6 +13,7 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     symmetric       lagrangian.is_symmetric     TOL_SYM, relative
     symplectic      symplectic.is_symplectic    TOL_SYMPLECTIC, relative
     w from outside  lagrangian.frame_from_w     TOL_SYM
+    eigenbasis      lagrangian._eigenbasis      1e-6, rebuild residual (used there only)
     corank          lagrangian.corank           TOL_RANK_BASE, AMBIGUITY_DECADE
     shear split     lagrangian.graph_matrix     corank's t / AMBIGUITY_DECADE; TOL_ROUND
     signature       signature.sign_counts       TOL_SIG_BASE, AMBIGUITY_DECADE

@@ -13,6 +13,9 @@ since the frame's bound implies it.  The symmetric-unitary rule runs only in
 ``check_frames`` gives its end frames, with their w's, by ``_checked_frames``;
 ``coordinate_x(n)`` and ``coordinate_xstar(n)`` are built once per n.
 
+Every eigendecomposition of a unitary is ``_eigenbasis``, one ``eigh`` in
+the graph chart of Lag(n), real on a w.
+
 Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 {p = ax} in n = 1 -> (a^2 - 1 - 2ia) / (1 + a^2).
 """
@@ -224,37 +227,33 @@ def det_phase(frames: np.ndarray) -> np.ndarray:
     return np.angle(np.linalg.det(_uut(frames)))
 
 
-def _joint_phase_decomposition(w: np.ndarray):
-    """Real orthogonal O and phases phi with w = O diag(e^{i phi}) O^T.
+def _eigenbasis(v: np.ndarray, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """V and phases phi in (-pi, pi], by ascending cos phi, then sin phi, with
+    v = V diag(e^{i phi}) V^H for unitary v; V is real if ``real`` says v is
+    symmetric.  For the turn e^{i alpha} that centres the widest eigenphase
+    gap at -1, C = i (I - e^{i alpha} v)(I + e^{i alpha} v)^-1 is Hermitian
+    (real for symmetric v), and phi = 2 arctan(lambda) - alpha for each
+    eigenvalue lambda of C.  A rebuild off by over 1e-6 raises IllConditioned."""
+    alpha = math.pi - _widest_gap(np.angle(np.linalg.eigvals(v)))
+    eye = _identity(len(v))
+    turned = np.exp(1j * alpha) * v
+    C = 1j * np.linalg.solve(eye + turned, eye - turned)
+    lam, V = np.linalg.eigh(C.real if real else C)
+    phases = math.pi - (math.pi + alpha - 2 * np.arctan(lam)) % (2 * math.pi)
+    order = np.lexsort((np.sin(phases), np.cos(phases)))
+    V, phases = V[:, order], phases[order]
+    if not np.abs((V * np.exp(1j * phases)) @ V.conj().T - v).max() <= 1e-6:
+        raise IllConditioned("eigenbasis of the unitary does not rebuild it")
+    return V, phases
 
-    Re(w) and Im(w) are commuting real symmetric matrices; diagonalize Re(w)
-    and rotate each (clustered) eigenspace to diagonalize Im(w) within it.
-    """
-    A = w.real
-    B = w.imag
-    avals, O = np.linalg.eigh((A + A.T) / 2)
-    n = w.shape[0]
-    O = O.copy()
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and avals[stop] - avals[stop - 1] <= 1e-7:
-            stop += 1
-        if stop - start > 1:
-            block = O[:, start:stop]
-            sub = block.T @ ((B + B.T) / 2) @ block
-            _, Q = np.linalg.eigh(sub)
-            O[:, start:stop] = block @ Q
-        start = stop
-    a = np.einsum("ij,ij->j", O, A @ O)
-    b = np.einsum("ij,ij->j", O, B @ O)
-    resid = max(
-        np.abs(O.T @ A @ O - np.diag(a)).max(),
-        np.abs(O.T @ B @ O - np.diag(b)).max(),
-    )
-    if resid > 1e-6:
-        raise IllConditioned("joint diagonalization of the plane matrix failed")
-    return O, np.arctan2(b, a)
+
+def _widest_gap(phases: np.ndarray) -> float:
+    """The centre, in [-pi, pi), of the widest gap between the phases on
+    the unit circle."""
+    phases = np.sort(np.mod(phases, 2 * np.pi))
+    gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
+    j = int(np.argmax(gaps))
+    return float(np.mod(phases[j] + gaps[j] / 2 + np.pi, 2 * np.pi) - np.pi)
 
 
 def frame_from_w(w: np.ndarray) -> LagrangianFrame:
@@ -273,14 +272,13 @@ def frame_from_w(w: np.ndarray) -> LagrangianFrame:
         raise BadInput("matrix is not symmetric (plain transpose)")
     if not np.abs(w @ w.conj().T - np.eye(w.shape[0])).max() <= TOL_SYM:
         raise BadInput("matrix is not unitary")
-    O, phases = _joint_phase_decomposition(w)
+    O, phases = _eigenbasis(w, real=True)
     return frame_from_unitary(O * np.exp(0.5j * phases))
 
 
 def eigenphases(w: np.ndarray) -> np.ndarray:
     """Sorted phases (in (-pi, pi]) of the unit-circle eigenvalues of w."""
-    _, phases = _joint_phase_decomposition(w)
-    return np.sort(phases)
+    return np.sort(_eigenbasis(w, real=True)[1])
 
 
 def corank(m: np.ndarray, tol_rank: float, what: str) -> tuple[int, float]:
@@ -371,13 +369,7 @@ def _scalar_frame(theta: float, n: int) -> LagrangianFrame:
 def companion_phase(ell1: LagrangianFrame, ell2: LagrangianFrame) -> float:
     """Phase theta maximizing the minimal circular distance from e^{i theta}
     to the eigenphase sets of w1 and w2."""
-    phases = np.concatenate([eigenphases(ell1.w), eigenphases(ell2.w)])
-    phases = np.sort(np.mod(phases, 2 * np.pi))
-    gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
-    j = int(np.argmax(gaps))
-    theta = phases[j] + gaps[j] / 2
-    theta = np.mod(theta + np.pi, 2 * np.pi) - np.pi
-    return float(theta)
+    return _widest_gap(np.concatenate([eigenphases(ell1.w), eigenphases(ell2.w)]))
 
 
 def transversal_companion(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianFrame:

@@ -21,6 +21,9 @@ lifts its graph, shear and rotation paths so and never bisects.
 A lift validates once: ``LagrangianPath`` checks its frames as one stack,
 ``lift_path`` and ``from_phase_change`` take u u^t and det of that stack
 once, and the two end lifts reuse its checked frames, w's and dets.
+
+Numpy only: ``path_joining`` takes its eigenbasis from ``lagrangian._eigenbasis``
+and ``symplectic_path_from_algebra`` its exponentials from the batched ``_expm``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import BadInput, Undersampled, numeric_array, scalar
 from .lagrangian import (
     LagrangianFrame,
     _checked_frames,
+    _eigenbasis,
     _uut,
     check_frames,
     det_phase,
@@ -562,15 +566,6 @@ def rotation_unitaries(n: int, alpha_start: float, alpha_end: float, ts: np.ndar
     return out
 
 
-def unitary_log_principal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and principal phases of a unitary matrix (Schur-based)."""
-    import scipy.linalg
-
-    T, Z = scipy.linalg.schur(numeric_array(v, "unitary", complex), output="complex")
-    phases = np.angle(np.diag(T))
-    return Z, phases
-
-
 def path_joining(
     ella: LagrangianFrame, ellb: LagrangianFrame, samples: int = 33
 ) -> LagrangianPath:
@@ -579,7 +574,7 @@ def path_joining(
         raise BadInput("planes live in different dimensions")
     ua = frame_unitary(ella)
     ub = frame_unitary(ellb)
-    Z, phases = unitary_log_principal(ua.conj().T @ ub)
+    Z, phases = _eigenbasis(ua.conj().T @ ub)
 
     def u(ts: np.ndarray) -> np.ndarray:
         return ua @ (Z * np.exp(1j * ts[:, None, None] * phases)) @ Z.conj().T
@@ -594,8 +589,6 @@ def symplectic_path_from_algebra(
     Z: np.ndarray, start: np.ndarray | None = None, samples: int = 33
 ) -> SymplecticPath:
     """The path t -> start . exp(tZ), Z in the symplectic Lie algebra."""
-    import scipy.linalg
-
     Z = numeric_array(Z, "generator")
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.size == 0 or Z.shape[0] % 2:
         raise BadInput("generator must be a non-empty square matrix of even dimension")
@@ -604,8 +597,23 @@ def symplectic_path_from_algebra(
         raise BadInput("generator is not in the symplectic Lie algebra")
 
     def S(ts: np.ndarray) -> np.ndarray:
-        return scipy.linalg.expm(ts[:, None, None] * Z)
+        return _expm(ts[:, None, None] * Z)
 
     grid = np.linspace(0.0, 1.0, sample_count(samples))
     path = SymplecticPath(tuple(grid), S(grid), S)
     return path if start is None else left_translate(start, path)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (N, d, d) stack by scaling and squaring (Higham
+    2005): scaled by 2^-s to ||.||_1 <= 1/4, a degree-18 Taylor polynomial by
+    Horner's rule, then squared s times; s is per matrix."""
+    s = np.maximum(np.frexp(np.abs(A).sum(axis=-2).max(axis=-1))[1] + 2, 0)
+    X = A * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(A.shape[-1])
+    E = eye + X / 18
+    for k in range(17, 0, -1):
+        E = eye + X @ E / k
+    for j in range(s.max(initial=0)):
+        E[s > j] = E[s > j] @ E[s > j]
+    return E

@@ -12,7 +12,7 @@ import numpy as np
 
 from .lagrangian import (
     LagrangianFrame,
-    _joint_phase_decomposition,
+    _eigenbasis,
     frame_from_unitary,
     frame_from_w,
     souriau_w,
@@ -86,7 +86,7 @@ def random_frame_intersecting(
     n = ell.n
     if not 0 <= k <= n:
         raise ValueError("intersection dimension out of range")
-    O, phases = _joint_phase_decomposition(souriau_w(ell))
+    O, phases = _eigenbasis(souriau_w(ell), real=True)
     keep = rng.permutation(n)[:k]
     new = phases.copy()
     for j in range(n):

@@ -35,13 +35,14 @@ def omega_matrix(n: int) -> np.ndarray:
 
 
 def omega(z: np.ndarray, zp: np.ndarray) -> float:
-    """omega(z, z') = z^T M z' for two vectors in (x, p) order, read by the
-    array intake rule; they must have one even, non-zero length."""
+    """omega(z, z') = p . x' - p' . x (= z^T M z', M unbuilt) for two vectors
+    (x, p), read by the array intake rule, of one even, non-zero length."""
     z = numeric_array(z, "vector")
     zp = numeric_array(zp, "vector")
     if z.ndim != 1 or z.shape != zp.shape or z.size % 2 or z.size == 0:
         raise BadInput("omega needs two vectors (x, p) of one even, non-zero length")
-    return float(z @ omega_matrix(z.size // 2) @ zp)
+    n = z.size // 2
+    return float(z[n:] @ zp[:n] - zp[n:] @ z[:n])
 
 
 def is_symplectic(S: np.ndarray) -> bool:

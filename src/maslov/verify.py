@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import derived, lagrangian, leray, paths, signature, symplectic
 from .errors import BadInput, IllConditioned
@@ -183,6 +182,13 @@ def _random_transversal_triple(rng, n):
             return fs
 
 
+def _near_identity(rng, n):
+    """exp(1e-5 i h) for a random Hermitian h, as V e^{1e-5 i Lambda} V^H."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vals, vecs = np.linalg.eigh((z + z.conj().T) / 2)
+    return (vecs * np.exp(1e-5j * vals)) @ vecs.conj().T
+
+
 def _admissible_companion(rng, f1, f2):
     n = f1.n
     while True:
@@ -334,13 +340,7 @@ def check_tau_direct_sum(rng, n_max):
 def check_tau_local_constancy(rng, n):
     fs = _random_transversal_triple(rng, n)
     base = signature.kashiwara_tau(*fs).tau
-    eps = 1e-5
-    u = scipy.linalg.expm(
-        1j * eps * (lambda z: (z + z.conj().T) / 2)(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        )
-    )
-    S = symplectic.embed_unitary(u)
+    S = symplectic.embed_unitary(_near_identity(rng, n))
     moved = [lagrangian.apply_symplectic(S, f) for f in fs]
     dims_ok = all(
         lagrangian.intersection_dim(moved[i], moved[j])
@@ -415,9 +415,7 @@ def check_mu_bar_local_constancy(rng, n):
     l2 = leray.lift_of(f2, 0)
     base = leray.mu_bar(l1, l2)
     u = lagrangian.frame_unitary(f1)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (z + z.conj().T) / 2
-    up = u @ scipy.linalg.expm(1e-5j * h)
+    up = u @ _near_identity(rng, n)
     f1p = lagrangian.frame_from_unitary(up)
     # continuous update of theta: nearest argument to the old one
     ang = float(np.angle(np.linalg.det(lagrangian.souriau_w(f1p))))

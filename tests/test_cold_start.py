@@ -1,5 +1,7 @@
-"""The compute path imports numpy and the compute core only: scipy, the
-verification layer and the random generators load on first use."""
+"""The compute path imports numpy and the compute core only: the
+verification layer and the random generators load on first use.  The
+package needs no scipy at all: with ``import scipy`` made to fail, the
+former scipy users and ``maslov verify`` still run."""
 
 import json
 import subprocess
@@ -14,42 +16,70 @@ from maslov.random_gen import random_lift
 
 DEFERRED = ("scipy", "maslov.verify", "maslov.random_gen")
 
-# runs in a fresh interpreter after `import {module}`; prints one JSON line
-PROBE = """
+# runs in a fresh interpreter after `import {module}`; prints one JSON list
+IMPORT_PROBE = """
 import json, sys
-import numpy as np
 import {module}
-loaded = [m for m in {deferred!r} if m in sys.modules]
-from maslov import (coordinate_x, coordinate_xstar, direct_sum_lift, lift_of,
-                    omega_matrix, path_joining, symplectic_path_from_algebra)
+print(json.dumps([m for m in {deferred!r} if m in sys.modules]))
+"""
+
+# runs in a fresh interpreter in which `import scipy` raises ImportError;
+# prints the verify run's lines, then one JSON line
+BLOCKED_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from maslov import (coordinate_x, coordinate_xstar, frame_from_w, omega_matrix,
+                    path_joining, souriau_w, symplectic_path_from_algebra,
+                    transversal_companion)
+from maslov.cli import main
 from maslov.paths import same_plane
+code = main(["verify", "--seed", "42", "--n-max", "2"])
 joined = path_joining(coordinate_xstar(2), coordinate_x(2))
 sig = symplectic_path_from_algebra(omega_matrix(1), samples=5)
-summed = direct_sum_lift(lift_of(coordinate_x(1), 1), lift_of(coordinate_xstar(2), 0))
-print(json.dumps({{
-    "loaded": loaded,
+w = np.diag(np.exp(1j * np.array([0.4, -2.0])))
+comp = transversal_companion(coordinate_x(1), coordinate_xstar(1))
+print(json.dumps({
+    "verify_exit": code,
     "joined_end": same_plane(joined.end(), coordinate_x(2)),
     "rotation_end": float(np.abs(sig.end() - np.cos(1.0) * np.eye(2) - np.sin(1.0) * omega_matrix(1)).max()),
-    "sum_n": summed.n,
-    "sum_theta": summed.theta,
-}}))
+    "w_roundtrip": float(np.abs(souriau_w(frame_from_w(w)) - w).max()),
+    "companion_w": [souriau_w(comp)[0, 0].real, souriau_w(comp)[0, 0].imag],
+}))
 """
 
 
 @pytest.mark.parametrize("module", ["maslov.cli", "maslov"])
 def test_import_leaves_scipy_out(module, src_env):
-    code = PROBE.format(module=module, deferred=DEFERRED)
+    code = IMPORT_PROBE.format(module=module, deferred=DEFERRED)
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    probe = json.loads(done.stdout)
-    assert probe["loaded"] == [], f"import {module} loaded {probe['loaded']}"
-    # the scipy users still run once called
+    loaded = json.loads(done.stdout)
+    assert loaded == [], f"import {module} loaded {loaded}"
+
+
+def test_runs_with_scipy_blocked(src_env):
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED_PROBE],
+        capture_output=True,
+        text=True,
+        env=src_env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    *lines, last = done.stdout.splitlines()
+    assert lines[-1] == "passed 33/33 checks"
+    assert len(lines) == 34 and all(line.startswith("PASS ") for line in lines[:-1])
+    probe = json.loads(last)
+    assert probe["verify_exit"] == 0
     assert probe["joined_end"]
     assert probe["rotation_end"] < 1e-12
-    assert probe["sum_n"] == 3
-    assert probe["sum_theta"] == pytest.approx(3 * np.pi)
+    assert probe["w_roundtrip"] < 1e-12
+    # eigenphases {pi, 0}: the companion sits at +-pi/2, w = +-i
+    assert abs(probe["companion_w"][0]) < 1e-12
+    assert abs(abs(probe["companion_w"][1]) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n1", [1, 2, 3])

@@ -39,6 +39,21 @@ def test_omega_matches_matrix_form(rng):
         assert abs(omega(a, b) - a @ M @ b) < 1e-12
 
 
+def test_omega_reads_the_blocks(rng):
+    # the form needs no dense 2n x 2n matrix, so none is built or cached
+    n = 1000
+    z, zp = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+    before = omega_matrix.cache_info().currsize
+    omega(z, zp)
+    assert omega_matrix.cache_info().currsize == before
+    assert omega(z, z) == 0.0
+    for n in (1, 2, 5):
+        M = omega_matrix(n)
+        for _ in range(20):
+            a, b = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+            assert abs(omega(a, b) - a @ M @ b) <= 1e-12
+
+
 def test_omega_dimension_mismatch():
     # two lengths, an odd length, no entries, and matrices: none is a pair
     # of (x, p) vectors of one even, non-zero length
