@@ -96,6 +96,15 @@ def _number(data, what, integer=False):
     return int(x) if integer else x
 
 
+def check_tolerance(value, what):
+    """The rule for a tolerance argument: a number by the scalar intake rule
+    (``errors.scalar``), finite and > 0.  A NaN, infinite, zero or negative
+    number fails with one message, as ``maslov compute`` names its flags."""
+    if isinstance(value, (int, float)) and not 0 < value < math.inf:
+        raise BadInput(f"{what} must be finite and > 0")
+    scalar(value, what)
+
+
 def _times(spec, count):
     if "times" not in spec:
         return tuple(np.linspace(0.0, 1.0, count))
@@ -242,7 +251,11 @@ def compute_report(
     tol_sig: float = TOL_SIG_BASE,
 ) -> dict:
     """The report of one job; the tolerances are the bases of the rounding,
-    corank and signature decisions, and the report echoes them."""
+    corank and signature decisions, each checked by ``check_tolerance``,
+    and the report echoes them."""
+    check_tolerance(tol_round, "tol_round")
+    check_tolerance(tol_rank, "tol_rank")
+    check_tolerance(tol_sig, "tol_sig")
     if not isinstance(job, dict):
         raise BadInput("job must be a JSON object")
     n = _number(job.get("n"), "n", integer=True)
@@ -349,9 +362,10 @@ def _fail(code: str, message: str) -> int:
 
 def cmd_compute(args) -> int:
     for flag in ("tol_rank", "tol_sig", "tol_round"):
-        value = getattr(args, flag)
-        if not (math.isfinite(value) and value > 0):
-            return _fail("BAD_INPUT", f"--{flag.replace('_', '-')} must be finite and > 0")
+        try:
+            check_tolerance(getattr(args, flag), f"--{flag.replace('_', '-')}")
+        except BadInput as exc:
+            return _fail(exc.code, str(exc))
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             job = json.load(fh)

@@ -8,6 +8,7 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     kind            function                    constant
     caller arrays   errors.numeric_array        (none: numbers only)
     caller scalars  errors.scalar               (none: finite int or float)
+    tolerances      cli.check_tolerance         (none: a caller scalar > 0)
     sample count    paths.sample_count          paths.MAX_SAMPLES
     frame           lagrangian.check_frames     the frame's tol, TOL_SYM
     symmetric       lagrangian.is_symmetric     TOL_SYM, relative
@@ -15,6 +16,7 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     w from outside  lagrangian.frame_from_w     TOL_SYM
     eigenbasis      lagrangian._eigenbasis      1e-6, rebuild residual (used there only)
     corank          lagrangian.corank           TOL_RANK_BASE, AMBIGUITY_DECADE
+    transversal     leray.transversal_margin    corank's t, the frame rule's B (derived)
     shear split     lagrangian.graph_matrix     corank's t / AMBIGUITY_DECADE; TOL_ROUND
     signature       signature.sign_counts       TOL_SIG_BASE, AMBIGUITY_DECADE
     theta           leray.check_theta           TOL_PHASE, scaled by the frame

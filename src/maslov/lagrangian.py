@@ -10,8 +10,10 @@ symmetric unitaries and is independent of the orthonormal frame chosen
 w: the frame computes it on first use, keeps it, and never checks it again,
 since the frame's bound implies it.  The symmetric-unitary rule runs only in
 ``frame_from_w``, where a w comes in from outside.  A stack checked by
-``check_frames`` gives its end frames, with their w's, by ``_checked_frames``;
-``coordinate_x(n)`` and ``coordinate_xstar(n)`` are built once per n.
+``check_frames`` gives its end frames, with their w's and dets, by
+``_checked_frames``; ``coordinate_x(n)`` and ``coordinate_xstar(n)`` are
+built once per n.  A frame takes det w once too (``det_w``), and
+``unitarity_bound`` states what its frame rule implies about w.
 
 Every eigendecomposition of a unitary is ``_eigenbasis``, one ``eigh`` in
 the graph chart of Lag(n), real on a w.
@@ -36,7 +38,8 @@ from .symplectic import SymplecticMatrix
 @dataclass(frozen=True, eq=False)
 class LagrangianFrame:
     """Orthonormal 2n x n frame [X; P] of a Lagrangian plane, a read-only
-    copy checked by ``check_frames`` at tol, and the plane's w; == is identity."""
+    copy checked by ``check_frames`` at tol, and the plane's w and det w;
+    == is identity."""
 
     frame: np.ndarray
     tol: float = TOL_SYM
@@ -60,6 +63,12 @@ class LagrangianFrame:
         w = _uut(self.frame)
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def det_w(self) -> complex:
+        """det w, taken on first use and kept: the theta rule of every lift
+        of the plane reads it."""
+        return np.linalg.det(self.w)
 
 
 def check_frames(F: np.ndarray, tol) -> None:
@@ -104,15 +113,20 @@ def coordinate_xstar(n: int) -> LagrangianFrame:
     return LagrangianFrame(np.eye(2 * n, n, k=-n))
 
 
-def _checked_frames(frames: np.ndarray, tol, W: np.ndarray) -> list[LagrangianFrame]:
-    """The frames of a stack that ``check_frames`` passed at tol (one per
-    frame), each keeping w = W[k] = u u^t; nothing is checked again.  The
-    caller owns frames and W, which become read-only."""
+def _checked_frames(
+    frames: np.ndarray, tol, W: np.ndarray, dets: np.ndarray
+) -> list[LagrangianFrame]:
+    """The frames of a stack that ``check_frames`` passed at tol (a float or
+    one per frame), each keeping w = W[k] = u u^t and det_w = dets[k];
+    nothing is checked or taken again.  The caller owns frames and W, which
+    become read-only."""
     frames.setflags(write=False)
     W.setflags(write=False)
     out = [object.__new__(LagrangianFrame) for _ in frames]
-    for ell, F, t, w in zip(out, frames, tol, W):
-        ell.__dict__.update(frame=F, tol=float(t), w=w)  # w: the cached_property's slot
+    tols = [tol] * len(frames) if np.ndim(tol) == 0 else tol
+    for ell, F, t, w, d in zip(out, frames, tols, W, dets):
+        # w and det_w: the cached_properties' slots
+        ell.__dict__.update(frame=F, tol=float(t), w=w, det_w=d)
     return out
 
 
@@ -219,6 +233,20 @@ def souriau_w(ell: LagrangianFrame) -> np.ndarray:
     first order w w^H - I = 2 u E u^H, so ||w w^H - I||_max <= 2n ell.tol (the
     isotropy defect cancels, and w is symmetric up to rounding)."""
     return ell.w
+
+
+def unitarity_bound(n: int, tol: float) -> float:
+    """B = n max(10, 4n) max(tol, TOL_SYM), which bounds ||w w^H - I||_2,
+    ||w^H w - I||_2 and so ||w||_2 <= 1 + B for the w of a 2n x n frame
+    that passes the frame rule at tol.
+
+    The rule bounds G = u^H u - I = (F^t F - I) + i (X^t P - P^t X) by
+    sqrt(2) tol entrywise, so g = ||G||_2 <= sqrt(2) n tol, ||u||_2^2 <=
+    1 + g, and w w^H - I = (u u^H - I) + u conj(G) u^H has norm at most
+    g (2 + g), which B exceeds whenever n tol <= 3.5 (the rounding of u u^t
+    sits in the slack, B >= 1e-9 n).  Beyond that ||w||_2 <= 1 + g <= 1 + B
+    still holds.  ``souriau_w`` states the max-norm form, B / n."""
+    return n * max(10, 4 * n) * max(tol, TOL_SYM)
 
 
 def det_phase(frames: np.ndarray) -> np.ndarray:

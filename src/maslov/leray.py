@@ -6,17 +6,23 @@ canonical index mu_bar on arbitrary pairs by Souriau's trace-log formula
 
 over the eigenvalues lambda_j of the unitary w1 conj(w2) = w1 w2^{-1} away
 from 1; the eigenvalues at 1 are the dim(ell1 /\\ ell2) intersection
-directions.  Guard: k = corank(w1 - w2) by ``lagrangian.corank``,
-and exactly k eigenvalues within that rule's threshold of 1.  The singular
-values of w1 - w2 are the |lambda_j - 1|, so the rule's ambiguity band keeps
-every other eigenvalue off the branch cut of arg(-lambda).  On transversal
-pairs mu_bar = 2m - n for Souriau's integer m.
+directions.  On transversal pairs mu_bar = 2m - n for Souriau's integer m.
+
+Guard: mu_bar takes the eigenvalues first.  The singular values of w1 - w2
+are the |lambda_j - 1| (exactly so for unitary w's), so when every
+|lambda_j - 1| exceeds the margin M of ``transversal_margin`` the pair is
+transversal by certificate: ``lagrangian.corank`` could only have found
+corank 0 with no value in its ambiguity band, and no eigenvalue lies
+within its threshold of 1.  mu_bar then reads every phase, with no SVD.
+Otherwise k = corank(w1 - w2) decides, and exactly k eigenvalues must lie
+within that rule's threshold of 1; the rule's ambiguity band keeps every
+other eigenvalue off the branch cut of arg(-lambda).
 
 A cover point keeps its plane in the one validated form, the frame, and
-reads w from it: the frame computes its w once and never validates it
-again, so a plane lifted, moved by the deck action or compared with other
-planes has one w.  A lift takes det w once, and the theta rule
-``check_theta`` reads that det (``_lift`` for a det its caller took).
+reads w and det w from it: the frame computes each once and never
+validates w again, so a plane lifted, moved by the deck action or compared
+with other planes has one w and one det.  The theta rule ``check_theta``
+reads the frame's det.
 
 The deck group Z of the cover acts by theta -> theta + 2k pi
 (``deck_apply``).  A sheet number k is a plain int, which ``lift_of`` and
@@ -30,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND, TOL_SYM
+from .defaults import AMBIGUITY_DECADE, TOL_PHASE, TOL_RANK_BASE, TOL_ROUND
 from .errors import BadInput, IllConditioned, scalar
-from .lagrangian import LagrangianFrame, _scalar_frame, companion_phase, corank, souriau_w
+from .lagrangian import LagrangianFrame, _scalar_frame, companion_phase, corank, unitarity_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +58,7 @@ class LagrangianLift:
     theta: float
 
     def __post_init__(self):
-        check_theta(self.frame, self.theta, np.linalg.det(self.frame.w))
+        check_theta(self.frame, self.theta)
 
     @property
     def n(self) -> int:
@@ -63,20 +69,19 @@ class LagrangianLift:
         return self.frame.w
 
 
-def check_theta(ell: LagrangianFrame, theta, det_w) -> None:
-    """The one theta rule (see ``LagrangianLift``), on det_w = det ell.w as
-    the caller took it: theta passes ``errors.scalar`` and |det_w - e^{i
-    theta}| <= max(TOL_PHASE, n * B); a NaN distance fails."""
+def check_theta(ell: LagrangianFrame, theta) -> None:
+    """The one theta rule (see ``LagrangianLift``), on the frame's det w:
+    theta passes ``errors.scalar`` and |det w - e^{i theta}| <=
+    max(TOL_PHASE, n * B); a NaN distance fails."""
+    det_w = ell.det_w
     scalar(theta, "theta")
-    n = ell.n
-    bound = max(TOL_PHASE, n * max(10, 4 * n) * max(ell.tol, TOL_SYM))
-    if not abs(det_w - np.exp(1j * theta)) <= bound:
+    if not abs(det_w - np.exp(1j * theta)) <= max(TOL_PHASE, unitarity_bound(ell.n, ell.tol)):
         raise BadInput("theta is not an argument of det w within tolerance")
 
 
-def _lift(ell: LagrangianFrame, theta: float, det_w) -> LagrangianLift:
-    """LagrangianLift(ell, theta), its theta rule read on the caller's det_w."""
-    check_theta(ell, theta, det_w)
+def _lift(ell: LagrangianFrame, theta: float) -> LagrangianLift:
+    """LagrangianLift(ell, theta), built without a second dataclass pass."""
+    check_theta(ell, theta)
     lift = object.__new__(LagrangianLift)
     lift.__dict__.update(frame=ell, theta=theta)
     return lift
@@ -94,8 +99,7 @@ def _turns(k: int) -> float:
 
 def lift_of(ell: LagrangianFrame, k: int = 0) -> LagrangianLift:
     """The lift (ell, arg det w + 2k pi) with the principal argument in (-pi, pi]."""
-    det_w = np.linalg.det(souriau_w(ell))
-    return _lift(ell, float(np.angle(det_w)) + _turns(k), det_w)
+    return _lift(ell, float(np.angle(ell.det_w)) + _turns(k))
 
 
 def deck_apply(k: int, lift: LagrangianLift) -> LagrangianLift:
@@ -112,6 +116,39 @@ def _pair_corank(
     return corank(l1.w - l2.w, tol_rank, "w-difference corank")
 
 
+def transversal_margin(l1: LagrangianLift, l2: LagrangianLift, tol_rank: float) -> float:
+    """M = 10 t^ (1 + b) + 4 (n + 2) (c + rho), 10 being AMBIGUITY_DECADE:
+    when every eigenvalue lambda of w1 conj(w2) lies farther than M from 1,
+    ``corank`` of w1 - w2 at tol_rank can only find 0, with no singular
+    value in its band, and no lambda lies within its threshold t of 1.
+
+    - b = ``unitarity_bound`` at the larger frame tol, so ||w_i||_2 <= 1 + b
+      and ||w_i w_i^H - I||_2 <= b.
+    - t^ = tol_rank * 2 (1 + b) >= t, as sigma_max(w1 - w2) <= ||w1|| + ||w2||.
+    - c = b (2 + b) bounds ||V^H V - I||_2 for V = w1 conj(w2), and so the
+      distance of V from its unitary polar factor Q.
+    - rho = n eps (1 + b)^2 stands for the rounding of one product, eigvals
+      or SVD at these norms; b >= 1e-9 n exceeds it a million-fold.
+
+    The computed lambda are the eigenvalues of Q + E with ||E||_2 <= eta =
+    c + 2 rho.  By Bauer-Fike on the normal Q, and by continuity from Q to
+    Q + E (each cluster of discs of radius eta keeps its count), every
+    eigenvalue mu of Q lies within 2 n eta of some lambda.  As
+    (w1 - w2) conj(w2) = (Q - I) + (V - Q) - (w2 conj(w2) - I) up to
+    rounding and sigma_min(Q - I) = min |mu - 1|, every computed singular
+    value of w1 - w2 is at least
+    (min |lambda - 1| - 2 n eta - 2 c - 3 rho) / (1 + b) - 2 rho,
+    which exceeds 10 t^ when min |lambda - 1| > M, for b <= 1.5.  For a
+    larger b, M exceeds every |lambda - 1| <= 1 + (1 + b)^2.  A NaN tol_rank
+    makes M NaN, which no distance exceeds; at tol_rank 0 the inequality
+    is strict; a negative tol_rank gives t < 0, where corank finds 0 too."""
+    n = l1.n
+    b = unitarity_bound(n, max(l1.frame.tol, l2.frame.tol))
+    t_hat = tol_rank * (2 * (1 + b))
+    grow = b * (2 + b) + n * math.ulp(1.0) * (1 + b) ** 2  # c + rho
+    return AMBIGUITY_DECADE * t_hat * (1 + b) + 4 * (n + 2) * grow
+
+
 def mu_bar(
     l1: LagrangianLift,
     l2: LagrangianLift,
@@ -119,18 +156,26 @@ def mu_bar(
     tol_rank: float = TOL_RANK_BASE,
 ) -> int:
     """The canonical index, total on pairs of cover points, by the closed
-    form above.  Raises IllConditioned on an ambiguous corank (at tol_rank),
-    on a count of eigenvalues at 1 other than the corank, and on a value
-    farther than tol_round from an integer."""
-    k, t = _pair_corank(l1, l2, tol_rank)
+    form above.  A pair whose eigenvalues all lie farther than
+    ``transversal_margin`` from 1 reads every phase; any other pair raises
+    IllConditioned on an ambiguous corank (at tol_rank) and on a count of
+    eigenvalues at 1 other than the corank.  Either raises IllConditioned
+    on a value farther than tol_round from an integer."""
+    if l1.n != l2.n:
+        raise BadInput("lifts live in different dimensions")
     lam = np.linalg.eigvals(l1.w @ l2.w.conj())
-    at_one = np.abs(lam - 1) <= t
-    count = int(np.count_nonzero(at_one))
-    if count != k:
-        raise IllConditioned(
-            f"{count} eigenvalues within {t:g} of 1 but intersection dimension {k}"
-        )
-    phases = np.angle(-(lam[~at_one] if k else lam))
+    far = np.abs(lam - 1)
+    if far.min() > transversal_margin(l1, l2, tol_rank):
+        phases = np.angle(-lam)  # corank 0, certified without its SVD
+    else:
+        k, t = _pair_corank(l1, l2, tol_rank)
+        at_one = far <= t
+        count = int(np.count_nonzero(at_one))
+        if count != k:
+            raise IllConditioned(
+                f"{count} eigenvalues within {t:g} of 1 but intersection dimension {k}"
+            )
+        phases = np.angle(-(lam[~at_one] if k else lam))
     value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
     message = "index residual {:.3g} exceeds tol_round; the pair is nearly non-transversal"
     return nearest_integer(value, tol_round, IllConditioned, message)

@@ -283,7 +283,6 @@ class LiftedPath:
         frames = np.array(numeric_array(frames, "frames"))
         if frames.ndim != 3 or frames.shape[:2] != (2, 2 * frames.shape[2]) or not frames.size:
             raise BadInput("frames must be one (2, 2n, n) stack with n >= 1")
-        tol = np.broadcast_to(tol, 2)
         check_frames(frames, tol)
         W = _uut(frames)
         dets = np.linalg.det(W)
@@ -321,10 +320,11 @@ class LiftedPath:
 
 def _lifted(frames, tol, W, dets, theta0: float, theta1: float, count: int) -> LiftedPath:
     """The lift from (frames[0], theta0) to (frames[1], theta1) for a
-    (2, 2n, n) stack checked at tol, one per frame, whose W = u u^t and
-    dets = det W the end lifts keep and read; nothing is checked again."""
-    start, end = _checked_frames(frames, tol, W)
-    return LiftedPath(_lift(start, theta0, dets[0]), _lift(end, theta1, dets[1]), count)
+    (2, 2n, n) stack checked at tol, a float or one per frame, whose W =
+    u u^t and dets = det W the end lifts keep and read; nothing is checked
+    again."""
+    start, end = _checked_frames(frames, tol, W, dets)
+    return LiftedPath(_lift(start, theta0), _lift(end, theta1), count)
 
 
 def _step_ok(d):

@@ -502,7 +502,37 @@ def test_bad_flag_values(flag, value, tmp_path, capsys):
     path = write_job(tmp_path, "j.json", job)
     code, out, err = run(["compute", "--input", path, flag, value], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+    assert json.loads(err)["error"] == {
+        "code": "BAD_INPUT",
+        "message": f"{flag} must be finite and > 0",
+    }
+
+
+#: tolerance values compute_report refuses, and the end of each message
+BAD_TOLERANCES = {
+    "nan": (math.nan, "must be finite and > 0"),
+    "inf": (math.inf, "must be finite and > 0"),
+    "-inf": (-math.inf, "must be finite and > 0"),
+    "zero": (0.0, "must be finite and > 0"),
+    "negative": (-1.0, "must be finite and > 0"),
+    "bool": (True, "must be an int or a float"),
+    "str": ("1e-9", "must be an int or a float"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TOLERANCES))
+@pytest.mark.parametrize("tolerance", ["tol_round", "tol_rank", "tol_sig"])
+def test_compute_report_checks_its_tolerances(tolerance, name):
+    # in process, tol_rank nan or -1 gave mu_bar 1 on equal planes, tol_sig
+    # -1 a Kashiwara count of -3 null, and a str escaped as TypeError
+    value, message = BAD_TOLERANCES[name]
+    job = {
+        "n": 1,
+        "index": "leray",
+        "lifts": [{"plane": {"graph": [[0.3]]}}, {"plane": {"graph": [[0.3]]}}],
+    }
+    with pytest.raises(BadInput, match=f"^{tolerance} {message}$"):
+        cli.compute_report(job, **{tolerance: value})
 
 
 def _rotation_job(**path):
@@ -648,39 +678,40 @@ _SHEAR = {"kind": "shear", "coefficients": _COEFFICIENTS}
 _SHEAR_FROM_IDENTITY = dict(_SHEAR, coefficients=[[[0.0, 0.0], [0.0, 0.0]]] + _COEFFICIENTS[1:])
 _ROTATION_LOOP = {"kind": "rotation", "alpha_start": 0.3, "alpha_end": 0.3 + 2 * math.pi}
 
-#: n = 2 path jobs and the calls of the frame rule, u u^t, det and the
-#: symmetric rule each makes once the coordinate planes are cached: one
-#: frame check, u u^t and det for the two ends, one det for lift_of(ell) in
-#: mu_lagrangian, one symmetric check for the coefficients, and one frame
-#: check, u u^t and symmetric check more for a graph plane
+#: n = 2 path jobs and the calls of the frame rule, u u^t, det, the
+#: symmetric rule and SVD each makes once the coordinate planes are cached,
+#: with their dets: one frame check, u u^t and det for the two ends, one
+#: symmetric check for the coefficients, one frame check, u u^t, symmetric
+#: check and det (for lift_of(ell) in mu_lagrangian) more for a graph
+#: plane, and a shear's one SVD in graph_matrix
 PATH_JOB_CALLS = {
     "graph-x": (
         {"index": "lagrangian", "path": _POLYNOMIAL, "plane": "coordinate_x"},
-        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1, "svd": 0},
     ),
     "graph-graph": (
         {"index": "lagrangian", "path": _POLYNOMIAL, "plane": {"graph": [[0.3, 0.1], [0.1, -0.5]]}},
-        {"check_frames": 2, "_uut": 2, "det": 2, "is_symmetric": 2},
+        {"check_frames": 2, "_uut": 2, "det": 2, "is_symmetric": 2, "svd": 0},
     ),
     "graph-xstar": (
         {"index": "lagrangian", "path": _POLYNOMIAL, "plane": "coordinate_xstar"},
-        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1, "svd": 0},
     ),
     "rs": (
         {"index": "rs", "path": _POLYNOMIAL, "plane": "coordinate_x"},
-        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1, "svd": 0},
     ),
     "shear": (
         {"index": "symplectic", "path": _SHEAR, "plane": "coordinate_x"},
-        {"check_frames": 1, "_uut": 1, "det": 2, "is_symmetric": 1},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1, "svd": 1},
     ),
     "mu-ell": (
         {"index": "mu-ell", "path": _SHEAR_FROM_IDENTITY, "plane": "coordinate_x"},
-        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 1, "svd": 1},
     ),
     "rotation": (
         {"index": "keller-maslov", "path": _ROTATION_LOOP},
-        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 0},
+        {"check_frames": 1, "_uut": 1, "det": 1, "is_symmetric": 0, "svd": 0},
     ),
 }
 
@@ -689,7 +720,8 @@ PATH_JOB_CALLS = {
 def test_path_job_validates_once(name, monkeypatch):
     # the end frames are checked, multiplied out and reduced to det once,
     # as one stack, and the coefficients are checked as one stack; no end
-    # lift checks its frame, w or theta's det again
+    # lift checks its frame, w or theta's det again, and mu_bar certifies
+    # these transversal pairs from their eigenvalues, with no SVD
     job, expected = PATH_JOB_CALLS[name]
     job = dict(job, n=2)
     cli.compute_report(job)  # fills the coordinate plane cache
@@ -709,6 +741,7 @@ def test_path_job_validates_once(name, monkeypatch):
             if hasattr(module, name):
                 count(module, name, name)
     count(np.linalg, "det", "det")
+    count(np.linalg, "svd", "svd")
     cli.compute_report(job)
     assert calls == expected
 

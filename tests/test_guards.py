@@ -2,9 +2,10 @@
 
 Each ``reference_*`` function restates a rule as it read before it was
 moved onto Python floats (``corank``'s band and count, ``sign_counts``,
-``_number``) or onto one Gram product (``check_frames``).  The rules must
-give the same verdicts, counts and messages on values at and one ulp
-around every threshold, on NaN and on empty input.
+``_number``), onto one Gram product (``check_frames``) or behind the
+transversality certificate (``mu_bar``, whose corank SVD came first).  The
+rules must give the same verdicts, counts and messages on values at and
+one ulp around every threshold, on NaN and on empty input.
 """
 
 import math
@@ -12,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from maslov import cli, lagrangian, signature
-from maslov.defaults import AMBIGUITY_DECADE, TOL_RANK_BASE, TOL_SIG_BASE, TOL_SYM
+from maslov import cli, lagrangian, leray, signature
+from maslov.defaults import AMBIGUITY_DECADE, TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from maslov.errors import BadInput, IllConditioned, MaslovError, numeric_array
+from maslov.random_gen import random_frame, random_frame_intersecting, random_lift
 
 
 def reference_corank(sigma, tol_rank, what):
@@ -68,6 +70,24 @@ def reference_number(data, what, integer=False):
     if integer and not x.is_integer():
         raise BadInput(f"{what}: expected an integer, got {data!r}")
     return int(x) if integer else x
+
+
+def reference_mu_bar(l1, l2, tol_round=TOL_ROUND, tol_rank=TOL_RANK_BASE):
+    """mu_bar with corank's SVD first, on every pair."""
+    if l1.n != l2.n:
+        raise BadInput("lifts live in different dimensions")
+    k, t = lagrangian.corank(l1.w - l2.w, tol_rank, "w-difference corank")
+    lam = np.linalg.eigvals(l1.w @ l2.w.conj())
+    at_one = np.abs(lam - 1) <= t
+    count = int(np.count_nonzero(at_one))
+    if count != k:
+        raise IllConditioned(
+            f"{count} eigenvalues within {t:g} of 1 but intersection dimension {k}"
+        )
+    phases = np.angle(-(lam[~at_one] if k else lam))
+    value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
+    message = "index residual {:.3g} exceeds tol_round; the pair is nearly non-transversal"
+    return leray.nearest_integer(value, tol_round, IllConditioned, message)
 
 
 def outcome(fn, *args):
@@ -320,3 +340,99 @@ def test_scalar_job_fields_keep_their_outcomes(field, name, monkeypatch):
     assert got == _report_outcome(job)
     if field == "n":
         assert got == N_OUTCOMES[name]
+
+
+def _same_mu_bar(l1, l2, tol_rank=TOL_RANK_BASE):
+    got = outcome(leray.mu_bar, l1, l2, TOL_ROUND, tol_rank)
+    assert got == outcome(reference_mu_bar, l1, l2, TOL_ROUND, tol_rank)
+    return got
+
+
+def _turned(ell, eps):
+    """The plane e^{i eps} w of ell = [X; P], whose u is e^{i eps / 2} u:
+    each eigenvalue of w1 conj(w) for this w is turned by e^{-i eps}."""
+    return lagrangian.frame_from_unitary(lagrangian.frame_unitary(ell) * np.exp(0.5j * eps))
+
+
+def _stratum_pairs(rng, n, S=None):
+    """(l1, l2) for k = 1..n: l2's plane meets l1's in k directions, turned
+    so that those eigenvalues of w1 conj(w2) lie at distances around the
+    certificate's margin M and corank's band edges t / 10 and 10 t; with a
+    symplectic S, both planes are moved by it first (which keeps k)."""
+    for k in range(1, n + 1):
+        f1 = random_frame(rng, n)
+        f2 = random_frame_intersecting(rng, f1, k)
+        if S is not None:
+            f1, f2 = (lagrangian.apply_symplectic(S, f) for f in (f1, f2))
+        l1 = leray.lift_of(f1, int(rng.integers(-2, 3)))
+        margin = leray.transversal_margin(l1, leray.lift_of(f2), TOL_RANK_BASE)
+        sigma = np.linalg.svd(f1.w - f2.w, compute_uv=False)
+        t = TOL_RANK_BASE * max(1.0, float(sigma.max()))
+        yield l1, leray.lift_of(f2)
+        for d in (margin / 2, margin, 2 * margin, t / AMBIGUITY_DECADE, t * AMBIGUITY_DECADE):
+            for dist in (d * 0.999, d, d * 1.001):
+                if dist < 2:
+                    eps = 2 * math.asin(dist / 2)  # |e^{-i eps} - 1| = dist
+                    yield l1, leray.lift_of(_turned(f2, eps), int(rng.integers(-2, 3)))
+
+
+def test_mu_bar_certificate_on_transversal_pairs(rng):
+    for n in range(1, 9):
+        for _ in range(30):
+            got = _same_mu_bar(random_lift(rng, n), random_lift(rng, n))
+            assert got[0] == "value"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_mu_bar_certificate_on_strata(rng, n):
+    kinds = set()
+    for l1, l2 in _stratum_pairs(rng, n):
+        kinds.add(_same_mu_bar(l1, l2)[0])
+    # the band edges and the margin cover a value and IllConditioned
+    assert kinds == {"value", "IllConditioned"}
+
+
+def _stretch(n, s):
+    """The symplectic diag(L, L^-T) with L = diag(s, 1, ..., 1)."""
+    L = np.eye(n)
+    L[0, 0] = s
+    return np.block([[L, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(L).T]])
+
+
+@pytest.mark.parametrize("s", [30.0, 1e3, 1e5])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mu_bar_certificate_after_ill_conditioned_transport(rng, n, s):
+    # the transported frames' tol, 100 TOL_SYM ||S||_F^2, widens M
+    S = _stretch(n, s)
+    for _ in range(10):
+        f1, f2 = (lagrangian.apply_symplectic(S, random_frame(rng, n)) for _ in range(2))
+        _same_mu_bar(leray.lift_of(f1), leray.lift_of(f2))
+    for l1, l2 in _stratum_pairs(rng, n, S):
+        _same_mu_bar(l1, l2)
+
+
+@pytest.mark.parametrize(
+    "tol_rank", [math.nan, -1.0, -math.inf, 0.0, -0.0, math.inf, 1e308, 1e-300]
+)
+def test_mu_bar_certificate_on_direct_tolerances(rng, tol_rank):
+    # a library call may pass any tol_rank: a NaN one leaves M NaN, and a
+    # non-positive one leaves corank nothing to count
+    for n in (1, 2, 4):
+        for _ in range(5):
+            _same_mu_bar(random_lift(rng, n), random_lift(rng, n), tol_rank)
+        f = random_frame(rng, n)
+        _same_mu_bar(leray.lift_of(f), leray.lift_of(f, 1), tol_rank)
+        for l1, l2 in _stratum_pairs(rng, n):
+            _same_mu_bar(l1, l2, tol_rank)
+
+
+def test_mu_bar_takes_an_svd_only_near_the_cycle(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    f1 = random_frame(rng, 3)
+    l1, l2 = leray.lift_of(f1), random_lift(rng, 3)
+    leray.mu_bar(l1, l2)
+    assert len(calls) == 0
+    leray.mu_bar(l1, leray.lift_of(random_frame_intersecting(rng, f1, 1)))
+    assert len(calls) == 1

@@ -57,6 +57,21 @@ def test_w_is_computed_once_per_plane(rng, monkeypatch):
     assert lift.w is ell.w and not ell.w.flags.writeable
 
 
+def test_a_plane_takes_det_w_once(rng, monkeypatch):
+    # the frame keeps det w beside w: every lift of the plane, the deck
+    # action and LagrangianLift's own theta rule read it
+    det = np.linalg.det
+    seen = []
+    monkeypatch.setattr(np.linalg, "det", lambda a: seen.append(a) or det(a))
+    ell = random_frame(rng, 2)
+    lift = lift_of(ell, 1)
+    deck_apply(-1, lift)
+    LagrangianLift(ell, lift.theta)
+    assert lift_of(ell).theta == float(np.angle(ell.det_w))
+    assert len(seen) == 1 and seen[0] is ell.w
+    assert ell.det_w == det(ell.w)
+
+
 def test_lift_validates_theta():
     with pytest.raises(BadInput):
         LagrangianLift(coordinate_xstar(1), 0.5)

@@ -5,16 +5,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_timing_of_a_tree_against_itself():
-    # one round of point-index, this checkout on both sides
+def _ab_timing_of_this_tree(*args):
+    """The lines ab_timing.py prints for one round of point-index, this
+    checkout on both sides, and any further arguments."""
     script = str(ROOT / "tools" / "ab_timing.py")
-    done = subprocess.run(
-        [sys.executable, script, str(ROOT), str(ROOT), "point-index", "1"],
-        capture_output=True, text=True, timeout=300,
-    )
+    argv = [sys.executable, script, str(ROOT), str(ROOT), "point-index", "1", *args]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("point-index: ") and "1 rounds" in lines[0]
     assert lines[1].startswith("change/parent time per round: median ")
     assert any(line.startswith("  leray-k0: ") for line in lines)
     assert lines[-1].startswith("0 of ") and lines[-1].endswith(" outcomes differ")
+    return lines
+
+
+def test_ab_timing_of_a_tree_against_itself():
+    lines = _ab_timing_of_this_tree()
+    assert lines[0].startswith("point-index: ") and "1 rounds" in lines[0]
+    assert "(seed 1)" in lines[0]
+
+
+def test_ab_timing_at_another_seed():
+    # an A/B can be confirmed on a seed the change was not written against
+    lines = _ab_timing_of_this_tree("2")
+    assert lines[0].startswith("point-index: ") and "(seed 2), 1 rounds" in lines[0]

@@ -1,14 +1,15 @@
 """Interleaved in-process A/B timing of two checkouts of maslov.
 
-    python tools/ab_timing.py PARENT_ROOT CHANGE_ROOT WORKLOAD [ROUNDS]
+    python tools/ab_timing.py PARENT_ROOT CHANGE_ROOT WORKLOAD [ROUNDS [SEED]]
 
 Each tree's ``src/maslov`` is copied into one temporary directory under
 the package names ``maslov_parent`` and ``maslov_change`` (the package
 imports itself only relatively), and both are imported into this one
 interpreter, so the two sides share the process, the machine's state and
-the numpy build.  The jobs are WORKLOAD's seed-1 set from PARENT_ROOT's
-``perfbench/jobs.py`` (loaded by ``compare_outputs.load_jobs``); WORKLOAD is
-one of the in-process workloads.  Each round runs every job once on each
+the numpy build.  The jobs are WORKLOAD's set at SEED (default 1) from
+PARENT_ROOT's ``perfbench/jobs.py`` (loaded by ``compare_outputs.load_jobs``);
+WORKLOAD is one of the in-process workloads.  A gain found on one seed can
+so be confirmed on another.  Each round runs every job once on each
 side, through ``cli.compute_report`` on a freshly decoded job, and which
 side goes first alternates from job to job and from round to round.  An
 untimed round runs first, so that per-package caches and lazy imports are
@@ -43,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_outputs import load_jobs  # noqa: E402
 
 SIDES = ("parent", "change")
-SEED = 1
+DEFAULT_SEED = 1
 DEFAULT_ROUNDS = 30
 
 
@@ -75,18 +76,21 @@ def quartiles(values: list) -> tuple[float, float, float]:
 
 
 def main(argv) -> int:
-    if len(argv) not in (3, 4):
+    if len(argv) not in (3, 4, 5):
         sys.stderr.write(__doc__)
         return 2
     parent, change = (Path(a).resolve() for a in argv[:2])
     workload = argv[2]
-    rounds = int(argv[3]) if len(argv) == 4 else DEFAULT_ROUNDS
+    rounds = int(argv[3]) if len(argv) > 3 else DEFAULT_ROUNDS
+    seed = int(argv[4]) if len(argv) > 4 else DEFAULT_SEED
     jobs = load_jobs(parent)
     in_process = [w for w in jobs.BUILDERS if w != "cli-cold"]
-    if workload not in in_process or rounds < 1:
-        sys.stderr.write(f"WORKLOAD must be one of {', '.join(in_process)}; ROUNDS >= 1\n")
+    if workload not in in_process or rounds < 1 or seed < 0:
+        sys.stderr.write(
+            f"WORKLOAD must be one of {', '.join(in_process)}; ROUNDS >= 1; SEED >= 0\n"
+        )
         return 2
-    specs = jobs.build(workload, SEED)
+    specs = jobs.build(workload, seed)
     texts = [jobs.dumps(spec["job"]) for spec in specs]
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -111,7 +115,7 @@ def main(argv) -> int:
                 differ += outcomes[0] != outcomes[1]
             ratios.append(totals[1] / totals[0])
     q1, median, q3 = quartiles(ratios)
-    print(f"{workload}: {len(specs)} jobs (seed {SEED}), {rounds} rounds, sides alternating")
+    print(f"{workload}: {len(specs)} jobs (seed {seed}), {rounds} rounds, sides alternating")
     print(f"change/parent time per round: median {median:.3f} (quartiles {q1:.3f}-{q3:.3f})")
     print("change/parent time per job tag, over all rounds:")
     for tag, (a, b) in per_tag.items():
