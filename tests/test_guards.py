@@ -415,8 +415,8 @@ def test_mu_bar_certificate_after_ill_conditioned_transport(rng, n, s):
     "tol_rank", [math.nan, -1.0, -math.inf, 0.0, -0.0, math.inf, 1e308, 1e-300]
 )
 def test_mu_bar_certificate_on_direct_tolerances(rng, tol_rank):
-    # a library call may pass any tol_rank: a NaN one leaves M NaN, and a
-    # non-positive one leaves corank nothing to count
+    # a library call may pass any tol_rank: a NaN one makes M NaN, and at
+    # a zero or negative one the certificate decides as corank does
     for n in (1, 2, 4):
         for _ in range(5):
             _same_mu_bar(random_lift(rng, n), random_lift(rng, n), tol_rank)
