@@ -371,7 +371,7 @@ def cmd_compute(args) -> int:
             job = json.load(fh)
     except OSError as exc:
         return _fail("BAD_INPUT", f"cannot read job file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         return _fail("BAD_INPUT", f"invalid JSON: {exc}")
     except RecursionError:
         return _fail("BAD_INPUT", "invalid JSON: nested too deeply")
@@ -391,8 +391,11 @@ def cmd_compute(args) -> int:
         # the report nests the job one level deeper than json.load did
         return _fail("BAD_INPUT", "job: nested too deeply to echo")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail("BAD_INPUT", f"cannot write report file: {exc}")
     else:
         sys.stdout.write(text)
     return 0

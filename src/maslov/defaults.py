@@ -15,8 +15,8 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     symplectic      symplectic.is_symplectic    TOL_SYMPLECTIC, relative
     w from outside  lagrangian.frame_from_w     TOL_SYM
     eigenbasis      lagrangian._eigenbasis      1e-6, rebuild residual (used there only)
-    corank          lagrangian.corank           TOL_RANK_BASE, AMBIGUITY_DECADE
-    transversal     leray.transversal_margin    corank's t, the frame rule's B (derived)
+    corank          lagrangian._intersection    TOL_RANK_BASE, AMBIGUITY_DECADE (by corank)
+    transversal     lagrangian.transversal_margin  corank's t, the frame rule's B (derived)
     shear split     lagrangian.graph_matrix     corank's t / AMBIGUITY_DECADE; TOL_ROUND
     signature       signature.sign_counts       TOL_SIG_BASE, AMBIGUITY_DECADE
     theta           leray.check_theta           TOL_PHASE, scaled by the frame

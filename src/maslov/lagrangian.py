@@ -16,7 +16,9 @@ built once per n.  A frame takes det w once too (``det_w``), and
 ``unitarity_bound`` states what its frame rule implies about w.
 
 Every eigendecomposition of a unitary is ``_eigenbasis``, one ``eigh`` in
-the graph chart of Lag(n), real on a w.
+the graph chart of Lag(n), real on a w.  Every dim(ell1 /\\ ell2) is
+``_intersection``: the eigenvalues of w1 conj(w2) certify 0 away from the
+cycle (``transversal_margin``), else corank(w1 - w2) with their count at 1.
 
 Anchor values fixing the sign conventions: X* -> I, X -> -I, and the graph
 {p = ax} in n = 1 -> (a^2 - 1 - 2ia) / (1 + a^2).
@@ -329,25 +331,71 @@ def _rank_threshold(sigma: np.ndarray, tol_rank: float) -> float:
     return tol_rank * max(1.0, float(sigma.max(initial=0.0)))
 
 
+def transversal_margin(ell1: LagrangianFrame, ell2: LagrangianFrame, tol_rank: float) -> float:
+    """M = 10 t^ (1 + b) + 4 (n + 2) (c + rho), 10 being AMBIGUITY_DECADE:
+    when every eigenvalue lambda of w1 conj(w2) lies farther than M from 1,
+    ``corank`` of w1 - w2 at tol_rank can only find 0, with no singular
+    value in its band, and no lambda lies within its threshold t of 1.
+
+    - b = ``unitarity_bound`` at the larger frame tol, so ||w_i||_2 <= 1 + b
+      and ||w_i w_i^H - I||_2 <= b.
+    - t^ = tol_rank * 2 (1 + b) >= t, as sigma_max(w1 - w2) <= ||w1|| + ||w2||.
+    - c = b (2 + b) bounds ||V^H V - I||_2 for V = w1 conj(w2), and so the
+      distance of V from its unitary polar factor Q.
+    - rho = n eps (1 + b)^2 stands for the rounding of one product, eigvals
+      or SVD at these norms; b >= 1e-9 n exceeds it a million-fold.
+
+    The computed lambda are the eigenvalues of Q + E with ||E||_2 <= eta =
+    c + 2 rho.  By Bauer-Fike on the normal Q, and by continuity from Q to
+    Q + E (each cluster of discs of radius eta keeps its count), every
+    eigenvalue mu of Q lies within 2 n eta of some lambda.  As
+    (w1 - w2) conj(w2) = (Q - I) + (V - Q) - (w2 conj(w2) - I) up to
+    rounding and sigma_min(Q - I) = min |mu - 1|, every computed singular
+    value of w1 - w2 is at least
+    (min |lambda - 1| - 2 n eta - 2 c - 3 rho) / (1 + b) - 2 rho,
+    which exceeds 10 t^ when min |lambda - 1| > M, for b <= 1.5.  For a
+    larger b, M exceeds every |lambda - 1| <= 1 + (1 + b)^2.  A NaN tol_rank
+    makes M NaN, which no distance exceeds; at tol_rank 0 the inequality
+    is strict; a negative tol_rank gives t < 0, where corank finds 0 too."""
+    n = ell1.n
+    b = unitarity_bound(n, max(ell1.tol, ell2.tol))
+    t_hat = tol_rank * (2 * (1 + b))
+    grow = b * (2 + b) + n * math.ulp(1.0) * (1 + b) ** 2  # c + rho
+    return AMBIGUITY_DECADE * t_hat * (1 + b) + 4 * (n + 2) * grow
+
+
+def _intersection(
+    ell1: LagrangianFrame, ell2: LagrangianFrame, tol_rank: float
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """The one intersection rule: (k, lambda, at_one) for k = dim(ell1 /\\
+    ell2), the eigenvalues lambda of w1 conj(w2) and the mask of those at 1
+    (None when k = 0 is certified by ``transversal_margin``, with no SVD).
+    Otherwise k = corank(w1 - w2) at tol_rank, and exactly k eigenvalues
+    must lie within its threshold of 1, or IllConditioned is raised; the
+    corank's band keeps every other one off the branch cut of arg(-lambda)."""
+    if ell1.n != ell2.n:
+        raise BadInput("planes live in different dimensions")
+    lam = np.linalg.eigvals(ell1.w @ ell2.w.conj())
+    far = np.abs(lam - 1)
+    if far.min() > transversal_margin(ell1, ell2, tol_rank):
+        return 0, lam, None
+    k, t = corank(ell1.w - ell2.w, tol_rank, "w-difference corank")
+    at_one = far <= t
+    count = int(np.count_nonzero(at_one))
+    if count != k:
+        raise IllConditioned(
+            f"{count} eigenvalues within {t:g} of 1 but intersection dimension {k}"
+        )
+    return k, lam, at_one
+
+
 def intersection_dim(
     ell1: LagrangianFrame,
     ell2: LagrangianFrame,
     tol_rank: float = TOL_RANK_BASE,
 ) -> int:
-    """dim(ell1 /\\ ell2), computed as the corank of w1 - w2.
-
-    Cross-validated against the kernel dimension of [F1 | -F2]; a mismatch
-    or a singular value inside the ambiguity band raises IllConditioned.
-    """
-    if ell1.n != ell2.n:
-        raise BadInput("planes live in different dimensions")
-    k_w, _ = corank(ell1.w - ell2.w, tol_rank, "w-difference corank")
-    k_f, _ = corank(np.hstack([ell1.frame, -ell2.frame]), tol_rank, "frame-kernel corank")
-    if k_w != k_f:
-        raise IllConditioned(
-            f"corank disagreement between routes ({k_w} vs {k_f})"
-        )
-    return k_w
+    """dim(ell1 /\\ ell2) by the one intersection rule, ``_intersection``."""
+    return _intersection(ell1, ell2, tol_rank)[0]
 
 
 def transport_frames(

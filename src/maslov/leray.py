@@ -8,15 +8,12 @@ over the eigenvalues lambda_j of the unitary w1 conj(w2) = w1 w2^{-1} away
 from 1; the eigenvalues at 1 are the dim(ell1 /\\ ell2) intersection
 directions.  On transversal pairs mu_bar = 2m - n for Souriau's integer m.
 
-Guard: mu_bar takes the eigenvalues first.  The singular values of w1 - w2
-are the |lambda_j - 1| (exactly so for unitary w's), so when every
-|lambda_j - 1| exceeds the margin M of ``transversal_margin`` the pair is
-transversal by certificate: ``lagrangian.corank`` could only have found
-corank 0 with no value in its ambiguity band, and no eigenvalue lies
-within its threshold of 1.  mu_bar then reads every phase, with no SVD.
-Otherwise k = corank(w1 - w2) decides, and exactly k eigenvalues must lie
-within that rule's threshold of 1; the rule's ambiguity band keeps every
-other eigenvalue off the branch cut of arg(-lambda).
+The eigenvalues and the ones at 1 come from the one intersection rule,
+``lagrangian._intersection``, which every dim(ell1 /\\ ell2) decision in
+the package shares: a certificate from the eigenvalues, with no SVD, far
+from the Maslov cycle, and otherwise the corank of w1 - w2 checked against
+the count of eigenvalues at 1.  ``souriau_m`` reads transversality and
+mu_bar from the same eigenvalues.
 
 A cover point keeps its plane in the one validated form, the frame, and
 reads w and det w from it: the frame computes each once and never
@@ -36,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import AMBIGUITY_DECADE, TOL_PHASE, TOL_RANK_BASE, TOL_ROUND
+from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND
 from .errors import BadInput, IllConditioned, scalar
-from .lagrangian import LagrangianFrame, _scalar_frame, companion_phase, corank, unitarity_bound
+from .lagrangian import (
+    LagrangianFrame, _intersection, _scalar_frame, companion_phase, unitarity_bound
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,48 +106,6 @@ def deck_apply(k: int, lift: LagrangianLift) -> LagrangianLift:
     return LagrangianLift(lift.frame, lift.theta + _turns(k))
 
 
-def _pair_corank(
-    l1: LagrangianLift, l2: LagrangianLift, tol_rank: float
-) -> tuple[int, float]:
-    """dim(ell1 /\\ ell2) as the corank of w1 - w2, and the threshold used."""
-    if l1.n != l2.n:
-        raise BadInput("lifts live in different dimensions")
-    return corank(l1.w - l2.w, tol_rank, "w-difference corank")
-
-
-def transversal_margin(l1: LagrangianLift, l2: LagrangianLift, tol_rank: float) -> float:
-    """M = 10 t^ (1 + b) + 4 (n + 2) (c + rho), 10 being AMBIGUITY_DECADE:
-    when every eigenvalue lambda of w1 conj(w2) lies farther than M from 1,
-    ``corank`` of w1 - w2 at tol_rank can only find 0, with no singular
-    value in its band, and no lambda lies within its threshold t of 1.
-
-    - b = ``unitarity_bound`` at the larger frame tol, so ||w_i||_2 <= 1 + b
-      and ||w_i w_i^H - I||_2 <= b.
-    - t^ = tol_rank * 2 (1 + b) >= t, as sigma_max(w1 - w2) <= ||w1|| + ||w2||.
-    - c = b (2 + b) bounds ||V^H V - I||_2 for V = w1 conj(w2), and so the
-      distance of V from its unitary polar factor Q.
-    - rho = n eps (1 + b)^2 stands for the rounding of one product, eigvals
-      or SVD at these norms; b >= 1e-9 n exceeds it a million-fold.
-
-    The computed lambda are the eigenvalues of Q + E with ||E||_2 <= eta =
-    c + 2 rho.  By Bauer-Fike on the normal Q, and by continuity from Q to
-    Q + E (each cluster of discs of radius eta keeps its count), every
-    eigenvalue mu of Q lies within 2 n eta of some lambda.  As
-    (w1 - w2) conj(w2) = (Q - I) + (V - Q) - (w2 conj(w2) - I) up to
-    rounding and sigma_min(Q - I) = min |mu - 1|, every computed singular
-    value of w1 - w2 is at least
-    (min |lambda - 1| - 2 n eta - 2 c - 3 rho) / (1 + b) - 2 rho,
-    which exceeds 10 t^ when min |lambda - 1| > M, for b <= 1.5.  For a
-    larger b, M exceeds every |lambda - 1| <= 1 + (1 + b)^2.  A NaN tol_rank
-    makes M NaN, which no distance exceeds; at tol_rank 0 the inequality
-    is strict; a negative tol_rank gives t < 0, where corank finds 0 too."""
-    n = l1.n
-    b = unitarity_bound(n, max(l1.frame.tol, l2.frame.tol))
-    t_hat = tol_rank * (2 * (1 + b))
-    grow = b * (2 + b) + n * math.ulp(1.0) * (1 + b) ** 2  # c + rho
-    return AMBIGUITY_DECADE * t_hat * (1 + b) + 4 * (n + 2) * grow
-
-
 def mu_bar(
     l1: LagrangianLift,
     l2: LagrangianLift,
@@ -156,27 +113,18 @@ def mu_bar(
     tol_rank: float = TOL_RANK_BASE,
 ) -> int:
     """The canonical index, total on pairs of cover points, by the closed
-    form above.  A pair whose eigenvalues all lie farther than
-    ``transversal_margin`` from 1 reads every phase; any other pair raises
-    IllConditioned on an ambiguous corank (at tol_rank) and on a count of
-    eigenvalues at 1 other than the corank.  Either raises IllConditioned
-    on a value farther than tol_round from an integer."""
-    if l1.n != l2.n:
-        raise BadInput("lifts live in different dimensions")
-    lam = np.linalg.eigvals(l1.w @ l2.w.conj())
-    far = np.abs(lam - 1)
-    if far.min() > transversal_margin(l1, l2, tol_rank):
-        phases = np.angle(-lam)  # corank 0, certified without its SVD
-    else:
-        k, t = _pair_corank(l1, l2, tol_rank)
-        at_one = far <= t
-        count = int(np.count_nonzero(at_one))
-        if count != k:
-            raise IllConditioned(
-                f"{count} eigenvalues within {t:g} of 1 but intersection dimension {k}"
-            )
-        phases = np.angle(-(lam[~at_one] if k else lam))
-    value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
+    form above on the eigenvalues away from 1 that the intersection rule
+    leaves (at tol_rank; it raises IllConditioned on an ambiguous corank
+    and on a count of eigenvalues at 1 other than the corank).  Raises
+    IllConditioned on a value farther than tol_round from an integer."""
+    k, lam, at_one = _intersection(l1.frame, l2.frame, tol_rank)
+    return _trace_log(l1, l2, lam[~at_one] if k else lam, tol_round)
+
+
+def _trace_log(l1: LagrangianLift, l2: LagrangianLift, lam: np.ndarray, tol_round: float) -> int:
+    """(theta1 - theta2 - sum arg(-lambda)) / pi over the eigenvalues lam
+    away from 1, rounded by ``nearest_integer``."""
+    value = (l1.theta - l2.theta - float(np.angle(-lam).sum())) / math.pi
     message = "index residual {:.3g} exceeds tol_round; the pair is nearly non-transversal"
     return nearest_integer(value, tol_round, IllConditioned, message)
 
@@ -200,10 +148,11 @@ def souriau_m(
     l2: LagrangianLift,
     tol_round: float = TOL_ROUND,
 ) -> int:
-    """The integer m = (mu_bar + n) / 2 on transversal pairs."""
-    if _pair_corank(l1, l2, TOL_RANK_BASE)[0] != 0:
+    """m = (mu_bar + n) / 2 on transversal pairs, both read from one lambda."""
+    k, lam, _ = _intersection(l1.frame, l2.frame, TOL_RANK_BASE)
+    if k != 0:
         raise BadInput("m requires transversal projections")
-    return (mu_bar(l1, l2, tol_round) + l1.n) // 2
+    return (_trace_log(l1, l2, lam, tol_round) + l1.n) // 2
 
 
 def companion_lift(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianLift:

@@ -189,6 +189,29 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert code == 2 and json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
+def test_job_file_that_is_not_utf8(tmp_path, src_env):
+    job = tmp_path / "j.json"
+    job.write_bytes(b'\xff\xfe{"n": 2}')
+    code, out, err = run_process(["compute", "--input", str(job)], src_env)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["code"] == "BAD_INPUT" and error["message"].startswith("invalid JSON: ")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output(tmp_path, src_env, where):
+    job = {"n": 1, "index": "kashiwara", "planes": ["coordinate_x"] * 3}
+    output = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
+    argv = ["compute", "--input", write_job(tmp_path, "j.json", job), "--output", str(output)]
+    code, out, err = run_process(argv, src_env)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["code"] == "BAD_INPUT"
+    assert error["message"].startswith("cannot write report file: ")
+
+
 def test_deeply_nested_job(tmp_path, src_env):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)

@@ -6,10 +6,16 @@ moved onto Python floats (``corank``'s band and count, ``sign_counts``,
 transversality certificate (``mu_bar``, whose corank SVD came first).  The
 rules must give the same verdicts, counts and messages on values at and
 one ulp around every threshold, on NaN and on empty input.
+
+``reference_intersection_dim`` keeps the former two-route intersection
+rule, whose frame-kernel corank [F1 | -F2] now lives here only.  The one
+rule must never decide a different integer; where it decides a pair that
+the two routes refused, 50-digit principal angles must agree with it.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,6 +94,19 @@ def reference_mu_bar(l1, l2, tol_round=TOL_ROUND, tol_rank=TOL_RANK_BASE):
     value = (l1.theta - l2.theta - float(phases.sum())) / math.pi
     message = "index residual {:.3g} exceeds tol_round; the pair is nearly non-transversal"
     return leray.nearest_integer(value, tol_round, IllConditioned, message)
+
+
+def reference_intersection_dim(ell1, ell2, tol_rank=TOL_RANK_BASE):
+    """dim(ell1 /\\ ell2) as the corank of w1 - w2, cross-validated against
+    the frame-kernel corank of [F1 | -F2]; a mismatch raises IllConditioned."""
+    if ell1.n != ell2.n:
+        raise BadInput("planes live in different dimensions")
+    k_w, _ = lagrangian.corank(ell1.w - ell2.w, tol_rank, "w-difference corank")
+    kernel = np.hstack([ell1.frame, -ell2.frame])
+    k_f, _ = lagrangian.corank(kernel, tol_rank, "frame-kernel corank")
+    if k_w != k_f:
+        raise IllConditioned(f"corank disagreement between routes ({k_w} vs {k_f})")
+    return k_w
 
 
 def outcome(fn, *args):
@@ -365,7 +384,7 @@ def _stratum_pairs(rng, n, S=None):
         if S is not None:
             f1, f2 = (lagrangian.apply_symplectic(S, f) for f in (f1, f2))
         l1 = leray.lift_of(f1, int(rng.integers(-2, 3)))
-        margin = leray.transversal_margin(l1, leray.lift_of(f2), TOL_RANK_BASE)
+        margin = lagrangian.transversal_margin(f1, f2, TOL_RANK_BASE)
         sigma = np.linalg.svd(f1.w - f2.w, compute_uv=False)
         t = TOL_RANK_BASE * max(1.0, float(sigma.max()))
         yield l1, leray.lift_of(f2)
@@ -435,4 +454,52 @@ def test_mu_bar_takes_an_svd_only_near_the_cycle(rng, monkeypatch):
     leray.mu_bar(l1, l2)
     assert len(calls) == 0
     leray.mu_bar(l1, leray.lift_of(random_frame_intersecting(rng, f1, 1)))
+    assert len(calls) == 1
+
+
+def _exact_intersection_dim(ell1, ell2, tol_rank=TOL_RANK_BASE):
+    """The number of principal angles theta of the two planes, from 50-digit
+    orthonormal bases of their frames' spans, with 2 sin theta (the
+    distance of the eigenvalue e^{2 i theta} of w1 conj(w2) from 1) at most
+    the corank threshold t = tol_rank * max(1, largest 2 sin theta)."""
+    with mpmath.workdps(50):
+        Q1, _ = mpmath.qr(mpmath.matrix(ell1.frame.tolist()))
+        Q2, _ = mpmath.qr(mpmath.matrix(ell2.frame.tolist()))
+        n = ell1.n
+        Q1, Q2 = Q1[:, :n], Q2[:, :n]
+        sines = mpmath.svd_r((mpmath.eye(2 * n) - Q1 * Q1.T) * Q2, compute_uv=False)
+        dist = [2 * s for s in sines]
+        t = tol_rank * max(1, max(dist))
+        return sum(d <= t for d in dist)
+
+
+@pytest.mark.parametrize("s", [None, 30.0, 1e3, 1e5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_one_intersection_rule_against_the_two_routes(rng, n, s):
+    kinds = []
+    for l1, l2 in _stratum_pairs(rng, n, None if s is None else _stretch(n, s)):
+        f1, f2 = l1.frame, l2.frame
+        got = outcome(lagrangian.intersection_dim, f1, f2)
+        ref = outcome(reference_intersection_dim, f1, f2)
+        kinds.append((got[0], ref[0]))
+        if got[0] == ref[0] == "value":
+            assert got == ref
+        elif got[0] == "value":
+            # a pair in the frame-kernel route's band alone, whose singular
+            # values sqrt(2) sin(theta / 2) sit 0.45 decades below 2 sin theta
+            assert got[1] == _exact_intersection_dim(f1, f2)
+    assert {("value", "value"), ("value", "IllConditioned")} <= set(kinds)
+
+
+def test_the_one_rule_takes_an_svd_only_near_the_cycle(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    fs = [random_frame(rng, 3) for _ in range(3)]
+    signature.inert_index(*fs)
+    assert len(calls) == 0
+    assert lagrangian.intersection_dim(fs[0], random_frame_intersecting(rng, fs[0], 1)) == 1
+    assert len(calls) == 1
+    leray.souriau_m(leray.lift_of(fs[1]), leray.lift_of(fs[2], 1))
+    lagrangian.transversal_companion(fs[1], fs[2])
     assert len(calls) == 1

@@ -23,6 +23,16 @@ def test_ab_timing_of_a_tree_against_itself():
     lines = _ab_timing_of_this_tree()
     assert lines[0].startswith("point-index: ") and "1 rounds" in lines[0]
     assert "(seed 1)" in lines[0]
+    # each side's np.linalg calls in the counted round: the same tree makes
+    # the same calls
+    at = lines.index("np.linalg calls in one untimed round, per side:")
+    parent, change = lines[at + 1], lines[at + 2]
+    assert parent.startswith("  parent: svd ") and change.startswith("  change: svd ")
+    counts = parent.split(": ", 1)[1]
+    assert counts == change.split(": ", 1)[1]
+    names = [item.split()[0] for item in counts.split(", ")]
+    assert names == ["svd", "eig", "eigvals", "eigh", "eigvalsh", "det", "qr", "solve"]
+    assert int(counts.split(", ")[0].split()[1]) > 0  # the leray strata's SVDs
 
 
 def test_ab_timing_at_another_seed():

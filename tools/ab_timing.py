@@ -13,13 +13,15 @@ so be confirmed on another.  Each round runs every job once on each
 side, through ``cli.compute_report`` on a freshly decoded job, and which
 side goes first alternates from job to job and from round to round.  An
 untimed round runs first, so that per-package caches and lazy imports are
-warm on both sides.
+warm on both sides.  A second untimed round counts, per side, the calls the
+package makes to the ``np.linalg`` functions in ``LINALG``.
 
 It prints the median of the per-round ratio change time / parent time with
-its quartiles, the same ratio per job tag over all rounds, and the number
-of (job, round) outcomes that differ: a report compared as
-``cli._serialize`` text, an error as its code and message.  ROUNDS
-defaults to 30.  A ratio below 1 means the change is faster.
+its quartiles, the same ratio per job tag over all rounds, the call counts
+of each side, and the number of (job, round) outcomes that differ: a
+report compared as ``cli._serialize`` text, an error as its code and
+message.  ROUNDS defaults to 30.  A ratio below 1 means the change is
+faster.
 """
 
 from __future__ import annotations
@@ -32,13 +34,17 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.dont_write_bytecode = True
 
+import contextlib
 import importlib
 import json
 import shutil
 import statistics
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_outputs import load_jobs  # noqa: E402
@@ -46,6 +52,8 @@ from compare_outputs import load_jobs  # noqa: E402
 SIDES = ("parent", "change")
 DEFAULT_SEED = 1
 DEFAULT_ROUNDS = 30
+#: the np.linalg functions whose calls are counted
+LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh", "det", "qr", "solve")
 
 
 def import_tree(root: Path, name: str, into: Path):
@@ -66,6 +74,27 @@ def run_job(cli, text: str) -> tuple[float, str]:
         return seconds, f"{getattr(exc, 'code', type(exc).__name__)}: {exc}"
     seconds = time.perf_counter() - t0
     return seconds, cli._serialize(report)
+
+
+@contextlib.contextmanager
+def counting(tally: Counter):
+    """Each LINALG function of np.linalg adds its calls to tally meanwhile."""
+    saved = {name: getattr(np.linalg, name) for name in LINALG}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name, fn in saved.items():
+        setattr(np.linalg, name, counted(name, fn))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(np.linalg, name, fn)
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -101,6 +130,11 @@ def main(argv) -> int:
         for text in texts:  # the warm-up round
             for cli in clis:
                 run_job(cli, text)
+        tallies = [Counter(), Counter()]
+        for text in texts:  # the counted round
+            for cli, tally in zip(clis, tallies):
+                with counting(tally):
+                    run_job(cli, text)
         ratios, differ = [], 0
         per_tag = {spec["tag"]: [0.0, 0.0] for spec in specs}
         for r in range(rounds):
@@ -120,6 +154,9 @@ def main(argv) -> int:
     print("change/parent time per job tag, over all rounds:")
     for tag, (a, b) in per_tag.items():
         print(f"  {tag}: {b / a:.3f}")
+    print("np.linalg calls in one untimed round, per side:")
+    for side, tally in zip(SIDES, tallies):
+        print(f"  {side}: " + ", ".join(f"{name} {tally[name]}" for name in LINALG))
     print(f"{differ} of {rounds * len(specs)} outcomes differ")
     return 1 if differ else 0
 
