@@ -42,6 +42,7 @@ from .paths import (
     reverse,
     rotation_path,
     symplectic_path_from_algebra,
+    unitary_path,
 )
 from .signature import Cochain, TripleSignature, coboundary, inert_index, kashiwara_tau
 from .symplectic import (

@@ -6,7 +6,7 @@ the requested index, and writes a deterministic JSON report to stdout or
 
 Each path kind has one route: ``rotation``, ``graph_polynomial`` and
 ``shear`` paths are lifted in closed form from their two ends, and the two
-sample kinds by ``paths.lift_path`` without a generator.
+sample kinds by ``paths.lift_path``.
 
 Exit codes: 0 success, 2 bad input, 3 undersampled, 4 ill-conditioned,
 5 verification failure.
@@ -169,7 +169,7 @@ def parse_lagrangian_path(spec, n) -> paths.LagrangianPath:
         if not isinstance(frames_raw, list) or len(frames_raw) < 2:
             raise BadInput("lagrangian_samples needs at least two frames")
         frames = _samples(frames_raw, (2 * n, n), "frame sample")
-        return paths.LagrangianPath(_times(spec, len(frames)), frames, None)
+        return paths.LagrangianPath(_times(spec, len(frames)), frames)
     raise BadInput(f"unrecognized Lagrangian path kind: {kind!r}")
 
 
@@ -181,7 +181,7 @@ def parse_symplectic_path(spec, n) -> paths.SymplecticPath:
         if not isinstance(mats_raw, list) or len(mats_raw) < 2:
             raise BadInput("symplectic_samples needs at least two matrices")
         mats = _samples(mats_raw, (2 * n, 2 * n), "matrix sample")
-        return paths.SymplecticPath(_times(spec, len(mats)), mats, None)
+        return paths.SymplecticPath(_times(spec, len(mats)), mats)
     raise BadInput(f"unrecognized symplectic path kind: {kind!r}")
 
 
@@ -269,7 +269,8 @@ def compute_report(
 
     if kind in PATH_KINDS:
         # every path index is read off one lift: a closed form for the
-        # generator kinds, else a lift of the sampled (induced) path
+        # rotation, graph_polynomial and shear kinds, else a lift of the
+        # sampled (induced) path
         if kind in ("symplectic", "mu-ell"):
             lifted, ell = _symplectic_lift(
                 job.get("path"), job.get("plane"), n, kind == "mu-ell", tol_round, tol_rank

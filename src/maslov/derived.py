@@ -1,16 +1,19 @@
 """Indices expressed through the canonical ones: spectral flow of a
 symmetric family, graph paths, the half-integer Robbin-Salamon index, the
 Hormander index of a quadruple, and direct sums of cover points.
+
+``SymmetricFamily.linear`` samples its family on the certified grid of its
+graph and shear paths (``paths.certified_count``); ``from_function``
+samples a caller's function with no certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .defaults import TOL_ROUND, TOL_SIG_BASE, TOL_SYM
+from .defaults import TOL_ROUND, TOL_SIG_BASE
 from .errors import BadInput, IllConditioned, numeric_array
 from .lagrangian import (
     LagrangianFrame,
@@ -20,21 +23,26 @@ from .lagrangian import (
     is_symmetric,
 )
 from .leray import LagrangianLift
-from .paths import LagrangianPath, SymplecticPath, _mapped, _sampled, mu_lagrangian, sample_count
+from .paths import (
+    LagrangianPath,
+    SymplecticPath,
+    _ky_fan,
+    _sampled,
+    certified_count,
+    mu_lagrangian,
+    sample_count,
+)
 from .signature import kashiwara_tau, sign_counts
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricFamily:
-    """A family t -> A(t) of real symmetric matrices on [0, 1].
-
+    """Samples of a family t -> A(t) of real symmetric matrices on [0, 1]:
     ``matrices`` is one read-only (N, n, n) stack, each matrix checked by
-    the relative ``is_symmetric`` rule.  The optional generator maps a 1-d
-    array ts of times to the (len(ts), n, n) stack A(ts)."""
+    the relative ``is_symmetric`` rule."""
 
     times: tuple
     matrices: np.ndarray
-    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not is_symmetric(_sampled(self, "matrices", "(N, n, n)", lambda r, c: r == c)):
@@ -47,22 +55,35 @@ class SymmetricFamily:
     @classmethod
     def from_function(cls, fn, samples: int = 33) -> "SymmetricFamily":
         """The family sampled at ``samples`` (``paths.sample_count``) equally
-        spaced times by one call of fn, a generator ts -> (len(ts), n, n)."""
+        spaced times by one call of fn, ts -> (len(ts), n, n); no grid is
+        certified."""
         ts = np.linspace(0.0, 1.0, sample_count(samples))
-        return cls(tuple(ts), fn(ts), fn)
+        return cls(tuple(ts), fn(ts))
 
     @classmethod
     def linear(cls, A0, A1, samples: int = 33) -> "SymmetricFamily":
+        """The family (1 - t) A0 + t A1, both ends checked by the family's
+        rule, on the certified grid of at least ``samples`` times of its
+        graph and shear paths.
+
+        Grid rule.  Along the graph path theta(t) = sum_k (2 arctan
+        lambda_k(t) - pi) (``graph_phase_change``); arctan is 1-Lipschitz,
+        and by Lidskii's inequality sum_k |lambda_k(t + h) - lambda_k(t)| <=
+        ||A(t + h) - A(t)||_* = h ||A1 - A0||_*, the nuclear norm.  So a step
+        moves theta by at most 2 h ||A1 - A0||_*.  The shear [[I, 0], [A(t),
+        I]] moves any plane with the Hamiltonian H = [[A', 0], [0, 0]] (see
+        ``paths.symplectic_path_from_algebra``), and tr(F^T H F) =
+        tr(X^T A' X) is at most ||A'||_* in modulus for the X block of an
+        orthonormal frame, ||X||_2 <= 1: the same bound.  The speed is
+        2 ||A1 - A0||_* (``paths.certified_count``)."""
         A0 = numeric_array(A0, "family endpoint")
         A1 = numeric_array(A1, "family endpoint")
         if A0.shape != A1.shape:
             raise BadInput("family endpoints must share a shape")
-
-        def fn(ts: np.ndarray) -> np.ndarray:
-            t = ts[:, None, None]
-            return (1 - t) * A0 + t * A1
-
-        return cls.from_function(fn, samples)
+        n = cls((0.0, 1.0), np.stack((A0, A1))).n
+        ts = np.linspace(0.0, 1.0, certified_count(samples, 2 * _ky_fan(A1 - A0, n), n))
+        t = ts[:, None, None]
+        return cls(tuple(ts), (1 - t) * A0 + t * A1)
 
 
 def polynomial_values(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -124,24 +145,15 @@ def graph_phase_change(ends: np.ndarray) -> float:
 
 
 def graph_path(family: SymmetricFamily) -> LagrangianPath:
-    """The path of graph planes t -> {(x, A(t) x)}; the family checked that
-    each A(t) is symmetric, and the path validates the frames in one batch.
-    The generator checks the generated matrices by the same rule."""
-
-    def frames_of(A) -> tuple[np.ndarray, float]:
-        A = numeric_array(A, "generated matrices")
-        if not is_symmetric(A):
-            raise BadInput("graph matrix must be symmetric")
-        return graph_frames(A), TOL_SYM
-
-    gen = _mapped(frames_of, family.generator)
-    return LagrangianPath(family.times, graph_frames(family.matrices), gen)
+    """The path of graph planes t -> {(x, A(t) x)} on the family's grid; the
+    family checked that each A(t) is symmetric, and the path validates the
+    frames in one batch."""
+    return LagrangianPath(family.times, graph_frames(family.matrices))
 
 
 def shear_path(family: SymmetricFamily) -> SymplecticPath:
-    """The symplectic path t -> [[I, 0], [A(t), I]]."""
-    gen = _mapped(lambda A: _shear(numeric_array(A, "generated matrices")), family.generator)
-    return SymplecticPath(family.times, _shear(family.matrices), gen)
+    """The symplectic path t -> [[I, 0], [A(t), I]] on the family's grid."""
+    return SymplecticPath(family.times, _shear(family.matrices))
 
 
 def _shear(A: np.ndarray) -> np.ndarray:

@@ -430,7 +430,7 @@ def apply_symplectic(S: SymplecticMatrix | np.ndarray, ell: LagrangianFrame) -> 
     """Frame of S . ell by ``transport_frames``, validated at its bound.
 
     S is a SymplecticMatrix or a 2n x 2n array its caller has validated
-    already (a value of a ``SymplecticPath`` generator, say)."""
+    already (a ``SymplecticPath`` sample, say)."""
     entries = S.entries if isinstance(S, SymplecticMatrix) else numeric_array(S, "matrix")
     Q, tol = transport_frames(entries, ell.frame, ell.tol)
     return LagrangianFrame(Q, float(tol))

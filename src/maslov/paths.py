@@ -4,19 +4,26 @@ indices for paths.
 
 Paths are ordered samples on [0, 1], held as one (N, 2n, n) or (N, 2n, 2n)
 array (a Lagrangian path's samples are frames in the layout of
-``LagrangianFrame.frame``, which only ``lagrangian`` splits into blocks),
-plus an optional pure generator used for adaptive bisection when a phase
-step exceeds pi/2.  A generator takes a 1-d array of times and returns the
-values there as one stack, so bisection is breadth-first: each refinement
-level sends all its pending midpoints to one generator call, in chunks of
-at most LEVEL_CHUNK_BYTES of frames.  Sampled-only paths that violate the
-step bound fail loudly (UNDERSAMPLED) instead of interpolating:
-interpolation between Lagrangian frames is not canonical.
+``LagrangianFrame.frame``, which only ``lagrangian`` splits into blocks).
+``lift_path`` unwraps arg det w along the samples as one vector, and every
+step must stay below MAX_PHASE_STEP or the lift fails loudly (UNDERSAMPLED):
+nothing is interpolated, since interpolation between Lagrangian frames is
+not canonical.
+
+Every path the library builds is sampled on a certified grid: its
+constructor bounds the speed of arg det w along the exact path (a unitary
+family: 2 |tr H|; a linear symmetric family: 2 ||A1 - A0||_*; an algebra
+path: 2 ||S0 Z S0^-1||_(n)) and raises the caller's ``samples``, a minimum,
+to ``certified_count``, on which every step provably moves the phase by
+less than MAX_PHASE_STEP less the rounding slack ``phase_slack``.
+``concat``, ``reverse`` and ``concat_symplectic`` keep their parts' grids;
+``left_translate`` keeps its path's grid, which S can make too coarse.  A
+caller's samples carry no certificate: the step test is their guard.
 
 Where the change of arg det w along a path is known in closed form from its
 two ends, the path is not sampled at all: ``LiftedPath.from_phase_change``
 builds its lift from the two end frames and that change.  The command line
-lifts its graph, shear and rotation paths so and never bisects.
+lifts its graph, shear and rotation paths so.
 
 A lift validates once: ``LagrangianPath`` checks its frames as one stack,
 ``lift_path`` and ``from_phase_change`` take u u^t and det of that stack
@@ -28,10 +35,9 @@ and ``symplectic_path_from_algebra`` its exponentials from the batched ``_expm``
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,10 +49,10 @@ from .lagrangian import (
     _eigenbasis,
     _uut,
     check_frames,
-    det_phase,
     frame_unitary,
     is_symmetric,
     transport_frames,
+    unitarity_bound,
     unitary_frames,
 )
 from .leray import LagrangianLift, _lift, lift_of, mu_bar, nearest_integer
@@ -55,15 +61,8 @@ from .symplectic import is_symplectic, omega_matrix
 #: step acceptance bound for the determinant phase (margin against aliasing)
 MAX_PHASE_STEP = math.pi / 2
 
-#: hard cap on samples produced by refinement in a single lift
+#: hard cap on the samples of a certified grid and of a lift
 MAX_SAMPLES = 10**6
-
-#: default bisection depth of lift_path
-MAX_REFINE_DEPTH = 40
-
-#: byte budget of the frames one generator call returns during refinement;
-#: a level with more pending midpoints is evaluated in chunks
-LEVEL_CHUNK_BYTES = 1 << 22
 
 
 def sample_count(samples) -> int:
@@ -72,6 +71,56 @@ def sample_count(samples) -> int:
     if not 2 <= scalar(samples, "samples", integer=True) <= MAX_SAMPLES:
         raise BadInput(f"samples must lie in [2, {MAX_SAMPLES}]")
     return samples
+
+
+def phase_slack(n: int) -> float:
+    """2 n arcsin(min(1, B)) for B = ``unitarity_bound(n, TOL_SYM)``: how far
+    rounding can move a phase step that ``lift_path`` computes between two
+    samples of a library path away from the step of the exact path.
+
+    Every library constructor computes its samples within TOL_SYM, entrywise,
+    of a frame F of the exact plane: unitary and graph frames to a few n eps,
+    a frame transported by S to a few n eps cond_2(S), below TOL_SYM while
+    n cond_2(S) stays under about 1e5 (beyond it the step test is the guard).
+    Then for u = P - iX, ||u' - u||_2 <= ||u' - u||_F <= sqrt(2) n TOL_SYM,
+    and w' - w = (u' - u) u'^t + u (u' - u)^t has norm at most
+    sqrt(2) n TOL_SYM (2 + sqrt(2) n TOL_SYM) <= 10 n TOL_SYM <= B; the
+    rounding of u u^t and of det sits in B >= 1e-9 n, as in
+    ``lagrangian.transversal_margin``.  det w' = det w det(I + w^H (w' - w)),
+    and each eigenvalue of the second factor lies within B of 1, so it moves
+    the argument by at most arcsin B: a sample's arg det w is off by at most
+    n arcsin B, and a step, which has two ends, by twice that.  From B >= 1
+    on the slack is n pi >= MAX_PHASE_STEP, and no grid is certified."""
+    return 2 * n * math.asin(min(1.0, unitarity_bound(n, TOL_SYM)))
+
+
+def certified_count(samples, speed: float, n: int) -> int:
+    """The sample count of a library path in dimension n whose arg det w
+    moves by at most ``speed`` per unit time: the larger of ``samples``
+    (``sample_count``) and floor(speed / target) + 2, for target =
+    MAX_PHASE_STEP - ``phase_slack(n)``.
+
+    The N equally spaced times on [0, 1] then have N - 1 > speed / target
+    steps, so each step moves the exact phase by less than target and the
+    computed one by less than MAX_PHASE_STEP; the rounding of the speed and
+    of the count, a few ulps of target, sits in the slack.  A count beyond
+    MAX_SAMPLES (an infinite or NaN speed included) raises Undersampled
+    before anything is allocated."""
+    samples = sample_count(samples)
+    target = MAX_PHASE_STEP - phase_slack(n)
+    ratio = speed / target if target > 0 else math.inf
+    # a float comparison, so an infinite (or NaN) count fails it too
+    if not ratio + 2 <= MAX_SAMPLES:
+        raise Undersampled("certified grid needs more than MAX_SAMPLES samples")
+    return max(samples, math.floor(ratio) + 2)
+
+
+def _ky_fan(Y: np.ndarray, k: int) -> float:
+    """The sum of the k largest singular values of Y (one SVD), or inf when
+    Y has an entry that is not finite."""
+    if not np.isfinite(Y).all():
+        return math.inf
+    return float(np.linalg.svd(Y, compute_uv=False)[:k].sum())
 
 
 def _sampled(path, field: str, layout: str, shape_ok: Callable[[int, int], bool]) -> np.ndarray:
@@ -95,31 +144,24 @@ def _sampled(path, field: str, layout: str, shape_ok: Callable[[int, int], bool]
     return stack
 
 
-def _mapped(f: Callable, g: Optional[Callable]) -> Optional[Callable]:
-    """The generator ts -> f(g(ts)) of a path derived from one with
-    generator g, or None when g is None."""
-    return None if g is None else lambda ts: f(g(ts))
-
-
 @dataclass(frozen=True, eq=False)
 class LagrangianPath:
-    """Samples of a Lagrangian path and an optional generator.
+    """Samples of a Lagrangian path.
 
     ``frames`` is one read-only (N, 2n, n) stack of frames, the layout of
     ``LagrangianFrame.frame``, validated here in one batch by
     ``lagrangian.check_frames`` at ``tol``: a float, or one per sample (read
     back as one per sample).
-
-    The generator maps a 1-d array ts of times to ``(frames, tol)``: the
-    (len(ts), 2n, n) stack of frames at those times and the tolerance they
-    meet, a float or one per frame (what ``transport_frames`` returns).
-    ``lift_path`` checks every generated frame by the same frame rule.
     """
 
     times: tuple
     frames: np.ndarray
-    generator: Optional[Callable[[np.ndarray], tuple]] = None
     tol: float | np.ndarray = TOL_SYM
+
+    #: always None: perfbench/tracing.py wraps __post_init__ and reads this
+    #: attribute, so both stay until the next benchmark change (ROADMAP
+    #: item 1) drops that hook
+    generator = None
 
     def __post_init__(self):
         frames = _sampled(self, "frames", "(N, 2n, n)", lambda r, c: r == 2 * c)
@@ -147,15 +189,11 @@ class LagrangianPath:
 
 @dataclass(frozen=True, eq=False)
 class SymplecticPath:
-    """Samples of a symplectic path and an optional generator mapping a 1-d
-    array ts of times to the (len(ts), 2n, 2n) stack of matrices there;
-    ``matrices`` is one read-only (N, 2n, 2n) array, validated here in one
-    batch by ``is_symplectic``.  Generated matrices are not checked: the
-    frames they transport are, by the induced path."""
+    """Samples of a symplectic path: ``matrices`` is one read-only
+    (N, 2n, 2n) array, validated here in one batch by ``is_symplectic``."""
 
     times: tuple
     matrices: np.ndarray
-    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         mats = _sampled(self, "matrices", "(N, 2n, 2n)", lambda r, c: r == c and c % 2 == 0)
@@ -190,72 +228,44 @@ def _rescale(times: Sequence[float], a: float, b: float) -> list[float]:
 
 
 def concat(lam: LagrangianPath, lam2: LagrangianPath) -> LagrangianPath:
-    """Time-rescaled concatenation (lam(2t), lam2(2t - 1))."""
+    """Time-rescaled concatenation (lam(2t), lam2(2t - 1)), on the two
+    grids: the samples, and so the phase steps, are the parts'."""
     if not same_plane(lam.end(), lam2.start()):
         raise BadInput("paths are not consecutive: endpoint planes differ")
     times = _rescale(lam.times, 0.0, 0.5) + _rescale(lam2.times[1:], 0.5, 1.0)
     frames = np.concatenate((lam.frames, lam2.frames[1:]))
     tol = np.concatenate((lam.tol, lam2.tol[1:]))
-    gen = None
-    if lam.generator is not None and lam2.generator is not None:
-        g1, g2 = lam.generator, lam2.generator
-        shape = lam.frames.shape[1:]
-
-        def gen(ts):
-            frames, tol = np.empty((len(ts),) + shape), np.empty(len(ts))
-            for part, (f, t) in _by_half(ts, g1, g2):
-                frames[part], tol[part] = f, t
-            return frames, tol
-
-    return LagrangianPath(tuple(times), frames, gen, tol)
+    return LagrangianPath(tuple(times), frames, tol)
 
 
 def reverse(lam: LagrangianPath) -> LagrangianPath:
-    """The path t -> lam(1 - t)."""
+    """The path t -> lam(1 - t), whose steps are lam's, negated."""
     times = tuple(1.0 - t for t in reversed(lam.times))
-    gen = None
-    if lam.generator is not None:
-        g = lam.generator
-        gen = lambda ts: g(1.0 - ts)
-    return LagrangianPath(times, lam.frames[::-1], gen, lam.tol[::-1])
+    return LagrangianPath(times, lam.frames[::-1], lam.tol[::-1])
 
 
 def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPath:
+    """Time-rescaled concatenation of two symplectic paths, on their grids."""
     if sig.n != sig2.n:
         raise BadInput("symplectic paths live in different dimensions")
     if not _matches(sig.end(), sig2.start()):
         raise BadInput("symplectic paths are not consecutive")
     times = _rescale(sig.times, 0.0, 0.5) + _rescale(sig2.times[1:], 0.5, 1.0)
     mats = np.concatenate((sig.matrices, sig2.matrices[1:]))
-    gen = None
-    if sig.generator is not None and sig2.generator is not None:
-        g1, g2 = sig.generator, sig2.generator
-        shape = sig.matrices.shape[1:]
-
-        def gen(ts):
-            out = np.empty((len(ts),) + shape)
-            for part, values in _by_half(ts, g1, g2):
-                out[part] = values
-            return out
-
-    return SymplecticPath(tuple(times), mats, gen)
-
-
-def _by_half(ts: np.ndarray, g1: Callable, g2: Callable) -> list:
-    """(mask, values) pairs of a catenation's generator: g1 at 2t on the
-    times t <= 1/2 and g2 at 2t - 1 on the others, one call each; a half
-    with no times is not called."""
-    first = ts <= 0.5
-    halves = ((first, g1, 2 * ts[first]), (~first, g2, 2 * ts[~first] - 1))
-    return [(part, g(s)) for part, g, s in halves if len(s)]
+    return SymplecticPath(tuple(times), mats)
 
 
 def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
-    """The path t -> S . sig(t)."""
+    """The path t -> S . sig(t) on sig's grid, which S can make too coarse:
+    S speeds the phase of the induced paths up by up to cond_2(S), so
+    sig's certificate does not carry over and the step test is the only
+    guard, as for a caller's samples.  The translate of an algebra path
+    S0 exp(tZ) is certified when sig is built on the grid certified for
+    ``symplectic_path_from_algebra(Z, S @ S0)``, which is that translate."""
     S = numeric_array(S, "matrix")
     if S.shape != (2 * sig.n, 2 * sig.n):
         raise BadInput("matrix and path dimensions differ")
-    return SymplecticPath(sig.times, S @ sig.matrices, _mapped(lambda M: S @ M, sig.generator))
+    return SymplecticPath(sig.times, S @ sig.matrices)
 
 
 @dataclass(frozen=True)
@@ -337,34 +347,22 @@ def _wrap(d):
     return (d + math.pi) % (2 * math.pi) - math.pi
 
 
-def lift_path(
-    lam: LagrangianPath,
-    theta_start: float | None = None,
-    max_depth: int = MAX_REFINE_DEPTH,
-) -> LiftedPath:
-    """Phase unwrapping of det w along the path.
+def lift_path(lam: LagrangianPath, theta_start: float | None = None) -> LiftedPath:
+    """Phase unwrapping of det w along the samples.
 
     theta(0) is the principal argument of det w(0), or theta_start, which
     passes the scalar intake rule and which the start lift checks is an
     argument of det w(0); sheet k starts at lift_of(lam.start(), k).theta.
-    Each step uses nearest-argument continuation and must stay below pi/2.
     The samples are reduced to u u^t and its det in one batch each (the
-    arguments are their ``det_phase``), which the end lifts reuse.  Without
-    a generator the steps are wrapped and tested as one vector.  With one,
-    every step is split at its midpoint and accepted only if the split
-    reproduces it; steps that fail are bisected breadth-first, up to
-    max_depth levels, and each level evaluates all its pending midpoints
-    in one generator call (chunked by LEVEL_CHUNK_BYTES), with the wrap,
-    the midpoint-consistency guard and the step test run as vectors.
-    Either way theta is accumulated in time order, one accepted step
-    (or half-step pair) after another.  At most MAX_SAMPLES + 1 samples
-    are accepted.
+    arguments are their ``det_phase``), which the end lifts reuse; the steps
+    are wrapped and tested as one vector, and theta is accumulated in time
+    order.  Every step must stay below MAX_PHASE_STEP, and at most
+    MAX_SAMPLES + 1 samples are accepted.
 
-    The sample grid must resolve the fastest motion of the path: a feature
-    narrower than half the local sample spacing whose endpoints happen to
-    land on nearby planes is invisible to any pointwise test.  Paths
-    obtained by transporting with a badly conditioned symplectic matrix
-    are the typical offenders; sample those proportionally to cond(S).
+    On a library path's certified grid every step passes (``phase_slack``).
+    A caller's samples must resolve the fastest motion of the path
+    themselves: a feature narrower than the sample spacing whose endpoints
+    land on nearby planes is invisible to any pointwise test.
     """
     if theta_start is not None:
         theta_start = float(scalar(theta_start, "theta_start"))
@@ -373,89 +371,20 @@ def lift_path(
     angs = np.angle(dets)
     # + 0.0 reads an argument of -0.0 as 0.0, which the reports print
     theta0 = float(angs[0]) + 0.0 if theta_start is None else theta_start
-    if lam.generator is None:
-        steps = _wrap(np.diff(angs))
-        bad = np.flatnonzero(~_step_ok(steps))
-        # the sample cap counts accepted samples, so it fires at step
-        # MAX_SAMPLES unless a bad step comes first
-        if len(steps) > MAX_SAMPLES and (bad.size == 0 or bad[0] >= MAX_SAMPLES):
-            raise Undersampled("sample cap exceeded during refinement")
-        if bad.size:
-            raise Undersampled(
-                "phase step >= pi/2 between samples and no generator to refine"
-            )
-    else:
-        steps = _refine(lam, angs, max_depth)
+    steps = _wrap(np.diff(angs))
+    bad = np.flatnonzero(~_step_ok(steps))
+    # the sample cap counts accepted samples, so it fires at step
+    # MAX_SAMPLES unless a bad step comes first
+    if len(steps) > MAX_SAMPLES and (bad.size == 0 or bad[0] >= MAX_SAMPLES):
+        raise Undersampled("sample cap exceeded")
+    if bad.size:
+        # reports carry this text, so it stays byte for byte
+        raise Undersampled("phase step >= pi/2 between samples and no generator to refine")
     theta = theta0
     for d in steps.tolist():
         theta += d
     e = [0, -1]
-    # every step, or half-step, ends at one accepted sample
-    return _lifted(lam.frames[e], lam.tol[e], W[e], dets[e], theta0, theta, 1 + len(steps))
-
-
-def _refine(lam: LagrangianPath, angs: np.ndarray, max_depth: int) -> np.ndarray:
-    """The accepted half-steps d1, d2 of a generator path, in time order.
-
-    Level k holds the pending steps (t0, t1, a0, a1) in time order.  A step
-    is accepted when its midpoint split reproduces it (the guard of
-    nearest-argument continuation against aliasing) and the step and both
-    halves stay below pi/2; a failing step is replaced by its two halves,
-    adjacent in level k + 1.  Every pending step adds at least two samples,
-    so the sample cap is checked before a level is evaluated.  The accepted
-    pairs of all levels are put in time order by one sort of their steps'
-    (start, end) times.
-    """
-    t = np.array(lam.times)
-    t0, t1, a0, a1 = t[:-1], t[1:], angs[:-1], angs[1:]
-    starts, ends, pairs = [], [], []
-    for depth in itertools.count():
-        if 2 * (sum(map(len, pairs)) + len(t0)) > MAX_SAMPLES:
-            raise Undersampled("sample cap exceeded during refinement")
-        tm = (t0 + t1) / 2
-        am = _generated_phases(lam, tm)
-        d, d1, d2 = _wrap(a1 - a0), _wrap(am - a0), _wrap(a1 - am)
-        ok = (np.abs(d1 + d2 - d) < 1e-9) & _step_ok(d) & _step_ok(d1) & _step_ok(d2)
-        starts.append(t0[ok])
-        ends.append(t1[ok])
-        pairs.append(np.stack((d1[ok], d2[ok]), axis=1))
-        if ok.all():
-            # the accepted steps tile [0, 1], so (start, end) is time order
-            order = np.lexsort((np.concatenate(ends), np.concatenate(starts)))
-            return np.concatenate(pairs)[order].ravel()
-        if depth >= max_depth:
-            raise Undersampled("refinement depth exceeded; path may be discontinuous")
-        fail = ~ok
-        t0, tm, t1, a0, am, a1 = t0[fail], tm[fail], t1[fail], a0[fail], am[fail], a1[fail]
-        # a step whose midpoint repeats an end, with that end's phase, has
-        # itself as a half and fails again at every depth
-        if np.any(((tm == t0) & (am == a0)) | ((tm == t1) & (am == a1))):
-            raise Undersampled("refinement depth exceeded; path may be discontinuous")
-        t0, t1 = _interleave(t0, tm), _interleave(tm, t1)
-        a0, a1 = _interleave(a0, am), _interleave(am, a1)
-
-
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x0, y0, x1, y1, ...]."""
-    return np.stack((x, y), axis=1).ravel()
-
-
-def _generated_phases(lam: LagrangianPath, ts: np.ndarray) -> np.ndarray:
-    """det_phase of the generator's frames at the times ts, each checked by
-    the frame rule at the tolerance the generator returns, in calls of at
-    most LEVEL_CHUNK_BYTES of frames."""
-    n = lam.n
-    chunk = max(1, LEVEL_CHUNK_BYTES // (2 * n * n * 8))  # 2n x n float64 frames
-    phases = []
-    for i in range(0, len(ts), chunk):
-        part = ts[i : i + chunk]
-        frames, tol = lam.generator(part)
-        frames = numeric_array(frames, "generated frames")
-        if frames.shape != (len(part), 2 * n, n):
-            raise BadInput("a path generator must return one (len(ts), 2n, n) stack")
-        check_frames(frames, tol)
-        phases.append(det_phase(frames))
-    return np.concatenate(phases)
+    return _lifted(lam.frames[e], lam.tol[e], W[e], dets[e], theta0, theta, len(angs))
 
 
 def keller_maslov(gamma: LagrangianPath, tol_round: float = TOL_ROUND) -> int:
@@ -482,8 +411,7 @@ def induced_path(sig: SymplecticPath, ell: LagrangianFrame) -> LagrangianPath:
     if sig.n != ell.n:
         raise BadInput("path and plane dimensions differ")
     frames, tol = transport_frames(sig.matrices, ell.frame, ell.tol)
-    gen = _mapped(lambda S: transport_frames(S, ell.frame, ell.tol), sig.generator)
-    return LagrangianPath(sig.times, frames, gen, tol)
+    return LagrangianPath(sig.times, frames, tol)
 
 
 def mu_symplectic(
@@ -515,15 +443,29 @@ def mu_ell(
 # constructors
 
 
-def path_from_unitary_family(
-    fn: Callable[[np.ndarray], np.ndarray], samples: int = 33
-) -> LagrangianPath:
-    """Path of planes u(t) X* for a continuous family of unitaries, given as
-    fn mapping a 1-d array ts of times to the (len(ts), n, n) stack u(ts),
-    sampled at ``samples`` (``sample_count``) equally spaced times."""
-    grid = np.linspace(0.0, 1.0, sample_count(samples))
-    gen = lambda ts: (unitary_frames(fn(ts)), TOL_SYM)
-    return LagrangianPath(tuple(grid), unitary_frames(fn(grid)), gen)
+def unitary_path(u0, H, samples: int = 33) -> LagrangianPath:
+    """The path of planes u0 exp(itH) X* for an n x n unitary u0 and
+    Hermitian H (by the symmetric rule on its real form [[Re H, -Im H],
+    [Im H, Re H]]), on the certified grid of at least ``samples`` times.
+
+    Grid rule: det w = det(u)^2 moves by exactly 2 t tr H, so a step of size
+    h moves arg det w by 2 h |tr H| (``certified_count`` with speed
+    2 |tr H|).  The unitarity of u0 is checked by the frame rule on the
+    samples."""
+    u0 = numeric_array(u0, "unitary", complex)
+    H = numeric_array(H, "H", complex)
+    if u0.ndim != 2 or u0.shape[0] != u0.shape[1] or u0.size == 0 or H.shape != u0.shape:
+        raise BadInput("u0 and H must be n x n matrices with n >= 1")
+    if not is_symmetric(np.block([[H.real, -H.imag], [H.imag, H.real]])):
+        raise BadInput("H is not Hermitian")
+    ts = np.linspace(0.0, 1.0, certified_count(samples, 2 * abs(np.trace(H).real), len(u0)))
+    return LagrangianPath(tuple(ts), unitary_frames(unitary_family(u0, H, ts)))
+
+
+def unitary_family(u0: np.ndarray, H: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The (len(ts), n, n) stack u0 exp(itH) at the times ts, by one eigh."""
+    phases, V = np.linalg.eigh(H)
+    return u0 @ (V * np.exp(1j * ts[:, None, None] * phases)) @ V.conj().T
 
 
 def rotation_path(
@@ -534,26 +476,20 @@ def rotation_path(
     Starting plane X* for alpha_start = 0; a loop iff the sweep is a
     multiple of pi, with winding (alpha_end - alpha_start) / pi.
 
-    The phase of det w moves at exactly 2 |alpha_end - alpha_start|, and
-    every step of the linear sweep is equal, so a coarse grid aliases
-    whole turns past the midpoint guard.  The grid therefore has at least
-    floor(2 |alpha_end - alpha_start| / MAX_PHASE_STEP) + 2 samples, which
-    keeps every step below MAX_PHASE_STEP; a sweep needing more than
-    MAX_SAMPLES raises Undersampled before anything is allocated.  n and
-    samples are ints and the angles numbers, by the scalar intake rule.
+    The unitary family rule: the phase of det w moves at exactly
+    2 |alpha_end - alpha_start|, and every step of the linear sweep is
+    equal, so the grid has at least
+    floor(2 |alpha_end - alpha_start| / (MAX_PHASE_STEP - phase_slack(n))) + 2
+    samples (``certified_count``); a sweep needing more than MAX_SAMPLES
+    raises Undersampled before anything is allocated.  n and samples are
+    ints and the angles numbers, by the scalar intake rule.
     """
     if scalar(n, "n", integer=True) < 1:
         raise BadInput("n must be >= 1")
     scalar(alpha_start, "alpha_start")
     scalar(alpha_end, "alpha_end")
-    sample_count(samples)
-    ratio = 2 * abs(alpha_end - alpha_start) / MAX_PHASE_STEP
-    # a float comparison, so an infinite (or NaN) count fails it too
-    if not ratio + 2 <= MAX_SAMPLES:
-        raise Undersampled("rotation sweep needs more than MAX_SAMPLES samples")
-    samples = max(samples, math.floor(ratio) + 2)
-    u = lambda ts: rotation_unitaries(n, alpha_start, alpha_end, ts)
-    return path_from_unitary_family(u, samples)
+    ts = np.linspace(0.0, 1.0, certified_count(samples, 2 * abs(alpha_end - alpha_start), n))
+    return LagrangianPath(tuple(ts), unitary_frames(rotation_unitaries(n, alpha_start, alpha_end, ts)))
 
 
 def rotation_unitaries(n: int, alpha_start: float, alpha_end: float, ts: np.ndarray) -> np.ndarray:
@@ -569,17 +505,14 @@ def rotation_unitaries(n: int, alpha_start: float, alpha_end: float, ts: np.ndar
 def path_joining(
     ella: LagrangianFrame, ellb: LagrangianFrame, samples: int = 33
 ) -> LagrangianPath:
-    """A geodesic-style path from ella to ellb through the unitary picture."""
+    """A geodesic-style path from ella to ellb through the unitary picture:
+    ``unitary_path`` of ua and the H with exp(iH) = ua^H ub."""
     if ella.n != ellb.n:
         raise BadInput("planes live in different dimensions")
     ua = frame_unitary(ella)
     ub = frame_unitary(ellb)
     Z, phases = _eigenbasis(ua.conj().T @ ub)
-
-    def u(ts: np.ndarray) -> np.ndarray:
-        return ua @ (Z * np.exp(1j * ts[:, None, None] * phases)) @ Z.conj().T
-
-    path = path_from_unitary_family(u, samples)
+    path = unitary_path(ua, (Z * phases) @ Z.conj().T, samples)
     if not same_plane(path.end(), ellb):
         raise BadInput("endpoint mismatch in joining path construction")
     return path
@@ -588,20 +521,39 @@ def path_joining(
 def symplectic_path_from_algebra(
     Z: np.ndarray, start: np.ndarray | None = None, samples: int = 33
 ) -> SymplecticPath:
-    """The path t -> start . exp(tZ), Z in the symplectic Lie algebra."""
+    """The path t -> S0 exp(tZ), S0 = start (the identity by default) and Z
+    in the symplectic Lie algebra, on a certified grid of at least
+    ``samples`` times.
+
+    Grid rule.  The induced path of any plane ell is S0 e^{tZ} ell =
+    e^{tY} ell0 for ell0 = S0 ell and Y = S0 Z S0^-1, which does not depend
+    on t, since Z commutes with e^{tZ}: Y = S(t) Z S(t)^-1 at every t.  Along
+    e^{tY} ell0, with F(t) an orthonormal frame, d/dt arg det w =
+    2 tr(F^T H F) for the Hamiltonian H = -M Y (M = ``omega_matrix``; the
+    tests check this by finite differences), and |tr(F^T H F)| <= ||H||_(n),
+    the Ky Fan n-norm: the sum of the n largest singular values, which are
+    Y's, M being orthogonal.  So a step of size h moves arg det w by at most
+    2 h ||Y||_(n) <= 2 n h ||Z||_2 cond_2(S(t_i)) e^{2 h ||Z||_2} for every
+    grid time t_i, and ``certified_count`` takes the speed 2 ||Y||_(n).
+    Y is read with one solve against S0, which is checked to be symplectic
+    first.  The left translate S . (S0 exp(tZ)) is this path with start
+    S @ S0."""
     Z = numeric_array(Z, "generator")
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.size == 0 or Z.shape[0] % 2:
         raise BadInput("generator must be a non-empty square matrix of even dimension")
+    n = Z.shape[0] // 2
     # M Z - (M Z)^T = M Z + Z^T M, since M^T = -M
-    if not is_symmetric(omega_matrix(Z.shape[0] // 2) @ Z):
+    if not is_symmetric(omega_matrix(n) @ Z):
         raise BadInput("generator is not in the symplectic Lie algebra")
-
-    def S(ts: np.ndarray) -> np.ndarray:
-        return _expm(ts[:, None, None] * Z)
-
-    grid = np.linspace(0.0, 1.0, sample_count(samples))
-    path = SymplecticPath(tuple(grid), S(grid), S)
-    return path if start is None else left_translate(start, path)
+    S0 = np.eye(2 * n) if start is None else numeric_array(start, "matrix")
+    if S0.shape != Z.shape:
+        raise BadInput("matrix and path dimensions differ")
+    if not is_symplectic(S0):
+        raise BadInput("path sample is not symplectic")
+    speed = 2 * _ky_fan(np.linalg.solve(S0.T, (S0 @ Z).T).T, n)
+    ts = np.linspace(0.0, 1.0, certified_count(samples, speed, n))
+    mats = _expm(ts[:, None, None] * Z)
+    return SymplecticPath(tuple(ts), mats if start is None else S0 @ mats)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:

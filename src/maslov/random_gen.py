@@ -4,12 +4,19 @@ Symplectic matrices are generated as
 embed(random unitary) . [[I, 0], [A, I]] . [[L, 0], [0, L^-T]]
 with A random symmetric and L random invertible, which spans the group and
 is exactly symplectic up to rounding.
+
+Random paths are built on certified grids (``paths.certified_count``): a
+random Lagrangian path is a unitary family u0 exp(itH), drawn as its pair
+(u0, H) by ``random_unitary_family`` so that checks can evaluate it at
+times of their own (``paths.unitary_family``) and transport it
+(``transported_path``), and a random symplectic path is an algebra path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .defaults import TOL_SYM
 from .lagrangian import (
     LagrangianFrame,
     _eigenbasis,
@@ -17,14 +24,16 @@ from .lagrangian import (
     frame_from_w,
     souriau_w,
     transport_frames,
+    unitary_frames,
 )
 from .leray import LagrangianLift, lift_of
 from .paths import (
     LagrangianPath,
     SymplecticPath,
-    _mapped,
-    path_from_unitary_family,
+    certified_count,
     symplectic_path_from_algebra,
+    unitary_family,
+    unitary_path,
 )
 from .symplectic import SymplecticMatrix, embed_unitary, omega_matrix
 
@@ -99,19 +108,22 @@ def random_frame_intersecting(
     return frame_from_w((O * np.exp(1j * new)) @ O.T)
 
 
+def random_unitary_family(
+    rng: np.random.Generator, n: int, scale: float = 1.5
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, H): a random unitary u0 and a random Hermitian H, the family
+    t -> u0 exp(itH) of ``random_lagrangian_path``."""
+    u0 = random_unitary(rng, n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return u0, (z + z.conj().T) / 2 * scale
+
+
 def random_lagrangian_path(
     rng: np.random.Generator, n: int, scale: float = 1.5, samples: int = 17
 ) -> LagrangianPath:
-    """Smooth generator-backed path u0 exp(itH) X* with H Hermitian."""
-    u0 = random_unitary(rng, n)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = (z + z.conj().T) / 2 * scale
-    vals, vecs = np.linalg.eigh(H)
-
-    def u(ts: np.ndarray) -> np.ndarray:
-        return u0 @ (vecs * np.exp(1j * ts[:, None, None] * vals)) @ vecs.conj().T
-
-    return path_from_unitary_family(u, samples)
+    """The smooth path u0 exp(itH) X* of a ``random_unitary_family``, on its
+    certified grid of at least ``samples`` times."""
+    return unitary_path(*random_unitary_family(rng, n, scale), samples)
 
 
 def random_algebra_element(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -125,24 +137,23 @@ def random_algebra_element(rng: np.random.Generator, n: int, scale: float = 1.0)
     return Z
 
 
-def transported_path(S: SymplecticMatrix, lam: LagrangianPath) -> LagrangianPath:
-    """The path t -> S . lam(t), resampled densely enough for cond(S).
+def transported_path(
+    S: SymplecticMatrix, u0: np.ndarray, H: np.ndarray, samples: int = 17
+) -> LagrangianPath:
+    """The path t -> S u0 exp(itH) X* on a certified grid of at least
+    ``samples`` times.
 
-    A stretch of condition number kappa can compress the determinant-phase
-    motion of the image path into a t-window of width ~ 1/kappa, so the
-    base grid is chosen proportional to kappa before adaptive bisection
-    takes over.
-    """
-    grid = lam
-    gen = _mapped(lambda out: transport_frames(S.entries, *out), lam.generator)
-    if gen is not None:
-        kappa = float(np.linalg.cond(S.entries))
-        samples = max(len(lam.times), min(4097, 2 * int(4 * kappa) + 1))
-        ts = np.linspace(0.0, 1.0, samples)
-        frames, tol = lam.generator(ts)
-        grid = LagrangianPath(tuple(ts), frames, None, tol)
-    frames, tol = transport_frames(S.entries, grid.frames, grid.tol)
-    return LagrangianPath(grid.times, frames, gen, tol)
+    Grid rule.  u0 exp(itH) X* = e^{tE} ell0 for the unitary one-parameter
+    group of u0 H u0^H, ||E||_2 = ||H||_2, so the image is e^{tY} S ell0
+    with Y = S E S^-1 and ||Y||_2 <= cond_2(S) ||H||_2 at every t.  By the
+    algebra-path rule (``paths.symplectic_path_from_algebra``) a step of
+    size h moves arg det w by at most 2 n h cond_2(S) ||H||_2."""
+    n = len(u0)
+    speed = 2 * n * np.linalg.cond(S.entries) * np.abs(np.linalg.eigvalsh(H)).max()
+    ts = np.linspace(0.0, 1.0, certified_count(samples, speed, n))
+    frames = unitary_frames(unitary_family(u0, H, ts))
+    frames, tol = transport_frames(S.entries, frames, TOL_SYM)
+    return LagrangianPath(tuple(ts), frames, tol)
 
 
 def random_symplectic_path(

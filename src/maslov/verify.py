@@ -18,6 +18,7 @@ single definition makes the dependent identities fail visibly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,8 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import derived, lagrangian, leray, paths, signature, symplectic
+from .defaults import TOL_SYM
 from .errors import BadInput, IllConditioned
 from .random_gen import (
+    random_algebra_element,
     random_frame,
     random_frame_intersecting,
     random_lagrangian_path,
@@ -35,6 +38,7 @@ from .random_gen import (
     random_symplectic,
     random_symplectic_path,
     random_unitary,
+    random_unitary_family,
     transported_path,
 )
 
@@ -106,12 +110,13 @@ def _expect(cond, detail="") -> None:
 # helpers shared with the tests
 
 
-def winding_integral(lam: paths.LagrangianPath, samples: int = 1024) -> float:
-    """Winding of det w around a loop by direct quadrature of d(det)/det."""
-    frames = lam.frames
-    if lam.generator is not None:
-        frames, tol = lam.generator(np.linspace(0.0, 1.0, samples))
-        lagrangian.check_frames(frames, tol)
+def winding_integral(family: Callable[[np.ndarray], np.ndarray], samples: int = 1024) -> float:
+    """Winding of det w around a loop of planes u(t) X* by direct quadrature
+    of d(det)/det, for ``family`` mapping a 1-d array of times to the
+    (len(ts), n, n) stack of unitaries u there, evaluated at ``samples``
+    equally spaced times of its own."""
+    frames = lagrangian.unitary_frames(family(np.linspace(0.0, 1.0, samples)))
+    lagrangian.check_frames(frames, TOL_SYM)
     dets = np.linalg.det(lagrangian._uut(frames))
     steps = np.angle(dets[1:] / dets[:-1])
     if not np.all(np.abs(steps) < math.pi / 2):
@@ -122,18 +127,22 @@ def winding_integral(lam: paths.LagrangianPath, samples: int = 1024) -> float:
     return total / (2 * math.pi)
 
 
-def direct_sum_path(lamA: paths.LagrangianPath, lamB: paths.LagrangianPath) -> paths.LagrangianPath:
-    """The path t -> lamA(t) (+) lamB(t) of two generator paths, sampled at
-    the union of their sample times."""
-    gA, gB = lamA.generator, lamB.generator
+def there_and_back(u0: np.ndarray, H: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The family t -> u0 exp(i (1 - |1 - 2t|) H), the loop that
+    ``paths.concat(lam, paths.reverse(lam))`` samples for lam of (u0, H)."""
+    return lambda ts: paths.unitary_family(u0, H, 1 - np.abs(1 - 2 * ts))
 
-    def gen(ts):
-        (fa, tol_a), (fb, tol_b) = gA(ts), gB(ts)
-        return lagrangian.direct_sum_frames(fa, fb), np.maximum(tol_a, tol_b)
 
-    ts = np.array(sorted(set(lamA.times) | set(lamB.times)))
-    frames, tol = gen(ts)
-    return paths.LagrangianPath(tuple(ts), frames, gen, tol)
+def direct_sum_path(family_a: tuple, family_b: tuple) -> paths.LagrangianPath:
+    """The path t -> lamA(t) (+) lamB(t) of the unitary families (u0, H) of
+    two random paths, each evaluated at the times of the certified grid of
+    their sum, the family (u0A (+) u0B) exp(it (HA (+) HB)), whose phase
+    moves at 2 |tr HA + tr HB|."""
+    speed = 2 * abs(float(np.trace(family_a[1]).real + np.trace(family_b[1]).real))
+    n = len(family_a[0]) + len(family_b[0])
+    ts = np.linspace(0.0, 1.0, paths.certified_count(17, speed, n))
+    fa, fb = (lagrangian.unitary_frames(paths.unitary_family(*f, ts)) for f in (family_a, family_b))
+    return paths.LagrangianPath(tuple(ts), lagrangian.direct_sum_frames(fa, fb))
 
 
 def sp_lift_action(sig: paths.SymplecticPath, lift: leray.LagrangianLift):
@@ -153,15 +162,14 @@ def mu_bar_via_companion(
     n = l1.n
     f1, f2 = l1.frame, l2.frame
     l3 = l3 if l3 is not None else leray.companion_lift(f1, f2)
-    f3 = l3.frame
-    if (
-        lagrangian.intersection_dim(f1, f3) != 0
-        or lagrangian.intersection_dim(f2, f3) != 0
-    ):
-        raise BadInput("companion must be transversal to both arguments")
-    tau = signature.kashiwara_tau(f1, f2, f3).tau
-    m13 = leray.souriau_m(l1, l3)
-    m23 = leray.souriau_m(l2, l3)
+    tau = signature.kashiwara_tau(f1, f2, l3.frame).tau
+    # souriau_m decides each pair once and refuses one that is not
+    # transversal; kashiwara_tau has already refused different dimensions
+    try:
+        m13 = leray.souriau_m(l1, l3)
+        m23 = leray.souriau_m(l2, l3)
+    except BadInput:
+        raise BadInput("companion must be transversal to both arguments") from None
     return (2 * m13 - n) - (2 * m23 - n) + tau
 
 
@@ -464,14 +472,16 @@ def check_concat_additivity(rng, n):
 
 @per_dimension("reparametrization", 8)
 def check_reparametrization(rng, n):
-    lam = random_lagrangian_path(rng, n)
+    u0, H = random_unitary_family(rng, n)
+    lam = paths.unitary_path(u0, H, 17)
     ell = random_frame(rng, n)
     base = paths.mu_lagrangian(lam, ell)
-    g = lam.generator
     warp = lambda t: t * t * (3 - 2 * t)  # monotone, fixes 0 and 1
-    ts = np.linspace(0.0, 1.0, 21)
-    frames, tol = g(warp(ts))
-    warped = paths.LagrangianPath(tuple(ts), frames, lambda s: g(warp(s)), tol)
+    # warp' <= 3/2, so the warped family moves at most 3/2 as fast
+    speed = 3 * abs(float(np.trace(H).real))
+    ts = np.linspace(0.0, 1.0, paths.certified_count(21, speed, n))
+    frames = lagrangian.unitary_frames(paths.unitary_family(u0, H, warp(ts)))
+    warped = paths.LagrangianPath(tuple(ts), frames)
     _expect(paths.mu_lagrangian(warped, ell) == base)
 
 
@@ -513,10 +523,11 @@ def check_triple_signature_paths(rng, n_max):
 
 @per_dimension("symplectic-invariance", 10)
 def check_symplectic_invariance(rng, n):
-    lam = random_lagrangian_path(rng, n)
+    u0, H = random_unitary_family(rng, n)
+    lam = paths.unitary_path(u0, H, 17)
     ell = random_frame(rng, n)
     S = random_symplectic(rng, n)
-    moved = transported_path(S, lam)
+    moved = transported_path(S, u0, H)
     moved_ell = lagrangian.apply_symplectic(S, ell)
     _expect(paths.mu_lagrangian(moved, moved_ell) == paths.mu_lagrangian(lam, ell))
 
@@ -534,8 +545,11 @@ def check_sp_cover_invariance(rng, n):
 def check_mu_ell_product(rng, n):
     ell = random_frame(rng, n)
     s1p = random_symplectic_path(rng, n)
-    s2p = random_symplectic_path(rng, n)
+    Z2 = random_algebra_element(rng, n)
     s1 = s1p.end()
+    # s2p on the grid certified for its left translate s1 . s2p
+    grid = paths.symplectic_path_from_algebra(Z2, start=s1, samples=17).times
+    s2p = paths.symplectic_path_from_algebra(Z2, samples=len(grid))
     prod = paths.concat_symplectic(s1p, paths.left_translate(s1, s2p))
     f1 = lagrangian.apply_symplectic(symplectic.SymplecticMatrix(s1), ell)
     f12 = lagrangian.apply_symplectic(
@@ -592,13 +606,15 @@ def check_winding_integral(rng, n_max):
         for wind in (-2, -1, 1, 3):
             gamma = paths.rotation_path(n, 0.0, wind * math.pi)
             lifted = paths.lift_path(gamma)
-            _expect(abs(lifted.winding() - winding_integral(gamma)) < 1e-6)
+            family = functools.partial(paths.rotation_unitaries, n, 0.0, wind * math.pi)
+            _expect(abs(lifted.winding() - winding_integral(family)) < 1e-6)
             count += 1
         for _ in range(4):
-            lam = random_lagrangian_path(rng, n)
+            u0, H = random_unitary_family(rng, n)
+            lam = paths.unitary_path(u0, H, 17)
             gamma = paths.concat(lam, paths.reverse(lam))
             lifted = paths.lift_path(gamma)
-            _expect(abs(lifted.winding() - winding_integral(gamma)) < 1e-6)
+            _expect(abs(lifted.winding() - winding_integral(there_and_back(u0, H))) < 1e-6)
             _expect(paths.keller_maslov(gamma) == 0)
             count += 1
     return count
@@ -682,9 +698,11 @@ def check_direct_sums(rng, n_max):
                     derived.direct_sum_lift(l1a, l1b),
                     derived.direct_sum_lift(l2a, l2b),
                 ) == leray.mu_bar(l1a, l2a) + leray.mu_bar(l1b, l2b))
-                lamA = random_lagrangian_path(rng, n1)
-                lamB = random_lagrangian_path(rng, n2)
-                summed = direct_sum_path(lamA, lamB)
+                family_a = random_unitary_family(rng, n1)
+                family_b = random_unitary_family(rng, n2)
+                lamA = paths.unitary_path(*family_a, 17)
+                lamB = paths.unitary_path(*family_b, 17)
+                summed = direct_sum_path(family_a, family_b)
                 ellA, ellB = random_frame(rng, n1), random_frame(rng, n2)
                 _expect(paths.mu_lagrangian(
                     summed, lagrangian.direct_sum_frame(ellA, ellB)

@@ -10,6 +10,7 @@ body draws, it runs that body over its own dimensions instead of restating
 the identity.
 """
 
+import functools
 import itertools
 import math
 
@@ -46,15 +47,20 @@ from maslov import (
     shear_path,
     souriau_m,
     spectral_flow,
+    symplectic_path_from_algebra,
+    unitary_path,
 )
 from maslov.errors import IllConditioned
+from maslov.paths import rotation_unitaries
 from maslov.random_gen import (
+    random_algebra_element,
     random_frame,
     random_frame_intersecting,
     random_lagrangian_path,
     random_lift,
     random_symmetric,
     random_symplectic_path,
+    random_unitary_family,
 )
 from maslov.verify import (
     check_change_of_reference,
@@ -68,6 +74,7 @@ from maslov.verify import (
     check_tau_sp_invariance,
     direct_sum_path,
     mu_bar_via_companion,
+    there_and_back,
     winding_integral,
 )
 
@@ -288,8 +295,11 @@ def test_criterion_12_mu_ell_formulas(capsys):
     for n in _cycle_dims(200):
         ell, ellp = random_frame(rng, n), random_frame(rng, n)
         s1p = random_symplectic_path(rng, n)
-        s2p = random_symplectic_path(rng, n)
+        Z2 = random_algebra_element(rng, n)
         s1 = s1p.end()
+        # s2p on the grid certified for its left translate s1 . s2p
+        grid = symplectic_path_from_algebra(Z2, start=s1, samples=17).times
+        s2p = symplectic_path_from_algebra(Z2, samples=len(grid))
         prod = concat_symplectic(s1p, left_translate(s1, s2p))
         f1 = apply_symplectic(SymplecticMatrix(s1), ell)
         f12 = apply_symplectic(
@@ -328,9 +338,10 @@ def test_criterion_13_direct_sums(capsys):
     for n1, n2 in itertools.islice(
         itertools.cycle([(1, 1), (1, 2), (2, 1), (2, 2)]), 60
     ):
-        lamA = random_lagrangian_path(rng, n1)
-        lamB = random_lagrangian_path(rng, n2)
-        summed = direct_sum_path(lamA, lamB)
+        family_a = random_unitary_family(rng, n1)
+        family_b = random_unitary_family(rng, n2)
+        lamA, lamB = unitary_path(*family_a, 17), unitary_path(*family_b, 17)
+        summed = direct_sum_path(family_a, family_b)
         ellA, ellB = random_frame(rng, n1), random_frame(rng, n2)
         ok = ok and mu_lagrangian(
             summed, direct_sum_frame(ellA, ellB)
@@ -350,12 +361,15 @@ def test_criterion_15_winding_cross_check(capsys):
     for n in (1, 2):
         for wind in range(-3, 4):
             gamma = rotation_path(n, 0.0, wind * math.pi)
-            ok = ok and abs(lift_path(gamma).winding() - winding_integral(gamma)) < 1e-6
+            family = functools.partial(rotation_unitaries, n, 0.0, wind * math.pi)
+            ok = ok and abs(lift_path(gamma).winding() - winding_integral(family)) < 1e-6
             count += 1
     while count < 100:
         n = int(rng.integers(1, 4))
-        lam = random_lagrangian_path(rng, n)
+        u0, H = random_unitary_family(rng, n)
+        lam = unitary_path(u0, H, 17)
         gamma = concat(lam, reverse(lam))
-        ok = ok and abs(lift_path(gamma).winding() - winding_integral(gamma)) < 1e-6
+        loop = there_and_back(u0, H)
+        ok = ok and abs(lift_path(gamma).winding() - winding_integral(loop)) < 1e-6
         count += 1
     _report(capsys, 15, "theta-lift winding matches quadrature within 1e-6 (100 loops)", ok)

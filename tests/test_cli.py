@@ -673,8 +673,8 @@ LIFT_ONCE_JOBS = {
 @pytest.mark.parametrize("name", sorted(LIFT_ONCE_JOBS))
 def test_path_report_lifts_once(name, monkeypatch):
     # the value and the report's samples/lifts come from one closed-form
-    # lift of the two ends: no sampled path is built, lifted or refined
-    counted = ("lift_path", "induced_path", "_refine", "_generated_phases", "from_phase_change")
+    # lift of the two ends: no sampled path is built or lifted
+    counted = ("lift_path", "induced_path", "from_phase_change")
     calls = dict.fromkeys(counted, 0)
 
     def counting(owner, name):

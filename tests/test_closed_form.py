@@ -1,7 +1,7 @@
 """The closed-form lifts of the command line's graph, shear and rotation
-paths, against two oracles: the bisected lift (``paths.lift_path`` of the
-same path built by the library's sampled constructors ``graph_path``,
-``shear_path`` and ``rotation_path``, with a generator), and 50-digit
+paths, against two oracles: the sampled lift (``paths.lift_path`` of the
+same path sampled on a certified grid by the library's constructors
+``graph_path``, ``shear_path`` and ``rotation_path``), and 50-digit
 evaluations: of the trace-log formula that ``leray.mu_bar`` reads the index
 from, for long rotation sweeps, and of the phase change along a shear of a
 plane whose X block is singular or nearly so."""
@@ -62,14 +62,19 @@ def _split_plane(rng, n, sigmas):
 
 
 def _polynomial_family(coefficients):
-    """The sampled family sum_k c_k t^k, with the polynomial as generator."""
+    """The family A(t) = sum_k c_k t^k sampled on a certified grid.  Its graph
+    and shear paths move arg det w at most 2 ||A'(t)||_* per unit time
+    (``SymmetricFamily.linear``'s rule, which reads A' only), and on [0, 1]
+    ||A'(t)||_* <= sum_k k ||c_k||_*."""
     coeffs = np.array(coefficients, dtype=float)
-    return SymmetricFamily.from_function(lambda ts: polynomial_values(coeffs, ts))
+    speed = 2 * sum(k * np.linalg.norm(c, "nuc") for k, c in enumerate(coeffs))
+    samples = paths.certified_count(33, speed, coeffs.shape[-1])
+    return SymmetricFamily.from_function(lambda ts: polynomial_values(coeffs, ts), samples)
 
 
-def _bisected(job):
+def _sampled_lift(job):
     """The lift and index of a job's path by the library route: the path
-    sampled on its default grid and lifted by bisection."""
+    sampled on its certified grid and lifted sample by sample."""
     n, spec = job["n"], job["path"]
     ell = cli.parse_plane(job.get("plane", "coordinate_x"), n)
     if spec["kind"] == "rotation":
@@ -86,10 +91,10 @@ def _bisected(job):
     return lifted, lifted.mu_lagrangian(ell)
 
 
-def _assert_matches_bisection(job, tol):
+def _assert_matches_sampled_lift(job, tol):
     report = cli.compute_report(job)
     assert report["samples"] == 2
-    lifted, value = _bisected(job)
+    lifted, value = _sampled_lift(job)
     assert report.get("value", report.get("twice_value")) == value
     assert report["lifts"]["start"]["theta"] == lifted.start.theta
     assert abs(report["lifts"]["end"]["theta"] - lifted.end.theta) <= tol
@@ -103,7 +108,7 @@ def test_graph_closed_form_matches_bisection(against, n):
         for _ in range(3):
             path = {"kind": "graph_polynomial", "coefficients": _quadratic(rng, n)}
             job = {"n": n, "index": index, "path": path, "plane": _plane(rng, n, against)}
-            _assert_matches_bisection(job, 1e-12)
+            _assert_matches_sampled_lift(job, 1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -119,7 +124,7 @@ def test_shear_closed_form_matches_bisection(against, n):
             U, _ = lagrangian.graph_matrix(cli.parse_plane(plane, n), TOL_RANK_BASE, np.zeros((1, n, n)), TOL_ROUND)
             assert U.shape == (n, n)
             job = {"n": n, "index": index, "path": path, "plane": plane}
-            _assert_matches_bisection(job, 1e-12)
+            _assert_matches_sampled_lift(job, 1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -135,7 +140,7 @@ def test_singular_x_shear_matches_bisection(n):
             U, _ = lagrangian.graph_matrix(cli.parse_plane(plane, n), TOL_RANK_BASE, np.zeros((1, n, n)), TOL_ROUND)
             assert U.shape == (n, n - corank)
             job = {"n": n, "index": index, "path": path, "plane": plane}
-            _assert_matches_bisection(job, 1e-9)
+            _assert_matches_sampled_lift(job, 1e-9)
 
 
 def _fifty_digit_phase_change(frame, coeffs):
@@ -257,7 +262,7 @@ def test_rotation_closed_form_matches_bisection(alpha_start, sweep):
     for n in (1, 2):
         path = {"kind": "rotation", "alpha_start": alpha_start, "alpha_end": alpha_start + sweep}
         job = {"n": n, "index": "lagrangian", "path": path, "plane": ROTATION_PLANES[n]}
-        _assert_matches_bisection(job, 1e-12)
+        _assert_matches_sampled_lift(job, 1e-12)
 
 
 def _trace_log_index(alpha_start, alpha_end, a):

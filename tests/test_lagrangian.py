@@ -18,23 +18,23 @@ from maslov import (
     frame_from_unitary,
     frame_from_w,
     graph_path,
-    induced_path,
     intersection_dim,
     is_symplectic,
     left_translate,
     lift_of,
-    lift_path,
     omega,
     omega_matrix,
     shear_path,
     souriau_w,
     symplectic_path_from_algebra,
     transversal_companion,
+    unitary_path,
 )
 from maslov.defaults import TOL_SYM
 from maslov.derived import matrix_signature
 from maslov.lagrangian import is_symmetric, transport_frames
 from maslov.paths import same_plane
+from maslov.verify import winding_integral
 from maslov.random_gen import (
     random_frame,
     random_frame_intersecting,
@@ -133,10 +133,11 @@ I2 = np.stack([np.eye(2)] * 2)
 
 
 def _family_generating(out):
-    return SymmetricFamily((0.0, 1.0), np.zeros((2, 1, 1)), lambda ts: out)
+    return SymmetricFamily.from_function(lambda ts: out, 2)
 
 
-# every entry point that reads a caller array, including generator output
+# every entry point that reads a caller array, including the output of a
+# caller's family function
 INTAKE_SITES = {
     "frame": LagrangianFrame,
     "graph-plane": frame_from_graph,
@@ -148,7 +149,7 @@ INTAKE_SITES = {
     "symplectic-matrix": SymplecticMatrix,
     "unitary-embedding": embed_unitary,
     "lagrangian-path": lambda x: LagrangianPath((0.0, 1.0), x),
-    "lagrangian-path-tol": lambda x: LagrangianPath((0.0, 1.0), np.stack([X1] * 2), None, x),
+    "lagrangian-path-tol": lambda x: LagrangianPath((0.0, 1.0), np.stack([X1] * 2), x),
     "path-times": lambda x: SymplecticPath(x, I2),
     "symplectic-path": lambda x: SymplecticPath((0.0, 1.0), x),
     "family": lambda x: SymmetricFamily((0.0, 1.0), x),
@@ -157,13 +158,11 @@ INTAKE_SITES = {
     "algebra": symplectic_path_from_algebra,
     "algebra-start": lambda x: symplectic_path_from_algebra(np.zeros((2, 2)), start=x),
     "signature": matrix_signature,
-    "generated-frames": lambda x: lift_path(
-        LagrangianPath((0.0, 1.0), np.stack([X1] * 2), lambda ts: (x, TOL_SYM))
-    ),
-    "graph-generator": lambda x: lift_path(graph_path(_family_generating(x))),
-    "shear-generator": lambda x: lift_path(
-        induced_path(shear_path(_family_generating(x)), coordinate_x(1))
-    ),
+    "generated-frames": lambda x: winding_integral(lambda ts: x),
+    "graph-generator": lambda x: graph_path(_family_generating(x)),
+    "shear-generator": lambda x: shear_path(_family_generating(x)),
+    "unitary-path": lambda x: unitary_path(x, np.zeros((1, 1))),
+    "unitary-path-hermitian": lambda x: unitary_path(np.eye(1), x),
 }
 
 

@@ -214,6 +214,20 @@ def test_mu_bar_rejects_bad_companion(rng):
         mu_bar_via_companion(lift_of(f1, 0), lift_of(f2, 0), lift_of(f1, 0))
 
 
+def test_mu_bar_via_companion_decides_each_pair_once(rng, monkeypatch):
+    # two for the canonical companion's phase and one eigvals(w_i conj(w_3))
+    # per pair, read by souriau_m for both transversality and m
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    for _ in range(5):
+        calls.clear()
+        l1, l2 = random_lift(rng, 3), random_lift(rng, 3)
+        value = mu_bar_via_companion(l1, l2)
+        assert len(calls) == 4
+        assert value == mu_bar(l1, l2)
+
+
 def _phase_lift(O, phases, branch):
     # u = O e^{i phases / 2} gives w = u u^t = O e^{i phases} O^t
     frame = frame_from_unitary(O * np.exp(0.5j * phases))

@@ -18,7 +18,6 @@ from maslov import (
     coordinate_xstar,
     deck_apply,
     frame_from_graph,
-    graph_path,
     induced_path,
     kashiwara_tau,
     keller_maslov,
@@ -31,38 +30,35 @@ from maslov import (
     path_joining,
     reverse,
     rotation_path,
-    shear_path,
     souriau_w,
     symplectic_path_from_algebra,
+    unitary_path,
 )
 from maslov import cli, lagrangian, paths
 from maslov.defaults import TOL_SYM
-from maslov.derived import polynomial_values
-from maslov.lagrangian import det_phase, graph_frames
+from maslov.lagrangian import det_phase, unitary_frames
 from maslov.paths import same_plane
 from maslov.random_gen import (
     random_frame,
     random_lagrangian_path,
-    random_symmetric,
     random_symplectic,
     random_symplectic_path,
+    random_unitary_family,
 )
-from maslov.verify import winding_integral
+from maslov.verify import there_and_back, winding_integral
 
 
 def constant_path(frame, samples=5):
     ts = tuple(np.linspace(0.0, 1.0, samples))
-    F = frame.frame
-    stack = lambda k: np.broadcast_to(F, (k,) + F.shape)
-    return LagrangianPath(ts, stack(len(ts)), lambda t: (stack(len(t)), frame.tol), frame.tol)
+    return LagrangianPath(ts, np.broadcast_to(frame.frame, (samples,) + frame.frame.shape), frame.tol)
 
 
 def test_path_validation():
     f = coordinate_x(1)
     with pytest.raises(BadInput):
-        LagrangianPath((0.0, 0.5), (f.frame, f.frame), None)  # does not end at 1
+        LagrangianPath((0.0, 0.5), (f.frame, f.frame))  # does not end at 1
     with pytest.raises(BadInput):
-        LagrangianPath((0.0, 0.7, 0.4, 1.0), (f.frame,) * 4, None)
+        LagrangianPath((0.0, 0.7, 0.4, 1.0), (f.frame,) * 4)
 
 
 def test_lift_constant_and_rotations():
@@ -97,44 +93,21 @@ def test_lift_branch_and_theta_start():
 
 def _sampled_rotation(samples):
     lam = rotation_path(2, 0.0, 3 * math.pi, samples)
-    return LagrangianPath(lam.times, lam.frames, None)
-
-
-def _bent_graph_path():
-    # a generator path whose middle stretch needs several bisection levels
-    def A(ts):
-        out = np.ones((len(ts), 2, 2))
-        out[:, 0, 0] = 40.0 * ts - 20.0
-        out[:, 1, 1] = 3.0 - 6.0 * ts**2
-        return out
-
-    return graph_path(SymmetricFamily.from_function(A, samples=5))
+    return LagrangianPath(lam.times, lam.frames)
 
 
 LIFT_PATHS = {
     "sampled-17": lambda: _sampled_rotation(17),
     "sampled-65": lambda: _sampled_rotation(65),
-    "generator-rotation": lambda: rotation_path(1, 0.0, 2 * math.pi, 17),
-    "generator-graph": _bent_graph_path,
 }
 
 
 @pytest.mark.parametrize("name", sorted(LIFT_PATHS))
 def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
-    # the samples are reduced to u u^t (and det) in one batch, and so is
-    # each generator level; the end lifts reuse the two ends' w's and dets
-    # from the sample stack, so no end computes a w of its own or goes
-    # through LagrangianLift's check
+    # the samples are reduced to u u^t (and det) in one batch; the end lifts
+    # reuse the two ends' w's and dets from the sample stack, so no end
+    # computes a w of its own or goes through LagrangianLift's check
     lam = LIFT_PATHS[name]()
-    levels = []
-    if lam.generator is not None:
-        generator = lam.generator
-
-        def counted_generator(ts):
-            levels.append(len(ts))
-            return generator(ts)
-
-        lam = LagrangianPath(lam.times, lam.frames, counted_generator, lam.tol)
     calls = {"stacked w": 0, "single w": 0, "LagrangianLift": 0}
     uut = lagrangian._uut
     post_init = LagrangianLift.__post_init__
@@ -151,10 +124,8 @@ def test_lift_builds_souriau_matrices_for_the_ends_only(name, monkeypatch):
     monkeypatch.setattr(paths, "_uut", counted_uut)
     monkeypatch.setattr(LagrangianLift, "__post_init__", counted_post_init)
     lifted = lift_path(lam)
-    assert lifted.sample_count >= len(lam.times) > 2
-    if lam.generator is not None:
-        assert lifted.sample_count > len(lam.times) and levels
-    assert calls == {"stacked w": 1 + len(levels), "single w": 0, "LagrangianLift": 0}
+    assert lifted.sample_count == len(lam.times) > 2
+    assert calls == {"stacked w": 1, "single w": 0, "LagrangianLift": 0}
     assert np.array_equal(lifted.start.w, souriau_w(lam.start()))
     assert np.array_equal(lifted.end.w, souriau_w(lam.end()))
 
@@ -181,7 +152,7 @@ def test_end_lifts_skip_only_checks_that_would_pass(n, rng):
         assert 0.8 * t < _frame_error(G, n) <= t
         stack.append(G)
     stack = np.array(stack)
-    lam = LagrangianPath(tuple(np.linspace(0.0, 1.0, len(tol))), stack, None, tol)
+    lam = LagrangianPath(tuple(np.linspace(0.0, 1.0, len(tol))), stack, tol)
     closed = paths.LiftedPath.from_phase_change(stack[[0, -1]], tol[[0, -1]], 0.0)
     for lifted in (lift_path(lam), closed):
         for k, lift in zip((0, -1), (lifted.start, lifted.end)):
@@ -230,11 +201,11 @@ def test_undersampled_without_generator():
     f0 = coordinate_xstar(1)
     f1 = coordinate_x(1)
     with pytest.raises(Undersampled):
-        lift_path(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame), None))
+        lift_path(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame)))
     # the loop index lifts before it checks closedness, so this open path
     # is undersampled rather than rejected as open
     with pytest.raises(Undersampled):
-        keller_maslov(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame), None))
+        keller_maslov(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame)))
 
 
 def _reference_lift(lam):
@@ -258,8 +229,9 @@ def test_stacked_lift_matches_reference_loop(n):
     outcomes = []
     for samples in (3, 5, 9, 17, 33):
         for _ in range(3):
-            drawn = random_lagrangian_path(rng, n, samples=samples)
-            lam = LagrangianPath(drawn.times, drawn.frames, None)
+            # a random family on a grid of the given size, not certified
+            ts = np.linspace(0.0, 1.0, samples)
+            lam = LagrangianPath(tuple(ts), unitary_frames(paths.unitary_family(*random_unitary_family(rng, n), ts)))
             theta, mark = _reference_lift(lam)
             if theta is not None:
                 lifted = lift_path(lam)
@@ -281,189 +253,23 @@ def test_stacked_lift_matches_reference_loop(n):
     assert set(outcomes) == {"lifted", "undersampled"}
 
 
-def _reference_descend(lam, max_depth=paths.MAX_REFINE_DEPTH):
-    """The depth-first bisection that the breadth-first levels replaced: one
-    generator call and one validated frame per midpoint, each step wrapped
-    and tested alone, theta accumulated as each step is accepted.  Returns
-    (end theta, sample count, levels used), or raises Undersampled."""
-    def phase(t):
-        frames, tol = lam.generator(np.array([t]))
-        F = frames[0]
-        return float(det_phase(LagrangianFrame(F, float(np.ravel(tol)[0])).frame))
-
-    angs = det_phase(lam.frames).tolist()
-    theta, count, levels = angs[0], 1, 0
-
-    def descend(t0, a0, t1, a1, depth):
-        nonlocal theta, count, levels
-        if count > paths.MAX_SAMPLES:
-            raise Undersampled("sample cap exceeded during refinement")
-        levels = max(levels, depth + 1)
-        d = paths._wrap(a1 - a0)
-        tm = (t0 + t1) / 2
-        am = phase(tm)
-        d1 = paths._wrap(am - a0)
-        d2 = paths._wrap(a1 - am)
-        consistent = abs(d1 + d2 - d) < 1e-9
-        if consistent and max(abs(d), abs(d1), abs(d2)) < paths.MAX_PHASE_STEP:
-            theta, count = theta + d1 + d2, count + 2
-            return
-        if depth >= max_depth:
-            raise Undersampled("refinement depth exceeded; path may be discontinuous")
-        descend(t0, a0, tm, am, depth + 1)
-        descend(tm, am, t1, a1, depth + 1)
-
-    for i in range(1, len(angs)):
-        descend(lam.times[i - 1], angs[i - 1], lam.times[i], angs[i], 0)
-    return theta, count, levels
-
-
-def _quadratic_shear_path(rng, n, scale):
-    A0, A1, A2 = (random_symmetric(rng, n, scale) for _ in range(3))
-
-    def A(ts):
-        t = ts[:, None, None]
-        return A0 + t * A1 + t * t * A2
-
-    fam = SymmetricFamily.from_function(A, samples=5)
-    return induced_path(shear_path(fam), coordinate_x(n))
-
-
-def _oracle_paths(kind):
-    rng = np.random.default_rng(sum(map(ord, kind)))
-    if kind == "bent-graph":
-        return [_bent_graph_path()]
-    if kind == "shear":
-        return [_quadratic_shear_path(rng, n, 4.0) for n in (1, 2, 3, 4) for _ in range(2)]
-    n = int(kind.split("-")[1])
-    return [
-        random_lagrangian_path(rng, n, scale=scale, samples=samples)
-        for samples, scale in ((2, 3.0), (3, 6.0), (5, 12.0))
-    ]
-
-
-ORACLE_KINDS = ["bent-graph", "shear"] + [f"random-{n}" for n in range(1, 9)]
-
-
-@pytest.mark.parametrize("kind", ORACLE_KINDS)
-def test_breadth_first_matches_depth_first(kind):
-    # the same outcome, sample count and theta, bit for bit, at every depth
-    outcomes = set()
-    for lam in _oracle_paths(kind):
-        for max_depth in range(9):
-            try:
-                theta, count, levels = _reference_descend(lam, max_depth)
-            except Undersampled as exc:
-                with pytest.raises(Undersampled) as caught:
-                    lift_path(lam, max_depth=max_depth)
-                assert str(caught.value) == str(exc)
-                outcomes.add("undersampled")
-                continue
-            lifted = lift_path(lam, max_depth=max_depth)
-            assert lifted.end.theta == theta
-            assert lifted.sample_count == count
-            outcomes.add(min(levels, 2))
-    # each kind is lifted at depth 2 or more and fails at a shallower depth
-    assert {"undersampled", 2} <= outcomes
-
-
-def _jump_path():
-    # X* before t = 1/2 and X from there on: no refinement resolves the jump
-    xs, x = coordinate_xstar(1).frame, coordinate_x(1).frame
-    gen = lambda ts: (np.where((ts < 0.5)[:, None, None], xs, x), TOL_SYM)
-    return LagrangianPath((0.0, 1.0), (xs, x), gen)
-
-
-@pytest.mark.parametrize("max_depth", [5000, 10**9])
-def test_deep_refinement_of_a_jump_is_undersampled(max_depth):
-    # a recursive bisection overflowed the interpreter stack here; a step
-    # whose midpoint repeats one of its ends ends the refinement instead
-    with pytest.raises(Undersampled, match="refinement depth exceeded"):
-        lift_path(_jump_path(), max_depth=max_depth)
-
-
-def _count_generator_calls(monkeypatch):
-    """The length of each generator call of every LagrangianPath built from
-    now on, the way perfbench/tracing.py counts them."""
-    calls = []
-    post_init = LagrangianPath.__post_init__
-
-    def counted(path):
-        post_init(path)
-        if path.generator is not None:
-            g = path.generator
-
-            def gen(ts):
-                calls.append(len(ts))
-                return g(ts)
-
-            object.__setattr__(path, "generator", gen)
-
-    monkeypatch.setattr(LagrangianPath, "__post_init__", counted)
-    return calls
-
-
-def _bent_quadratic(rng, n):
-    """Coefficients of a quadratic family A0 + t B + t^2 (A1 - A0 - B) between
-    two random symmetric matrices, as the path-refine benchmark draws them."""
-    A0, A1, B = (random_symmetric(rng, n, 2.0) for _ in range(3))
-    return [c.tolist() for c in (A0, B, A1 - A0 - B)]
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
-@pytest.mark.parametrize("kind", ["graph_polynomial", "shear"])
-def test_one_generator_call_per_level(kind, n, monkeypatch):
-    rng = np.random.default_rng(40 + n)
-    for _ in range(3):
-        path = {"kind": kind, "coefficients": _bent_quadratic(rng, n)}
-        index = "lagrangian" if kind == "graph_polynomial" else "symplectic"
-        job = {"n": n, "index": index, "path": path, "plane": "coordinate_x"}
-
-        def parsed():
-            coeffs = np.array(path["coefficients"])
-            family = SymmetricFamily.from_function(lambda ts: polynomial_values(coeffs, ts))
-            if kind == "shear":
-                return induced_path(shear_path(family), coordinate_x(n))
-            return graph_path(family)
-
-        _, count, levels = _reference_descend(parsed())
-        calls = _count_generator_calls(monkeypatch)
-        lifted = lift_path(parsed())
-        assert lifted.sample_count == count
-        assert len(calls) == levels and calls[0] == 32
-        # the command line lifts these jobs in closed form: no generator call
-        calls.clear()
-        report = cli.compute_report(job)
-        monkeypatch.undo()
-        assert calls == [] and report["samples"] == 2
-
-
-def test_runaway_refinement_stays_in_the_chunk_budget(monkeypatch):
-    # alpha = 1e9 t^2 between two samples: the pending levels grow until the
-    # sample cap ends the lift, and the widest levels are split into
-    # generator calls of the chunk budget.  (A linear sweep is no test of
-    # this: its steps are equal, so a whole level aliases at once.)
-    def u(ts):
-        return np.exp(1j * 1e9 * ts**2)[:, None, None]
-
-    calls = _count_generator_calls(monkeypatch)
-    with pytest.raises(Undersampled, match="sample cap"):
-        lift_path(paths.path_from_unitary_family(u, samples=2))
-    assert max(calls) == paths.LEVEL_CHUNK_BYTES // 16  # one 2 x 1 frame is 16 bytes
-
-
-def test_rotation_grid_matches_the_quarter_turn_formula(monkeypatch):
-    # floor(2 |da| / MAX_PHASE_STEP) + 2 is floor(4 |da| / pi) + 2 bit for
-    # bit, since halving pi is exact; checked one ulp around each k pi / 4
-    monkeypatch.setattr(paths, "path_from_unitary_family", lambda u, samples: samples)
-    quarter = np.arange(10**4 + 1) * math.pi / 4
-    sweeps = np.concatenate(
-        [np.nextafter(quarter, -math.inf), quarter, np.nextafter(quarter, math.inf)]
-    )
-    for da in sweeps.tolist():
-        expected = math.floor(4 * abs(da) / math.pi) + 2
-        assert rotation_path(1, 0.0, da, samples=2) == expected
-        assert rotation_path(1, da, 0.0, samples=2) == expected
+def test_rotation_grid_matches_the_quarter_turn_formula():
+    # floor(2 |da| / target) + 2 samples for target = MAX_PHASE_STEP less
+    # the slack: every step 2 |da| / (N - 1) stays below target, and one
+    # sample fewer would not; checked one ulp around each k target / 2
+    for n in (1, 2):
+        target = paths.MAX_PHASE_STEP - paths.phase_slack(n)
+        assert 0 < paths.phase_slack(n) < 1e-8
+        edges = np.arange(10**4 + 1) * target / 2
+        sweeps = np.concatenate([np.nextafter(edges, -math.inf), edges, np.nextafter(edges, math.inf)])
+        for da in sweeps.tolist():
+            count = paths.certified_count(2, 2 * abs(da), n)
+            assert count == math.floor(2 * abs(da) / target) + 2
+            assert 2 * abs(da) / (count - 1) < paths.MAX_PHASE_STEP
+            if count > 2:
+                assert 2 * abs(da) / (count - 2) >= target * (1 - 1e-15)
+    lam = rotation_path(1, 0.0, 2.3 * math.pi, samples=2)
+    assert len(lam.times) == paths.certified_count(2, 4.6 * math.pi, 1) == 11
 
 
 def test_keller_maslov_anchors():
@@ -491,9 +297,7 @@ def test_mu_lagrangian_anchors(rng):
     # spectral-flow anchor: graph path of A(t) = 2t - 1 against X
     ts = np.linspace(0.0, 1.0, 21)
     frames = np.array([frame_from_graph(np.array([[2 * t - 1.0]])).frame for t in ts])
-    lam = LagrangianPath(
-        tuple(ts), frames, lambda t: (graph_frames((2 * t - 1.0)[:, None, None]), TOL_SYM)
-    )
+    lam = LagrangianPath(tuple(ts), frames)
     assert mu_lagrangian(lam, coordinate_x(1)) == 2
 
 
@@ -536,16 +340,15 @@ def _rotation_stack(ts):
 def test_mu_symplectic_anchors():
     n = 1
     eye = np.eye(2 * n)
-    const = SymplecticPath((0.0, 1.0), (eye, eye), lambda t: np.broadcast_to(eye, (len(t), 2, 2)))
+    const = SymplecticPath((0.0, 1.0), (eye, eye))
     assert mu_symplectic(const, coordinate_x(n)) == 0
 
-    shear = lambda t: _shear_stack(2 * t - 1.0)
     ts = np.linspace(0.0, 1.0, 21)
-    sig = SymplecticPath(tuple(ts), shear(ts), shear)
+    sig = SymplecticPath(tuple(ts), _shear_stack(2 * ts - 1.0))
     assert mu_symplectic(sig, coordinate_x(n)) == 2
 
     # full rotation loop in Sp(1): induced loop winds twice
-    loop = SymplecticPath(tuple(ts), _rotation_stack(ts), _rotation_stack)
+    loop = SymplecticPath(tuple(ts), _rotation_stack(ts))
     for ell in (coordinate_x(1), coordinate_xstar(1), frame_from_graph(np.array([[0.7]]))):
         assert mu_symplectic(loop, ell) == 4
 
@@ -576,17 +379,47 @@ def test_identity_start_and_catenation_share_the_matching_rule(eps, matches):
                 call()
 
 
+#: 2 pi J, whose algebra path is the full rotation loop R(2 pi t) of Sp(1)
+TURN = 2 * math.pi * np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 def test_mu_ell_anchors(rng):
     ts = np.linspace(0.0, 1.0, 21)
-    sig = SymplecticPath(tuple(ts), _shear_stack(ts), _shear_stack)
+    sig = SymplecticPath(tuple(ts), _shear_stack(ts))
     assert mu_ell(sig, coordinate_x(1)) == mu_symplectic(sig, coordinate_x(1)) == 1
 
-    # appending a full loop adds 4
-    loop = SymplecticPath(tuple(ts), _rotation_stack(ts), _rotation_stack)
+    # appending a full loop adds 4: the loop R(2 pi t) = exp(2 pi t J),
+    # translated by base.end() on the grid certified for the translate
     base = random_symplectic_path(rng, 1)
+    grid = symplectic_path_from_algebra(TURN, base.end()).times
+    loop = symplectic_path_from_algebra(TURN, samples=len(grid))
     appended = concat_symplectic(base, left_translate(base.end(), loop))
     ell = random_frame(rng, 1)
     assert mu_ell(appended, ell) == mu_ell(base, ell) + 4
+
+
+def test_left_translate_is_certified_on_the_translates_grid():
+    # S = diag(10, 1/10): cond_2(S) = 100 takes the loop's 33 samples to 802
+    S = symplectic_path_from_algebra(np.diag([math.log(10.0), -math.log(10.0)])).end()
+    certified = symplectic_path_from_algebra(TURN, S)
+    loop = symplectic_path_from_algebra(TURN, samples=len(certified.times))
+    translate = left_translate(S, loop)
+    assert translate.times == certified.times
+    np.testing.assert_allclose(translate.matrices, certified.matrices, atol=1e-9)
+    for ell in (coordinate_x(1), coordinate_xstar(1)):
+        assert mu_symplectic(translate, ell) == mu_symplectic(certified, ell) == 4
+
+
+def test_left_translate_on_a_coarse_grid_is_undersampled():
+    # the loop's own 33-sample grid is too coarse for S . loop, and here the
+    # step test catches it; like any caller's samples, a coarse translate
+    # can also alias a whole turn past that test
+    S = symplectic_path_from_algebra(np.diag([math.log(10.0), -math.log(10.0)])).end()
+    loop = symplectic_path_from_algebra(TURN)
+    assert len(loop.times) == 33
+    for ell in (coordinate_x(1), coordinate_xstar(1)):
+        with pytest.raises(Undersampled):
+            mu_symplectic(left_translate(S, loop), ell)
 
 
 def test_induced_path_matches_action(rng):
@@ -642,10 +475,6 @@ def _unit_family(ts):
     return np.ones((len(ts), 1, 1))
 
 
-def _unit_unitaries(ts):
-    return np.ones((len(ts), 1, 1), dtype=complex)
-
-
 #: the two entries that read a sheet number k
 SHEET_SITES = {
     "lift": lambda k: lift_of(coordinate_x(1), k),
@@ -681,9 +510,9 @@ BAD_SCALARS = {
     "rotation-n-zero": lambda: rotation_path(0, 0.0, 1.0),
     "rotation-samples-float": lambda: rotation_path(1, 0.0, 1.0, 33.0),
     "rotation-samples-numpy": lambda: rotation_path(1, 0.0, 1.0, np.int64(33)),
-    "unitary-family-samples-bool": lambda: paths.path_from_unitary_family(_unit_unitaries, True),
-    "unitary-family-samples-over-cap": lambda: paths.path_from_unitary_family(
-        _unit_unitaries, paths.MAX_SAMPLES + 1
+    "unitary-family-samples-bool": lambda: unitary_path(np.eye(1), np.zeros((1, 1)), True),
+    "unitary-family-samples-over-cap": lambda: unitary_path(
+        np.eye(1), np.zeros((1, 1)), paths.MAX_SAMPLES + 1
     ),
     "family-samples-string": lambda: SymmetricFamily.from_function(_unit_family, "33"),
     "family-samples-one": lambda: SymmetricFamily.from_function(_unit_family, 1),
@@ -737,7 +566,9 @@ def test_winding_integral_cross_check(rng):
     for n in (1, 2):
         for wind in (-1, 2):
             gamma = rotation_path(n, 0.0, wind * math.pi)
-            assert abs(lift_path(gamma).winding() - winding_integral(gamma)) < 1e-6
-        lam = random_lagrangian_path(rng, n)
+            family = lambda ts: paths.rotation_unitaries(n, 0.0, wind * math.pi, ts)
+            assert abs(lift_path(gamma).winding() - winding_integral(family)) < 1e-6
+        u0, H = random_unitary_family(rng, n)
+        lam = unitary_path(u0, H)
         gamma = concat(lam, reverse(lam))
-        assert abs(lift_path(gamma).winding() - winding_integral(gamma)) < 1e-6
+        assert abs(lift_path(gamma).winding() - winding_integral(there_and_back(u0, H))) < 1e-6
