@@ -33,7 +33,6 @@ from .paths import (
     concat_symplectic,
     induced_path,
     keller_maslov,
-    left_translate,
     lift_path,
     mu_ell,
     mu_lagrangian,

@@ -3,8 +3,8 @@ symmetric family, graph paths, the half-integer Robbin-Salamon index, the
 Hormander index of a quadruple, and direct sums of cover points.
 
 ``SymmetricFamily.linear`` samples its family on the certified grid of its
-graph and shear paths (``paths.certified_count``); ``from_function``
-samples a caller's function with no certificate.
+graph and shear paths (``paths.certified_count``); a family built from a
+caller's samples carries no certificate, and the step test is its guard.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .paths import (
     _sampled,
     certified_count,
     mu_lagrangian,
-    sample_count,
 )
 from .signature import kashiwara_tau, sign_counts
 
@@ -51,14 +50,6 @@ class SymmetricFamily:
     @property
     def n(self) -> int:
         return self.matrices.shape[-1]
-
-    @classmethod
-    def from_function(cls, fn, samples: int = 33) -> "SymmetricFamily":
-        """The family sampled at ``samples`` (``paths.sample_count``) equally
-        spaced times by one call of fn, ts -> (len(ts), n, n); no grid is
-        certified."""
-        ts = np.linspace(0.0, 1.0, sample_count(samples))
-        return cls(tuple(ts), fn(ts))
 
     @classmethod
     def linear(cls, A0, A1, samples: int = 33) -> "SymmetricFamily":

@@ -465,7 +465,9 @@ def direct_sum_frame(ell1: LagrangianFrame, ell2: LagrangianFrame) -> Lagrangian
 
 def direct_sum_frames(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """The [X; P] frame of the direct sum of two [X; P] frames, X = X1 (+) X2
-    and P = P1 (+) P2, or of two equal-length stacks of them, pairwise."""
+    and P = P1 (+) P2, or of two equal-length stacks of them, pairwise; the
+    one interleaved direct-sum layout, which ``direct_sum_symplectic`` reads
+    on column blocks."""
     n1, n2 = F1.shape[-1], F2.shape[-1]
     n = n1 + n2
     F = np.zeros(np.broadcast_shapes(F1.shape[:-2], F2.shape[:-2]) + (2 * n, n))

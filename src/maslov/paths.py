@@ -16,9 +16,10 @@ family: 2 |tr H|; a linear symmetric family: 2 ||A1 - A0||_*; an algebra
 path: 2 ||S0 Z S0^-1||_(n)) and raises the caller's ``samples``, a minimum,
 to ``certified_count``, on which every step provably moves the phase by
 less than MAX_PHASE_STEP less the rounding slack ``phase_slack``.
-``concat``, ``reverse`` and ``concat_symplectic`` keep their parts' grids;
-``left_translate`` keeps its path's grid, which S can make too coarse.  A
-caller's samples carry no certificate: the step test is their guard.
+``concat``, ``reverse`` and ``concat_symplectic`` keep their parts' grids,
+and the left translate S . (S0 exp(tZ)) of an algebra path is the algebra
+path with start S @ S0, on its own certified grid.  A caller's samples carry
+no certificate: the step test is their guard.
 
 Where the change of arg det w along a path is known in closed form from its
 two ends, the path is not sampled at all: ``LiftedPath.from_phase_change``
@@ -255,19 +256,6 @@ def concat_symplectic(sig: SymplecticPath, sig2: SymplecticPath) -> SymplecticPa
     return SymplecticPath(tuple(times), mats)
 
 
-def left_translate(S: np.ndarray, sig: SymplecticPath) -> SymplecticPath:
-    """The path t -> S . sig(t) on sig's grid, which S can make too coarse:
-    S speeds the phase of the induced paths up by up to cond_2(S), so
-    sig's certificate does not carry over and the step test is the only
-    guard, as for a caller's samples.  The translate of an algebra path
-    S0 exp(tZ) is certified when sig is built on the grid certified for
-    ``symplectic_path_from_algebra(Z, S @ S0)``, which is that translate."""
-    S = numeric_array(S, "matrix")
-    if S.shape != (2 * sig.n, 2 * sig.n):
-        raise BadInput("matrix and path dimensions differ")
-    return SymplecticPath(sig.times, S @ sig.matrices)
-
-
 @dataclass(frozen=True)
 class LiftedPath:
     """The two end lifts of a path, joined by a continuous argument of det w
@@ -378,8 +366,7 @@ def lift_path(lam: LagrangianPath, theta_start: float | None = None) -> LiftedPa
     if len(steps) > MAX_SAMPLES and (bad.size == 0 or bad[0] >= MAX_SAMPLES):
         raise Undersampled("sample cap exceeded")
     if bad.size:
-        # reports carry this text, so it stays byte for byte
-        raise Undersampled("phase step >= pi/2 between samples and no generator to refine")
+        raise Undersampled("phase step >= pi/2 between samples: the samples are too coarse")
     theta = theta0
     for d in steps.tolist():
         theta += d

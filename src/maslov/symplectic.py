@@ -97,19 +97,17 @@ def embed_unitary(u: np.ndarray) -> SymplecticMatrix:
     return SymplecticMatrix(np.block([[u.real, -u.imag], [u.imag, u.real]]))
 
 
-def _interleave_indices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    n = n1 + n2
-    idx1 = np.concatenate([np.arange(n1), n + np.arange(n1)])
-    idx2 = np.concatenate([n1 + np.arange(n2), n + n1 + np.arange(n2)])
-    return idx1, idx2
-
-
 def direct_sum_symplectic(S1: SymplecticMatrix, S2: SymplecticMatrix) -> SymplecticMatrix:
-    """Block-interleaved direct sum acting on the two factors independently."""
+    """Block-interleaved direct sum acting on the two factors independently:
+    its x and p column blocks are the direct sums of the factors' x and p
+    column blocks, in the layout of ``lagrangian.direct_sum_frames``."""
+    # imported here because lagrangian imports this module
+    from .lagrangian import direct_sum_frames
+
+    A, B = S1.entries, S2.entries
     n1, n2 = S1.n, S2.n
-    n = n1 + n2
-    idx1, idx2 = _interleave_indices(n1, n2)
-    T = np.zeros((2 * n, 2 * n))
-    T[np.ix_(idx1, idx1)] = S1.entries
-    T[np.ix_(idx2, idx2)] = S2.entries
-    return SymplecticMatrix(T)
+    return SymplecticMatrix(
+        np.hstack(
+            (direct_sum_frames(A[:, :n1], B[:, :n2]), direct_sum_frames(A[:, n1:], B[:, n2:]))
+        )
+    )

@@ -173,19 +173,15 @@ def mu_bar_via_companion(
     return (2 * m13 - n) - (2 * m23 - n) + tau
 
 
-def _random_transversal_pair(rng, n):
+def _transversal_frames(rng, n, k, given=()):
+    """k random frames, redrawn together until they are pairwise transversal
+    and each is transversal to every plane of given."""
     while True:
-        f1, f2 = random_frame(rng, n), random_frame(rng, n)
-        if lagrangian.intersection_dim(f1, f2) == 0:
-            return f1, f2
-
-
-def _random_transversal_triple(rng, n):
-    while True:
-        fs = [random_frame(rng, n) for _ in range(3)]
+        fs = [random_frame(rng, n) for _ in range(k)]
         if all(
-            lagrangian.intersection_dim(fs[i], fs[j]) == 0
-            for i, j in ((0, 1), (0, 2), (1, 2))
+            lagrangian.intersection_dim(f, g) == 0
+            for i, f in enumerate(fs)
+            for g in fs[i + 1 :] + list(given)
         ):
             return fs
 
@@ -195,17 +191,6 @@ def _near_identity(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     vals, vecs = np.linalg.eigh((z + z.conj().T) / 2)
     return (vecs * np.exp(1e-5j * vals)) @ vecs.conj().T
-
-
-def _admissible_companion(rng, f1, f2):
-    n = f1.n
-    while True:
-        cand = random_frame(rng, n)
-        if (
-            lagrangian.intersection_dim(cand, f1) == 0
-            and lagrangian.intersection_dim(cand, f2) == 0
-        ):
-            return leray.lift_of(cand, int(rng.integers(-2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +331,7 @@ def check_tau_direct_sum(rng, n_max):
 
 @per_dimension("tau-local-constancy", 15)
 def check_tau_local_constancy(rng, n):
-    fs = _random_transversal_triple(rng, n)
+    fs = _transversal_frames(rng, n, 3)
     base = signature.kashiwara_tau(*fs).tau
     S = symplectic.embed_unitary(_near_identity(rng, n))
     moved = [lagrangian.apply_symplectic(S, f) for f in fs]
@@ -400,13 +385,14 @@ def check_companion_independence(rng, n):
     l2 = leray.lift_of(f2, int(rng.integers(-2, 3)))
     base = leray.mu_bar(l1, l2)
     for _ in range(6):
-        comp = _admissible_companion(rng, f1, f2)
+        (cand,) = _transversal_frames(rng, n, 1, (f1, f2))
+        comp = leray.lift_of(cand, int(rng.integers(-2, 3)))
         _expect(mu_bar_via_companion(l1, l2, comp) == base)
 
 
 @per_dimension("inert-cocycle", 15)
 def check_inert_cocycle(rng, n):
-    fs = _random_transversal_triple(rng, n)
+    fs = _transversal_frames(rng, n, 3)
     lifts = [leray.lift_of(f, int(rng.integers(-1, 2))) for f in fs]
     lhs = (
         leray.souriau_m(lifts[0], lifts[1])
@@ -418,7 +404,7 @@ def check_inert_cocycle(rng, n):
 
 @per_dimension("mu-bar-local-constancy", 10)
 def check_mu_bar_local_constancy(rng, n):
-    f1, f2 = _random_transversal_pair(rng, n)
+    f1, f2 = _transversal_frames(rng, n, 2)
     l1 = leray.lift_of(f1, 0)
     l2 = leray.lift_of(f2, 0)
     base = leray.mu_bar(l1, l2)
@@ -547,10 +533,11 @@ def check_mu_ell_product(rng, n):
     s1p = random_symplectic_path(rng, n)
     Z2 = random_algebra_element(rng, n)
     s1 = s1p.end()
-    # s2p on the grid certified for its left translate s1 . s2p
-    grid = paths.symplectic_path_from_algebra(Z2, start=s1, samples=17).times
-    s2p = paths.symplectic_path_from_algebra(Z2, samples=len(grid))
-    prod = paths.concat_symplectic(s1p, paths.left_translate(s1, s2p))
+    s2p = paths.symplectic_path_from_algebra(Z2, samples=17)
+    # the left translate s1 . s2p, on its own certified grid
+    prod = paths.concat_symplectic(
+        s1p, paths.symplectic_path_from_algebra(Z2, start=s1, samples=17)
+    )
     f1 = lagrangian.apply_symplectic(symplectic.SymplecticMatrix(s1), ell)
     f12 = lagrangian.apply_symplectic(
         symplectic.SymplecticMatrix(s1 @ s2p.end()), ell

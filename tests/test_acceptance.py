@@ -34,7 +34,6 @@ from maslov import (
     intersection_dim,
     kashiwara_tau,
     keller_maslov,
-    left_translate,
     lift_of,
     lift_path,
     mu_bar,
@@ -297,10 +296,9 @@ def test_criterion_12_mu_ell_formulas(capsys):
         s1p = random_symplectic_path(rng, n)
         Z2 = random_algebra_element(rng, n)
         s1 = s1p.end()
-        # s2p on the grid certified for its left translate s1 . s2p
-        grid = symplectic_path_from_algebra(Z2, start=s1, samples=17).times
-        s2p = symplectic_path_from_algebra(Z2, samples=len(grid))
-        prod = concat_symplectic(s1p, left_translate(s1, s2p))
+        s2p = symplectic_path_from_algebra(Z2, samples=17)
+        # the left translate s1 . s2p, on its own certified grid
+        prod = concat_symplectic(s1p, symplectic_path_from_algebra(Z2, start=s1, samples=17))
         f1 = apply_symplectic(SymplecticMatrix(s1), ell)
         f12 = apply_symplectic(
             SymplecticMatrix(s1 @ s2p.end()), ell

@@ -69,7 +69,8 @@ def _polynomial_family(coefficients):
     coeffs = np.array(coefficients, dtype=float)
     speed = 2 * sum(k * np.linalg.norm(c, "nuc") for k, c in enumerate(coeffs))
     samples = paths.certified_count(33, speed, coeffs.shape[-1])
-    return SymmetricFamily.from_function(lambda ts: polynomial_values(coeffs, ts), samples)
+    ts = np.linspace(0.0, 1.0, samples)
+    return SymmetricFamily(tuple(ts), polynomial_values(coeffs, ts))
 
 
 def _sampled_lift(job):

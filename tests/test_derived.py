@@ -88,8 +88,9 @@ def test_family_and_graph_path_share_the_symmetric_rule():
     # graph path of a family that SymmetricFamily accepts is accepted too
     near = np.array([[1000.0, 1000.0 + 5e-8], [1000.0, 1001.0]])
     sym = (near + near.T) / 2
-    fam = SymmetricFamily.from_function(lambda t: near - 2 * t[:, None, None] * np.eye(2))
-    ref = SymmetricFamily.from_function(lambda t: sym - 2 * t[:, None, None] * np.eye(2))
+    ts = np.linspace(0.0, 1.0, 33)
+    fam = SymmetricFamily(tuple(ts), near - 2 * ts[:, None, None] * np.eye(2))
+    ref = SymmetricFamily(tuple(ts), sym - 2 * ts[:, None, None] * np.eye(2))
     assert spectral_flow(fam) == spectral_flow(ref) == -2
     assert mu_lagrangian(graph_path(fam), coordinate_x(2)) == -2
     assert mu_lagrangian(graph_path(ref), coordinate_x(2)) == -2

@@ -20,7 +20,6 @@ from maslov import (
     graph_path,
     intersection_dim,
     is_symplectic,
-    left_translate,
     lift_of,
     omega,
     omega_matrix,
@@ -132,12 +131,8 @@ X1 = np.eye(2, 1)
 I2 = np.stack([np.eye(2)] * 2)
 
 
-def _family_generating(out):
-    return SymmetricFamily.from_function(lambda ts: out, 2)
-
-
-# every entry point that reads a caller array, including the output of a
-# caller's family function
+# every entry point that reads a caller array, including a caller's family
+# samples on their way to a graph or shear path
 INTAKE_SITES = {
     "frame": LagrangianFrame,
     "graph-plane": frame_from_graph,
@@ -154,13 +149,12 @@ INTAKE_SITES = {
     "symplectic-path": lambda x: SymplecticPath((0.0, 1.0), x),
     "family": lambda x: SymmetricFamily((0.0, 1.0), x),
     "linear-family": lambda x: SymmetricFamily.linear(x, [[0.0]]),
-    "left-translate": lambda x: left_translate(x, SymplecticPath((0.0, 1.0), I2)),
     "algebra": symplectic_path_from_algebra,
     "algebra-start": lambda x: symplectic_path_from_algebra(np.zeros((2, 2)), start=x),
     "signature": matrix_signature,
     "generated-frames": lambda x: winding_integral(lambda ts: x),
-    "graph-generator": lambda x: graph_path(_family_generating(x)),
-    "shear-generator": lambda x: shear_path(_family_generating(x)),
+    "graph-generator": lambda x: graph_path(SymmetricFamily((0.0, 1.0), x)),
+    "shear-generator": lambda x: shear_path(SymmetricFamily((0.0, 1.0), x)),
     "unitary-path": lambda x: unitary_path(x, np.zeros((1, 1))),
     "unitary-path-hermitian": lambda x: unitary_path(np.eye(1), x),
 }

@@ -21,7 +21,6 @@ from maslov import (
     induced_path,
     kashiwara_tau,
     keller_maslov,
-    left_translate,
     lift_of,
     lift_path,
     mu_ell,
@@ -389,37 +388,28 @@ def test_mu_ell_anchors(rng):
     assert mu_ell(sig, coordinate_x(1)) == mu_symplectic(sig, coordinate_x(1)) == 1
 
     # appending a full loop adds 4: the loop R(2 pi t) = exp(2 pi t J),
-    # translated by base.end() on the grid certified for the translate
+    # translated by base.end(), on the translate's certified grid
     base = random_symplectic_path(rng, 1)
-    grid = symplectic_path_from_algebra(TURN, base.end()).times
-    loop = symplectic_path_from_algebra(TURN, samples=len(grid))
-    appended = concat_symplectic(base, left_translate(base.end(), loop))
+    appended = concat_symplectic(base, symplectic_path_from_algebra(TURN, base.end()))
     ell = random_frame(rng, 1)
     assert mu_ell(appended, ell) == mu_ell(base, ell) + 4
 
 
-def test_left_translate_is_certified_on_the_translates_grid():
-    # S = diag(10, 1/10): cond_2(S) = 100 takes the loop's 33 samples to 802
-    S = symplectic_path_from_algebra(np.diag([math.log(10.0), -math.log(10.0)])).end()
-    certified = symplectic_path_from_algebra(TURN, S)
-    loop = symplectic_path_from_algebra(TURN, samples=len(certified.times))
-    translate = left_translate(S, loop)
-    assert translate.times == certified.times
-    np.testing.assert_allclose(translate.matrices, certified.matrices, atol=1e-9)
-    for ell in (coordinate_x(1), coordinate_xstar(1)):
-        assert mu_symplectic(translate, ell) == mu_symplectic(certified, ell) == 4
-
-
-def test_left_translate_on_a_coarse_grid_is_undersampled():
-    # the loop's own 33-sample grid is too coarse for S . loop, and here the
-    # step test catches it; like any caller's samples, a coarse translate
-    # can also alias a whole turn past that test
-    S = symplectic_path_from_algebra(np.diag([math.log(10.0), -math.log(10.0)])).end()
-    loop = symplectic_path_from_algebra(TURN)
-    assert len(loop.times) == 33
-    for ell in (coordinate_x(1), coordinate_xstar(1)):
-        with pytest.raises(Undersampled):
-            mu_symplectic(left_translate(S, loop), ell)
+def test_translated_loop_is_certified_where_the_loops_grid_aliased():
+    # S = diag(10, 1/10): cond_2(S) = 100 takes the loop's 33 samples to 802.
+    # On the loop's own 33 samples S . loop aliases for the graph of 0.7:
+    # the appended path reads -1, base's index, losing the loop's 4
+    base = symplectic_path_from_algebra(np.diag([math.log(10.0), -math.log(10.0)]))
+    translate = symplectic_path_from_algebra(TURN, start=base.end())
+    assert len(translate.times) == 802
+    appended = concat_symplectic(base, translate)
+    for ell, alone, total in (
+        (frame_from_graph([[0.7]]), -1, 3),
+        (coordinate_x(1), 0, 4),
+        (coordinate_xstar(1), 0, 4),
+    ):
+        assert mu_ell(base, ell) == alone
+        assert mu_ell(appended, ell) == total
 
 
 def test_induced_path_matches_action(rng):
@@ -454,7 +444,6 @@ def _identity_path(n):
 DIMENSION_MISMATCHES = {
     "concat-symplectic": lambda: concat_symplectic(_identity_path(1), _identity_path(2)),
     "path-joining": lambda: path_joining(coordinate_x(1), coordinate_x(2)),
-    "left-translate": lambda: left_translate(np.eye(4), _identity_path(1)),
     "algebra-odd": lambda: symplectic_path_from_algebra(np.zeros((3, 3))),
     "algebra-start": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), start=np.eye(4)),
     "same-plane": lambda: same_plane(coordinate_x(2), coordinate_x(3)),
@@ -469,10 +458,6 @@ def test_dimension_mismatch_is_bad_input(name):
     # endpoint to a 2 x 2 family whose graph path had an index
     with pytest.raises(BadInput):
         DIMENSION_MISMATCHES[name]()
-
-
-def _unit_family(ts):
-    return np.ones((len(ts), 1, 1))
 
 
 #: the two entries that read a sheet number k
@@ -514,8 +499,6 @@ BAD_SCALARS = {
     "unitary-family-samples-over-cap": lambda: unitary_path(
         np.eye(1), np.zeros((1, 1)), paths.MAX_SAMPLES + 1
     ),
-    "family-samples-string": lambda: SymmetricFamily.from_function(_unit_family, "33"),
-    "family-samples-one": lambda: SymmetricFamily.from_function(_unit_family, 1),
     # TypeError from linspace for "3" and 2.5, the time-grid message for 1
     "algebra-samples-string": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), samples="3"),
     "algebra-samples-float": lambda: symplectic_path_from_algebra(np.zeros((2, 2)), samples=2.5),
