@@ -4,10 +4,8 @@ from .defaults import TOL_PHASE, TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from .derived import (
     HalfInteger,
     SymmetricFamily,
-    direct_sum_lift,
     graph_path,
     hormander_xi,
-    robbin_salamon,
     shear_path,
     spectral_flow,
 )
@@ -17,40 +15,41 @@ from .lagrangian import (
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,
-    direct_sum_frame,
     frame_from_graph,
     frame_from_unitary,
     frame_from_w,
     intersection_dim,
     souriau_w,
-    transversal_companion,
 )
-from .leray import LagrangianLift, deck_apply, lift_of, mu_bar, souriau_m
+from .leray import LagrangianLift, lift_of, mu_bar, souriau_m
 from .paths import (
     LagrangianPath,
     SymplecticPath,
-    concat,
-    concat_symplectic,
     induced_path,
     keller_maslov,
     lift_path,
     mu_ell,
     mu_lagrangian,
     mu_symplectic,
-    path_joining,
-    reverse,
-    rotation_path,
-    symplectic_path_from_algebra,
-    unitary_path,
 )
-from .signature import Cochain, TripleSignature, coboundary, inert_index, kashiwara_tau
-from .symplectic import (
-    SymplecticMatrix,
-    direct_sum_symplectic,
-    embed_unitary,
-    is_symplectic,
-    omega,
-    omega_matrix,
-)
+from .signature import TripleSignature, inert_index, kashiwara_tau
+from .symplectic import SymplecticMatrix, is_symplectic, omega, omega_matrix
 
 __version__ = "0.1.0"
+
+#: the public names of ``constructions``, which is loaded on the first
+#: access to one of them (PEP 562), so that ``import maslov`` skips it
+_CONSTRUCTIONS = frozenset({
+    "Cochain", "coboundary", "concat", "concat_symplectic", "deck_apply", "direct_sum_frame",
+    "direct_sum_lift", "direct_sum_symplectic", "embed_unitary", "path_joining", "reverse",
+    "robbin_salamon", "rotation_path", "symplectic_path_from_algebra", "transversal_companion",
+    "unitary_path",
+})
+
+
+def __getattr__(name):
+    if name in _CONSTRUCTIONS:
+        from . import constructions
+
+        return getattr(constructions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ arguments, which nothing rewrites at runtime.  No other site restates a rule:
     rounding        leray.nearest_integer       TOL_ROUND
     matching        paths._matches              PLANE_MATCH_TOL
     phase step      paths._step_ok              paths.MAX_PHASE_STEP
-    certified grid  paths.certified_count       MAX_PHASE_STEP, paths.phase_slack (derived)
+    certified grid  constructions.certified_count  MAX_PHASE_STEP, its phase_slack (derived)
 """
 
 #: structural checks: unitarity, frame orthonormality (max-norm)

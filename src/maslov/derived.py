@@ -1,10 +1,11 @@
-"""Indices expressed through the canonical ones: spectral flow of a
-symmetric family, graph paths, the half-integer Robbin-Salamon index, the
-Hormander index of a quadruple, and direct sums of cover points.
+"""Indices expressed through the canonical ones: the spectral flow of a
+symmetric family, its graph and shear paths and the change of arg det w
+along them, and the half-integer Hormander index of a quadruple.
 
 ``SymmetricFamily.linear`` samples its family on the certified grid of its
-graph and shear paths (``paths.certified_count``); a family built from a
-caller's samples carries no certificate, and the step test is its guard.
+graph and shear paths (``constructions.certified_count``); a family built
+from a caller's samples carries no certificate, and the step test is its
+guard.
 """
 
 from __future__ import annotations
@@ -13,24 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL_ROUND, TOL_SIG_BASE
+from .defaults import TOL_SIG_BASE
 from .errors import BadInput, IllConditioned, numeric_array
-from .lagrangian import (
-    LagrangianFrame,
-    coordinate_x,
-    direct_sum_frame,
-    graph_frames,
-    is_symmetric,
-)
-from .leray import LagrangianLift
-from .paths import (
-    LagrangianPath,
-    SymplecticPath,
-    _ky_fan,
-    _sampled,
-    certified_count,
-    mu_lagrangian,
-)
+from .lagrangian import LagrangianFrame, graph_frames, is_symmetric
+from .paths import LagrangianPath, SymplecticPath, _sampled
 from .signature import kashiwara_tau, sign_counts
 
 
@@ -63,10 +50,13 @@ class SymmetricFamily:
         ||A(t + h) - A(t)||_* = h ||A1 - A0||_*, the nuclear norm.  So a step
         moves theta by at most 2 h ||A1 - A0||_*.  The shear [[I, 0], [A(t),
         I]] moves any plane with the Hamiltonian H = [[A', 0], [0, 0]] (see
-        ``paths.symplectic_path_from_algebra``), and tr(F^T H F) =
+        ``constructions.symplectic_path_from_algebra``), and tr(F^T H F) =
         tr(X^T A' X) is at most ||A'||_* in modulus for the X block of an
         orthonormal frame, ||X||_2 <= 1: the same bound.  The speed is
-        2 ||A1 - A0||_* (``paths.certified_count``)."""
+        2 ||A1 - A0||_* (``constructions.certified_count``)."""
+        # imported here because constructions imports this module
+        from .constructions import _ky_fan, certified_count
+
         A0 = numeric_array(A0, "family endpoint")
         A1 = numeric_array(A1, "family endpoint")
         if A0.shape != A1.shape:
@@ -156,13 +146,6 @@ def _shear(A: np.ndarray) -> np.ndarray:
     return S
 
 
-def robbin_salamon(
-    lam: LagrangianPath, ell: LagrangianFrame, tol_round: float = TOL_ROUND
-) -> HalfInteger:
-    """Half the canonical Lagrangian intersection index."""
-    return HalfInteger(mu_lagrangian(lam, ell, tol_round))
-
-
 def hormander_xi(
     ell1: LagrangianFrame,
     ell2: LagrangianFrame,
@@ -174,14 +157,3 @@ def hormander_xi(
     t3 = kashiwara_tau(ell1, ell2, ell3, tol_sig).tau
     t4 = kashiwara_tau(ell1, ell2, ell4, tol_sig).tau
     return HalfInteger(t3 - t4)
-
-
-def direct_sum_lift(l1: LagrangianLift, l2: LagrangianLift) -> LagrangianLift:
-    """(ell' (+) ell'', theta' + theta''), whose w is w' (+) w''."""
-    return LagrangianLift(direct_sum_frame(l1.frame, l2.frame), l1.theta + l2.theta)
-
-
-def spectral_flow_path_index(family: SymmetricFamily) -> int:
-    """The graph-path index against X; agrees with the endpoint signature
-    difference for families with nonsingular endpoints."""
-    return mu_lagrangian(graph_path(family), coordinate_x(family.n))

@@ -1,5 +1,5 @@
 """Lagrangian planes: orthonormal frames, the symmetric-unitary picture,
-intersection dimensions and transversal companions.
+intersection dimensions and the phase of a companion plane.
 
 A plane is stored as one orthonormal 2n x n frame [X; P], validated once by
 the frame rule ``check_frames``; this module is the only one that splits a
@@ -251,12 +251,6 @@ def unitarity_bound(n: int, tol: float) -> float:
     return n * max(10, 4 * n) * max(tol, TOL_SYM)
 
 
-def det_phase(frames: np.ndarray) -> np.ndarray:
-    """arg det w of each [X; P] frame of a (..., 2n, n) stack, w = u u^t as in
-    souriau_w: one batched det.  A single 2n x n frame gives a 0-d array."""
-    return np.angle(np.linalg.det(_uut(frames)))
-
-
 def _eigenbasis(v: np.ndarray, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """V and phases phi in (-pi, pi], by ascending cos phi, then sin phi, with
     v = V diag(e^{i phi}) V^H for unitary v; V is real if ``real`` says v is
@@ -446,33 +440,3 @@ def companion_phase(ell1: LagrangianFrame, ell2: LagrangianFrame) -> float:
     """Phase theta maximizing the minimal circular distance from e^{i theta}
     to the eigenphase sets of w1 and w2."""
     return _widest_gap(np.concatenate([eigenphases(ell1.w), eigenphases(ell2.w)]))
-
-
-def transversal_companion(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianFrame:
-    """A plane e^{i theta} I transversal to both inputs; deterministic."""
-    theta = companion_phase(ell1, ell2)
-    ell3 = _scalar_frame(theta, ell1.n)
-    if intersection_dim(ell3, ell1) != 0 or intersection_dim(ell3, ell2) != 0:
-        raise IllConditioned("companion plane failed the transversality post-check")
-    return ell3
-
-
-def direct_sum_frame(ell1: LagrangianFrame, ell2: LagrangianFrame) -> LagrangianFrame:
-    """Frame of ell1 (+) ell2 in the interleaved block convention."""
-    F = direct_sum_frames(ell1.frame, ell2.frame)
-    return LagrangianFrame(F, max(ell1.tol, ell2.tol))
-
-
-def direct_sum_frames(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
-    """The [X; P] frame of the direct sum of two [X; P] frames, X = X1 (+) X2
-    and P = P1 (+) P2, or of two equal-length stacks of them, pairwise; the
-    one interleaved direct-sum layout, which ``direct_sum_symplectic`` reads
-    on column blocks."""
-    n1, n2 = F1.shape[-1], F2.shape[-1]
-    n = n1 + n2
-    F = np.zeros(np.broadcast_shapes(F1.shape[:-2], F2.shape[:-2]) + (2 * n, n))
-    F[..., :n1, :n1] = F1[..., :n1, :]
-    F[..., n1:n, n1:] = F2[..., :n2, :]
-    F[..., n : n + n1, :n1] = F1[..., n1:, :]
-    F[..., n + n1 :, n1:] = F2[..., n2:, :]
-    return F

@@ -21,9 +21,8 @@ validates w again, so a plane lifted, moved by the deck action or compared
 with other planes has one w and one det.  The theta rule ``check_theta``
 reads the frame's det.
 
-The deck group Z of the cover acts by theta -> theta + 2k pi
-(``deck_apply``).  A sheet number k is a plain int, which ``lift_of`` and
-``deck_apply`` read by one rule, ``_turns``.
+A sheet number k, the deck transformation theta -> theta + 2k pi, is a
+plain int, read by one rule, ``_turns``.
 """
 
 from __future__ import annotations
@@ -99,11 +98,6 @@ def _turns(k: int) -> float:
 def lift_of(ell: LagrangianFrame, k: int = 0) -> LagrangianLift:
     """The lift (ell, arg det w + 2k pi) with the principal argument in (-pi, pi]."""
     return _lift(ell, float(np.angle(ell.det_w)) + _turns(k))
-
-
-def deck_apply(k: int, lift: LagrangianLift) -> LagrangianLift:
-    """The deck transformation k of the cover: theta -> theta + 2k pi."""
-    return LagrangianLift(lift.frame, lift.theta + _turns(k))
 
 
 def mu_bar(

@@ -5,10 +5,10 @@ embed(random unitary) . [[I, 0], [A, I]] . [[L, 0], [0, L^-T]]
 with A random symmetric and L random invertible, which spans the group and
 is exactly symplectic up to rounding.
 
-Random paths are built on certified grids (``paths.certified_count``): a
-random Lagrangian path is a unitary family u0 exp(itH), drawn as its pair
+Random paths are built on certified grids (``constructions.certified_count``):
+a random Lagrangian path is a unitary family u0 exp(itH), drawn as its pair
 (u0, H) by ``random_unitary_family`` so that checks can evaluate it at
-times of their own (``paths.unitary_family``) and transport it
+times of their own (``constructions.unitary_family``) and transport it
 (``transported_path``), and a random symplectic path is an algebra path.
 """
 
@@ -16,6 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .constructions import (
+    certified_count,
+    embed_unitary,
+    symplectic_path_from_algebra,
+    unitary_family,
+    unitary_path,
+)
 from .defaults import TOL_SYM
 from .lagrangian import (
     LagrangianFrame,
@@ -27,15 +34,8 @@ from .lagrangian import (
     unitary_frames,
 )
 from .leray import LagrangianLift, lift_of
-from .paths import (
-    LagrangianPath,
-    SymplecticPath,
-    certified_count,
-    symplectic_path_from_algebra,
-    unitary_family,
-    unitary_path,
-)
-from .symplectic import SymplecticMatrix, embed_unitary, omega_matrix
+from .paths import LagrangianPath, SymplecticPath
+from .symplectic import SymplecticMatrix, omega_matrix
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -146,8 +146,8 @@ def transported_path(
     Grid rule.  u0 exp(itH) X* = e^{tE} ell0 for the unitary one-parameter
     group of u0 H u0^H, ||E||_2 = ||H||_2, so the image is e^{tY} S ell0
     with Y = S E S^-1 and ||Y||_2 <= cond_2(S) ||H||_2 at every t.  By the
-    algebra-path rule (``paths.symplectic_path_from_algebra``) a step of
-    size h moves arg det w by at most 2 n h cond_2(S) ||H||_2."""
+    algebra-path rule (``constructions.symplectic_path_from_algebra``) a
+    step of size h moves arg det w by at most 2 n h cond_2(S) ||H||_2."""
     n = len(u0)
     speed = 2 * n * np.linalg.cond(S.entries) * np.abs(np.linalg.eigvalsh(H)).max()
     ts = np.linspace(0.0, 1.0, certified_count(samples, speed, n))

@@ -1,5 +1,5 @@
-"""The Kashiwara-Demazure signature of a Lagrangian triple, the inertia
-index on pairwise-transversal triples, and a generic coboundary evaluator.
+"""The Kashiwara-Demazure signature of a Lagrangian triple and the inertia
+index on pairwise-transversal triples.
 
 tau(l1, l2, l3) is the signature of the quadratic form
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -100,31 +99,3 @@ def inert_index(
     if (tau + n) % 2 != 0:
         raise IllConditioned("tau + n is odd on a transversal triple")
     return (tau + n) // 2
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """An integer-valued k-cochain: a function of (k+1)-tuples of points."""
-
-    arity: int
-    evaluator: Callable[..., int]
-
-    def __call__(self, *points) -> int:
-        if len(points) != self.arity + 1:
-            raise BadInput(
-                f"cochain of arity {self.arity} takes {self.arity + 1} points"
-            )
-        return int(self.evaluator(*points))
-
-
-def coboundary(f: Cochain, points: Sequence) -> int:
-    """Alternating sum over deletions: sum_j (-1)^j f(points \\ j)."""
-    if len(points) != f.arity + 2:
-        raise BadInput(
-            f"coboundary of an arity-{f.arity} cochain takes {f.arity + 2} points"
-        )
-    total = 0
-    for j in range(len(points)):
-        rest = tuple(points[i] for i in range(len(points)) if i != j)
-        total += (-1) ** j * f(*rest)
-    return total

@@ -2,15 +2,10 @@
 
 Conventions (used by every other module):
 
-* a vector of X x X* is a plain 1-d array (x-block, p-block), and a
-  unitary a plain complex matrix: neither needs a class, and ``omega`` and
-  ``embed_unitary`` check each where they read it;
+* a vector of X x X* is a plain 1-d array (x-block, p-block), which needs
+  no class: ``omega`` checks it where it reads it;
 * the form is omega(z, z') = <p, x'> - <p', x>, with matrix
-  M_omega = [[0, -I], [I, 0]] in that block order;
-* the unitary group U(n) sits inside Sp(n) via u = A + iB -> [[A, -B], [B, A]].
-
-Direct sums interleave blocks so that (s' (+) s'') acts on the x-blocks and
-p-blocks of the two factors independently.
+  M_omega = [[0, -I], [I, 0]] in that block order.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .defaults import TOL_SYM, TOL_SYMPLECTIC
+from .defaults import TOL_SYMPLECTIC
 from .errors import BadInput, numeric_array
 
 
@@ -81,33 +76,3 @@ class SymplecticMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0] // 2
-
-
-def embed_unitary(u: np.ndarray) -> SymplecticMatrix:
-    """The block matrix [[A, -B], [B, A]] of the U(n) action, for a complex
-    unitary u = A + iB read by the array intake rule."""
-    u = numeric_array(u, "unitary", complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
-        raise BadInput("a unitary must be a non-empty square matrix")
-    # u is unitary iff the frame of the plane u X* is a Lagrangian frame;
-    # imported here because lagrangian imports this module
-    from .lagrangian import check_frames, unitary_frames
-
-    check_frames(unitary_frames(u), TOL_SYM)
-    return SymplecticMatrix(np.block([[u.real, -u.imag], [u.imag, u.real]]))
-
-
-def direct_sum_symplectic(S1: SymplecticMatrix, S2: SymplecticMatrix) -> SymplecticMatrix:
-    """Block-interleaved direct sum acting on the two factors independently:
-    its x and p column blocks are the direct sums of the factors' x and p
-    column blocks, in the layout of ``lagrangian.direct_sum_frames``."""
-    # imported here because lagrangian imports this module
-    from .lagrangian import direct_sum_frames
-
-    A, B = S1.entries, S2.entries
-    n1, n2 = S1.n, S2.n
-    return SymplecticMatrix(
-        np.hstack(
-            (direct_sum_frames(A[:, :n1], B[:, :n2]), direct_sum_frames(A[:, n1:], B[:, n2:]))
-        )
-    )

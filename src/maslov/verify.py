@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import derived, lagrangian, leray, paths, signature, symplectic
+from . import constructions, derived, lagrangian, leray, paths, signature, symplectic
 from .defaults import TOL_SYM
 from .errors import BadInput, IllConditioned
 from .random_gen import (
@@ -129,8 +129,9 @@ def winding_integral(family: Callable[[np.ndarray], np.ndarray], samples: int = 
 
 def there_and_back(u0: np.ndarray, H: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The family t -> u0 exp(i (1 - |1 - 2t|) H), the loop that
-    ``paths.concat(lam, paths.reverse(lam))`` samples for lam of (u0, H)."""
-    return lambda ts: paths.unitary_family(u0, H, 1 - np.abs(1 - 2 * ts))
+    ``constructions.concat(lam, constructions.reverse(lam))`` samples for lam
+    of (u0, H)."""
+    return lambda ts: constructions.unitary_family(u0, H, 1 - np.abs(1 - 2 * ts))
 
 
 def direct_sum_path(family_a: tuple, family_b: tuple) -> paths.LagrangianPath:
@@ -140,15 +141,20 @@ def direct_sum_path(family_a: tuple, family_b: tuple) -> paths.LagrangianPath:
     moves at 2 |tr HA + tr HB|."""
     speed = 2 * abs(float(np.trace(family_a[1]).real + np.trace(family_b[1]).real))
     n = len(family_a[0]) + len(family_b[0])
-    ts = np.linspace(0.0, 1.0, paths.certified_count(17, speed, n))
-    fa, fb = (lagrangian.unitary_frames(paths.unitary_family(*f, ts)) for f in (family_a, family_b))
-    return paths.LagrangianPath(tuple(ts), lagrangian.direct_sum_frames(fa, fb))
+    ts = np.linspace(0.0, 1.0, constructions.certified_count(17, speed, n))
+    fa, fb = (
+        lagrangian.unitary_frames(constructions.unitary_family(*f, ts))
+        for f in (family_a, family_b)
+    )
+    return paths.LagrangianPath(tuple(ts), constructions.direct_sum_frames(fa, fb))
 
 
 def sp_lift_action(sig: paths.SymplecticPath, lift: leray.LagrangianLift):
     """The action of the cover element over sig(1) (path from identity) on a
     cover point: transport the lift along the induced path."""
-    return paths.lift_path(paths.induced_path(sig, lift.frame), theta_start=lift.theta).end
+    lifted = paths.lift_path(paths.induced_path(sig, lift.frame))
+    end = lifted.end
+    return leray.LagrangianLift(end.frame, end.theta + (lift.theta - lifted.start.theta))
 
 
 def mu_bar_via_companion(
@@ -208,7 +214,7 @@ def check_omega_antisymmetry(rng, n):
 @per_dimension("embed-unitary-symplectic", 30)
 def check_embed_unitary_symplectic(rng, n):
     u = random_unitary(rng, n)
-    S = symplectic.embed_unitary(u)
+    S = constructions.embed_unitary(u)
     _expect(symplectic.is_symplectic(S.entries))
 
 
@@ -221,10 +227,10 @@ def check_direct_sum_symplectic(rng, n_max):
                 a1, a2 = random_symplectic(rng, n1), random_symplectic(rng, n1)
                 b1, b2 = random_symplectic(rng, n2), random_symplectic(rng, n2)
                 lhs = (
-                    symplectic.direct_sum_symplectic(a1, b1).entries
-                    @ symplectic.direct_sum_symplectic(a2, b2).entries
+                    constructions.direct_sum_symplectic(a1, b1).entries
+                    @ constructions.direct_sum_symplectic(a2, b2).entries
                 )
-                rhs = symplectic.direct_sum_symplectic(
+                rhs = constructions.direct_sum_symplectic(
                     symplectic.SymplecticMatrix(a1.entries @ a2.entries),
                     symplectic.SymplecticMatrix(b1.entries @ b2.entries),
                 ).entries
@@ -266,7 +272,7 @@ def check_intersection_dim(rng, n_max):
 @per_dimension("unitary-action", 20)
 def check_unitary_action(rng, n):
     u = random_unitary(rng, n)
-    S = symplectic.embed_unitary(u)
+    S = constructions.embed_unitary(u)
     img = lagrangian.apply_symplectic(S, lagrangian.coordinate_xstar(n))
     expected = lagrangian.frame_from_unitary(u)
     _expect(paths.same_plane(img, expected))
@@ -276,7 +282,7 @@ def check_unitary_action(rng, n):
 def check_transversal_companion(rng, n):
     f1 = random_frame(rng, n)
     f2 = random_frame_intersecting(rng, f1, int(rng.integers(0, n + 1)))
-    f3 = lagrangian.transversal_companion(f1, f2)
+    f3 = constructions.transversal_companion(f1, f2)
     _expect(lagrangian.intersection_dim(f3, f1) == 0)
     _expect(lagrangian.intersection_dim(f3, f2) == 0)
 
@@ -297,8 +303,8 @@ def check_tau_antisymmetry(rng, n):
 @per_dimension("tau-cocycle", 30)
 def check_tau_cocycle(rng, n):
     fs = [random_frame(rng, n) for _ in range(4)]
-    tau = signature.Cochain(2, lambda a, b, c: signature.kashiwara_tau(a, b, c).tau)
-    _expect(signature.coboundary(tau, fs) == 0)
+    tau = constructions.Cochain(2, lambda a, b, c: signature.kashiwara_tau(a, b, c).tau)
+    _expect(constructions.coboundary(tau, fs) == 0)
 
 
 @per_dimension("tau-sp-invariance", 20)
@@ -318,7 +324,7 @@ def check_tau_direct_sum(rng, n_max):
                 ta = [random_frame(rng, n1) for _ in range(3)]
                 tb = [random_frame(rng, n2) for _ in range(3)]
                 summed = [
-                    lagrangian.direct_sum_frame(a, b) for a, b in zip(ta, tb)
+                    constructions.direct_sum_frame(a, b) for a, b in zip(ta, tb)
                 ]
                 _expect(
                     signature.kashiwara_tau(*summed).tau
@@ -333,7 +339,7 @@ def check_tau_direct_sum(rng, n_max):
 def check_tau_local_constancy(rng, n):
     fs = _transversal_frames(rng, n, 3)
     base = signature.kashiwara_tau(*fs).tau
-    S = symplectic.embed_unitary(_near_identity(rng, n))
+    S = constructions.embed_unitary(_near_identity(rng, n))
     moved = [lagrangian.apply_symplectic(S, f) for f in fs]
     dims_ok = all(
         lagrangian.intersection_dim(moved[i], moved[j])
@@ -373,7 +379,9 @@ def check_deck_equivariance(rng, n):
     base = leray.mu_bar(l1, l2)
     for k1 in range(-3, 4):
         for k2 in (-3, 0, 2):
-            shifted = leray.mu_bar(leray.deck_apply(k1, l1), leray.deck_apply(k2, l2))
+            shifted = leray.mu_bar(
+                constructions.deck_apply(k1, l1), constructions.deck_apply(k2, l2)
+            )
             _expect(shifted - base == 2 * (k1 - k2))
 
 
@@ -428,7 +436,7 @@ def check_loop_axioms(rng, n_max):
     count = 0
     for n in (1, 2) if n_max >= 2 else (1,):
         for wind in range(-3, 4):
-            gamma = paths.rotation_path(n, 0.0, wind * math.pi)
+            gamma = constructions.rotation_path(n, 0.0, wind * math.pi)
             _expect(paths.keller_maslov(gamma) == wind)
             for ell in (
                 lagrangian.coordinate_x(n),
@@ -437,9 +445,9 @@ def check_loop_axioms(rng, n_max):
             ):
                 _expect(paths.mu_lagrangian(gamma, ell) == 2 * wind)
             count += 1
-        g1 = paths.rotation_path(n, 0.0, 2 * math.pi)
-        g2 = paths.rotation_path(n, 0.0, -math.pi * 4)
-        _expect(paths.keller_maslov(paths.concat(g1, g2)) == 2 - 4)
+        g1 = constructions.rotation_path(n, 0.0, 2 * math.pi)
+        g2 = constructions.rotation_path(n, 0.0, -math.pi * 4)
+        _expect(paths.keller_maslov(constructions.concat(g1, g2)) == 2 - 4)
         count += 1
     return count
 
@@ -447,26 +455,26 @@ def check_loop_axioms(rng, n_max):
 @per_dimension("concat-additivity", 10)
 def check_concat_additivity(rng, n):
     lam1 = random_lagrangian_path(rng, n)
-    lam2 = paths.path_joining(lam1.end(), random_frame(rng, n))
+    lam2 = constructions.path_joining(lam1.end(), random_frame(rng, n))
     ell = random_frame(rng, n)
     _expect(paths.mu_lagrangian(
-        paths.concat(lam1, lam2), ell
+        constructions.concat(lam1, lam2), ell
     ) == paths.mu_lagrangian(lam1, ell) + paths.mu_lagrangian(lam2, ell))
-    back = paths.reverse(lam1)
+    back = constructions.reverse(lam1)
     _expect(paths.mu_lagrangian(back, ell) == -paths.mu_lagrangian(lam1, ell))
 
 
 @per_dimension("reparametrization", 8)
 def check_reparametrization(rng, n):
     u0, H = random_unitary_family(rng, n)
-    lam = paths.unitary_path(u0, H, 17)
+    lam = constructions.unitary_path(u0, H, 17)
     ell = random_frame(rng, n)
     base = paths.mu_lagrangian(lam, ell)
     warp = lambda t: t * t * (3 - 2 * t)  # monotone, fixes 0 and 1
     # warp' <= 3/2, so the warped family moves at most 3/2 as fast
     speed = 3 * abs(float(np.trace(H).real))
-    ts = np.linspace(0.0, 1.0, paths.certified_count(21, speed, n))
-    frames = lagrangian.unitary_frames(paths.unitary_family(u0, H, warp(ts)))
+    ts = np.linspace(0.0, 1.0, constructions.certified_count(21, speed, n))
+    frames = lagrangian.unitary_frames(constructions.unitary_family(u0, H, warp(ts)))
     warped = paths.LagrangianPath(tuple(ts), frames)
     _expect(paths.mu_lagrangian(warped, ell) == base)
 
@@ -492,10 +500,10 @@ def check_triple_signature_paths(rng, n_max):
     for n in _dims(min(n_max, 2)):
         for _ in range(10):
             l0, l1, l2 = (random_frame(rng, n) for _ in range(3))
-            p01 = paths.path_joining(l0, l1)
-            p12 = paths.path_joining(l1, l2)
-            p20 = paths.path_joining(l2, l0)
-            closure = paths.concat(paths.concat(p01, p12), p20)
+            p01 = constructions.path_joining(l0, l1)
+            p12 = constructions.path_joining(l1, l2)
+            p20 = constructions.path_joining(l2, l0)
+            closure = constructions.concat(constructions.concat(p01, p12), p20)
             m = paths.keller_maslov(closure)
             total = (
                 paths.mu_lagrangian(p01, l2)
@@ -510,7 +518,7 @@ def check_triple_signature_paths(rng, n_max):
 @per_dimension("symplectic-invariance", 10)
 def check_symplectic_invariance(rng, n):
     u0, H = random_unitary_family(rng, n)
-    lam = paths.unitary_path(u0, H, 17)
+    lam = constructions.unitary_path(u0, H, 17)
     ell = random_frame(rng, n)
     S = random_symplectic(rng, n)
     moved = transported_path(S, u0, H)
@@ -533,10 +541,10 @@ def check_mu_ell_product(rng, n):
     s1p = random_symplectic_path(rng, n)
     Z2 = random_algebra_element(rng, n)
     s1 = s1p.end()
-    s2p = paths.symplectic_path_from_algebra(Z2, samples=17)
+    s2p = constructions.symplectic_path_from_algebra(Z2, samples=17)
     # the left translate s1 . s2p, on its own certified grid
-    prod = paths.concat_symplectic(
-        s1p, paths.symplectic_path_from_algebra(Z2, start=s1, samples=17)
+    prod = constructions.concat_symplectic(
+        s1p, constructions.symplectic_path_from_algebra(Z2, start=s1, samples=17)
     )
     f1 = lagrangian.apply_symplectic(symplectic.SymplecticMatrix(s1), ell)
     f12 = lagrangian.apply_symplectic(
@@ -570,7 +578,7 @@ def check_mu_symplectic_endpoint_form(rng, n):
     s01 = random_symplectic_path(rng, n)
     s12 = random_symplectic_path(rng, n, start=s01.end())
     lhs = paths.mu_symplectic(s12, ell)
-    prod = paths.concat_symplectic(s01, s12)
+    prod = constructions.concat_symplectic(s01, s12)
     _expect(lhs == paths.mu_ell(prod, ell) - paths.mu_ell(s01, ell))
 
     def correction(s):
@@ -591,15 +599,15 @@ def check_winding_integral(rng, n_max):
     count = 0
     for n in (1, 2) if n_max >= 2 else (1,):
         for wind in (-2, -1, 1, 3):
-            gamma = paths.rotation_path(n, 0.0, wind * math.pi)
+            gamma = constructions.rotation_path(n, 0.0, wind * math.pi)
             lifted = paths.lift_path(gamma)
             family = functools.partial(paths.rotation_unitaries, n, 0.0, wind * math.pi)
             _expect(abs(lifted.winding() - winding_integral(family)) < 1e-6)
             count += 1
         for _ in range(4):
             u0, H = random_unitary_family(rng, n)
-            lam = paths.unitary_path(u0, H, 17)
-            gamma = paths.concat(lam, paths.reverse(lam))
+            lam = constructions.unitary_path(u0, H, 17)
+            gamma = constructions.concat(lam, constructions.reverse(lam))
             lifted = paths.lift_path(gamma)
             _expect(abs(lifted.winding() - winding_integral(there_and_back(u0, H))) < 1e-6)
             _expect(paths.keller_maslov(gamma) == 0)
@@ -623,7 +631,7 @@ def check_spectral_flow(rng, n_max):
                 sf = derived.spectral_flow(fam)
             except IllConditioned:
                 continue  # near-singular endpoint; redraw implicitly
-            _expect(derived.spectral_flow_path_index(fam) == sf)
+            _expect(constructions.spectral_flow_path_index(fam) == sf)
             _expect(paths.mu_lagrangian(
                 derived.graph_path(fam), lagrangian.coordinate_xstar(n)
             ) == 0)
@@ -640,21 +648,21 @@ def check_robbin_salamon(rng, n_max):
         for _ in range(10):
             lam = random_lagrangian_path(rng, n)
             ell = random_frame(rng, n)
-            rs = derived.robbin_salamon(lam, ell)
+            rs = constructions.robbin_salamon(lam, ell)
             _expect(rs.twice_value == paths.mu_lagrangian(lam, ell))
-            lam2 = paths.path_joining(lam.end(), random_frame(rng, n))
-            both = derived.robbin_salamon(paths.concat(lam, lam2), ell)
-            _expect(both.twice_value == rs.twice_value + derived.robbin_salamon(
+            lam2 = constructions.path_joining(lam.end(), random_frame(rng, n))
+            both = constructions.robbin_salamon(constructions.concat(lam, lam2), ell)
+            _expect(both.twice_value == rs.twice_value + constructions.robbin_salamon(
                 lam2, ell
             ).twice_value)
             count += 1
     fam = derived.SymmetricFamily.linear(np.array([[-1.0]]), np.array([[1.0]]))
-    _expect(derived.robbin_salamon(
+    _expect(constructions.robbin_salamon(
         derived.graph_path(fam), lagrangian.coordinate_x(1)
     ) == derived.HalfInteger(2))
     for wind in (-2, 1, 3):
-        gamma = paths.rotation_path(1, 0.0, wind * math.pi)
-        _expect(derived.robbin_salamon(
+        gamma = constructions.rotation_path(1, 0.0, wind * math.pi)
+        _expect(constructions.robbin_salamon(
             gamma, random_frame(rng, 1)
         ).twice_value == 2 * wind)
         count += 1
@@ -665,10 +673,10 @@ def check_robbin_salamon(rng, n_max):
 def check_hormander(rng, n):
     f1, f2, f3, f4 = (random_frame(rng, n) for _ in range(4))
     xi = derived.hormander_xi(f1, f2, f3, f4)
-    lam34 = paths.path_joining(f3, f4)
+    lam34 = constructions.path_joining(f3, f4)
     path_form = (
-        derived.robbin_salamon(lam34, f2).twice_value
-        - derived.robbin_salamon(lam34, f1).twice_value
+        constructions.robbin_salamon(lam34, f2).twice_value
+        - constructions.robbin_salamon(lam34, f1).twice_value
     )
     _expect(xi.twice_value == path_form)
 
@@ -682,17 +690,17 @@ def check_direct_sums(rng, n_max):
                 l1a, l2a = random_lift(rng, n1), random_lift(rng, n1)
                 l1b, l2b = random_lift(rng, n2), random_lift(rng, n2)
                 _expect(leray.mu_bar(
-                    derived.direct_sum_lift(l1a, l1b),
-                    derived.direct_sum_lift(l2a, l2b),
+                    constructions.direct_sum_lift(l1a, l1b),
+                    constructions.direct_sum_lift(l2a, l2b),
                 ) == leray.mu_bar(l1a, l2a) + leray.mu_bar(l1b, l2b))
                 family_a = random_unitary_family(rng, n1)
                 family_b = random_unitary_family(rng, n2)
-                lamA = paths.unitary_path(*family_a, 17)
-                lamB = paths.unitary_path(*family_b, 17)
+                lamA = constructions.unitary_path(*family_a, 17)
+                lamB = constructions.unitary_path(*family_b, 17)
                 summed = direct_sum_path(family_a, family_b)
                 ellA, ellB = random_frame(rng, n1), random_frame(rng, n2)
                 _expect(paths.mu_lagrangian(
-                    summed, lagrangian.direct_sum_frame(ellA, ellB)
+                    summed, constructions.direct_sum_frame(ellA, ellB)
                 ) == paths.mu_lagrangian(lamA, ellA) + paths.mu_lagrangian(lamB, ellB))
                 count += 1
     return count

@@ -21,13 +21,8 @@ from maslov import (
     HalfInteger,
     SymmetricFamily,
     apply_symplectic,
-    concat,
-    concat_symplectic,
     coordinate_x,
     coordinate_xstar,
-    deck_apply,
-    direct_sum_frame,
-    direct_sum_lift,
     frame_from_graph,
     graph_path,
     inert_index,
@@ -40,12 +35,19 @@ from maslov import (
     mu_ell,
     mu_lagrangian,
     mu_symplectic,
-    reverse,
-    robbin_salamon,
-    rotation_path,
     shear_path,
     souriau_m,
     spectral_flow,
+)
+from maslov.constructions import (
+    concat,
+    concat_symplectic,
+    deck_apply,
+    direct_sum_frame,
+    direct_sum_lift,
+    reverse,
+    robbin_salamon,
+    rotation_path,
     symplectic_path_from_algebra,
     unitary_path,
 )

@@ -1,11 +1,11 @@
 """The certified grids of the library's path constructors
-(``paths.certified_count``).  On seeded draws in dimensions 1 to 5, every
-computed phase step stays within its bound plus the rounding slack
-``paths.phase_slack``, below pi/2; the bound is at least the
+(``constructions.certified_count``).  On seeded draws in dimensions 1 to 5,
+every computed phase step stays within its bound plus the rounding slack
+``constructions.phase_slack``, below pi/2; the bound is at least the
 finite-difference speed of arg det w along the path; and the lift equals
 the lift on a grid refined fourfold.  Also the phase-speed identity the
 algebra-path rule rests on, checked by finite differences, and the loop
-that bisection once read as 0."""
+that seventeen equal samples read as 0."""
 
 import math
 
@@ -19,15 +19,17 @@ from maslov import (
     induced_path,
     keller_maslov,
     lift_path,
+    shear_path,
+)
+from maslov import constructions, paths
+from maslov.constructions import (
+    _expm,
     path_joining,
     rotation_path,
-    shear_path,
     symplectic_path_from_algebra,
     unitary_path,
 )
-from maslov import paths
-from maslov.lagrangian import det_phase, frame_unitary, transport_frames
-from maslov.paths import _expm
+from maslov.lagrangian import _uut, frame_unitary, transport_frames
 from maslov.random_gen import (
     random_algebra_element,
     random_frame,
@@ -113,8 +115,13 @@ def _build(kind, n, samples):
     return CONSTRUCTORS[kind](rng, n, samples)
 
 
+def _arg_det_w(frames):
+    """arg det(u u^t) of each [X; P] frame of a stack."""
+    return np.angle(np.linalg.det(_uut(frames)))
+
+
 def _steps(lam):
-    return paths._wrap(np.diff(det_phase(lam.frames)))
+    return paths._wrap(np.diff(_arg_det_w(lam.frames)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -123,8 +130,8 @@ def test_certified_grid(kind, n):
     # a minimum of 2 samples, so that the certified count sets the grid
     lam, speed = _build(kind, n, 2)
     count = len(lam.times)
-    assert count == paths.certified_count(2, speed, n)
-    slack = paths.phase_slack(n)
+    assert count == constructions.certified_count(2, speed, n)
+    slack = constructions.phase_slack(n)
     bound = speed / (count - 1)
     assert bound + slack < paths.MAX_PHASE_STEP
     assert np.abs(_steps(lam)).max() <= bound + slack
@@ -158,7 +165,7 @@ def test_phase_speed_is_twice_the_hamiltonian_trace(n):
             eps = 1e-6
             ts = np.array([t - eps, t, t + eps])
             frames, _ = transport_frames(S0 @ _expm(ts[:, None, None] * Z), ell.frame, ell.tol)
-            theta = np.unwrap(det_phase(frames))
+            theta = np.unwrap(_arg_det_w(frames))
             speed = (theta[2] - theta[0]) / (2 * eps)
             F = frames[1]
             exact = 2 * np.trace(F.T @ H @ F)
@@ -171,7 +178,7 @@ def test_fast_unitary_loop_winds_its_full_count():
     # to 0, and the certified grid of at least 17 samples reads 1024
     H = np.array([[math.pi * 1024]])
     loop = unitary_path(np.eye(1), H, 17)
-    assert len(loop.times) == math.floor(2 * math.pi * 1024 / (math.pi / 2 - paths.phase_slack(1))) + 2
+    assert len(loop.times) == math.floor(2 * math.pi * 1024 / (math.pi / 2 - constructions.phase_slack(1))) + 2
     assert keller_maslov(loop) == 1024
 
 

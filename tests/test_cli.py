@@ -11,6 +11,7 @@ from maslov import (
     BadInput,
     Undersampled,
     cli,
+    constructions,
     defaults,
     derived,
     lagrangian,
@@ -458,7 +459,7 @@ STEEP_SHEAR = {
 def test_singular_x_shear_lifts_in_closed_form(tmp_path, capsys, monkeypatch):
     # the kernel of X stays put under a shear, so the lift is the graph
     # path's over the range of X: two samples, no sampled lift, and no
-    # bisection depth to set
+    # refinement option to set
     job = {"n": 2, "index": "symplectic", "path": STEEP_SHEAR, "plane": SINGULAR_X_PLANE}
     path = write_job(tmp_path, "j.json", job)
     calls = []
@@ -472,7 +473,7 @@ def test_singular_x_shear_lifts_in_closed_form(tmp_path, capsys, monkeypatch):
 
 
 def test_coarse_rotation_grid_is_refined():
-    # two samples of a full turn alias it away at every bisection level;
+    # two samples of a full turn alias it away on any grid that keeps them;
     # the rotation grid has floor(4 |sweep| / pi) + 2 samples, so the
     # winding is found
     path = {"kind": "rotation", "alpha_start": 0.0, "alpha_end": 2 * math.pi, "samples": 2}
@@ -486,7 +487,7 @@ def test_rotation_sweep_beyond_the_sample_cap_fails_loudly(alpha_end):
     # fine enough needs more than MAX_SAMPLES samples, and 1e308 overflows
     # the count, so the library's sampled rotation path refuses both
     with pytest.raises(Undersampled, match="MAX_SAMPLES"):
-        paths.rotation_path(1, 0.0, alpha_end, 2)
+        constructions.rotation_path(1, 0.0, alpha_end, 2)
     path = {"kind": "rotation", "alpha_start": 0.0, "alpha_end": alpha_end, "samples": 2}
     job = {"n": 1, "index": "lagrangian", "path": path, "plane": {"graph": [[0.3]]}}
     # the command line's closed-form lift gives the right integer for 1e7

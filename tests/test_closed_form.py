@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from maslov import IllConditioned, MaslovError, cli, lagrangian, paths
+from maslov import IllConditioned, MaslovError, cli, constructions, lagrangian, paths
 from maslov.defaults import TOL_RANK_BASE, TOL_ROUND
 from maslov.derived import (
     SymmetricFamily,
@@ -68,7 +68,7 @@ def _polynomial_family(coefficients):
     ||A'(t)||_* <= sum_k k ||c_k||_*."""
     coeffs = np.array(coefficients, dtype=float)
     speed = 2 * sum(k * np.linalg.norm(c, "nuc") for k, c in enumerate(coeffs))
-    samples = paths.certified_count(33, speed, coeffs.shape[-1])
+    samples = constructions.certified_count(33, speed, coeffs.shape[-1])
     ts = np.linspace(0.0, 1.0, samples)
     return SymmetricFamily(tuple(ts), polynomial_values(coeffs, ts))
 
@@ -79,7 +79,7 @@ def _sampled_lift(job):
     n, spec = job["n"], job["path"]
     ell = cli.parse_plane(job.get("plane", "coordinate_x"), n)
     if spec["kind"] == "rotation":
-        lam = paths.rotation_path(n, spec.get("alpha_start", 0.0), spec["alpha_end"])
+        lam = constructions.rotation_path(n, spec.get("alpha_start", 0.0), spec["alpha_end"])
     else:
         family = _polynomial_family(spec["coefficients"])
         if spec["kind"] == "shear":

@@ -1,8 +1,10 @@
 """The compute path imports numpy and the compute core only: the
-verification layer and the random generators load on first use.  The
-package needs no scipy at all: with ``import scipy`` made to fail, the
-former scipy users and ``maslov verify`` still run."""
+constructions, the verification layer and the random generators load on
+first use, and every public name of ``maslov`` still resolves to its
+definition.  The package needs no scipy at all: with ``import scipy`` made
+to fail, the former scipy users and ``maslov verify`` still run."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -11,10 +13,37 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from maslov import direct_sum_lift
+from maslov.constructions import direct_sum_lift
 from maslov.random_gen import random_lift
 
-DEFERRED = ("scipy", "maslov.verify", "maslov.random_gen")
+DEFERRED = ("scipy", "maslov.constructions", "maslov.verify", "maslov.random_gen")
+
+#: the public names of ``maslov`` by defining module
+PUBLIC = {
+    "defaults": ("TOL_PHASE", "TOL_RANK_BASE", "TOL_ROUND", "TOL_SIG_BASE", "TOL_SYM"),
+    "derived": (
+        "HalfInteger", "SymmetricFamily", "graph_path", "hormander_xi", "shear_path",
+        "spectral_flow",
+    ),
+    "errors": ("BadInput", "IllConditioned", "MaslovError", "Undersampled"),
+    "lagrangian": (
+        "LagrangianFrame", "apply_symplectic", "coordinate_x", "coordinate_xstar",
+        "frame_from_graph", "frame_from_unitary", "frame_from_w", "intersection_dim", "souriau_w",
+    ),
+    "leray": ("LagrangianLift", "lift_of", "mu_bar", "souriau_m"),
+    "paths": (
+        "LagrangianPath", "SymplecticPath", "induced_path", "keller_maslov", "lift_path",
+        "mu_ell", "mu_lagrangian", "mu_symplectic",
+    ),
+    "signature": ("TripleSignature", "inert_index", "kashiwara_tau"),
+    "symplectic": ("SymplecticMatrix", "is_symplectic", "omega", "omega_matrix"),
+    "constructions": (
+        "Cochain", "coboundary", "concat", "concat_symplectic", "deck_apply", "direct_sum_frame",
+        "direct_sum_lift", "direct_sum_symplectic", "embed_unitary", "path_joining", "reverse",
+        "robbin_salamon", "rotation_path", "symplectic_path_from_algebra",
+        "transversal_companion", "unitary_path",
+    ),
+}
 
 # runs in a fresh interpreter after `import {module}`; prints one JSON list
 IMPORT_PROBE = """
@@ -58,6 +87,20 @@ def test_import_leaves_scipy_out(module, src_env):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert loaded == [], f"import {module} loaded {loaded}"
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in PUBLIC.items() for name in names]
+)
+def test_public_name_resolves_to_its_definition(module, name):
+    namespace = {}
+    exec(f"from maslov import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"maslov.{module}"), name)
+
+
+def test_unknown_name_is_an_import_error():
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from maslov import no_such_name", {})
 
 
 def test_runs_with_scipy_blocked(src_env):

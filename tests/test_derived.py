@@ -10,7 +10,6 @@ from maslov import (
     SymmetricFamily,
     coordinate_x,
     coordinate_xstar,
-    direct_sum_lift,
     graph_path,
     hormander_xi,
     kashiwara_tau,
@@ -18,15 +17,19 @@ from maslov import (
     mu_bar,
     mu_lagrangian,
     mu_symplectic,
-    robbin_salamon,
-    rotation_path,
     shear_path,
     spectral_flow,
     frame_from_graph,
 )
 from maslov import cli
-from maslov.derived import spectral_flow_path_index
-from maslov.paths import concat, path_joining
+from maslov.constructions import (
+    concat,
+    direct_sum_lift,
+    path_joining,
+    robbin_salamon,
+    rotation_path,
+    spectral_flow_path_index,
+)
 from maslov.random_gen import (
     random_frame,
     random_lagrangian_path,

@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from maslov import cli, lagrangian, leray, signature
+from maslov import cli, constructions, lagrangian, leray, signature
 from maslov.defaults import AMBIGUITY_DECADE, TOL_RANK_BASE, TOL_ROUND, TOL_SIG_BASE, TOL_SYM
 from maslov.errors import BadInput, IllConditioned, MaslovError, numeric_array
 from maslov.random_gen import random_frame, random_frame_intersecting, random_lift
@@ -501,5 +501,5 @@ def test_the_one_rule_takes_an_svd_only_near_the_cycle(rng, monkeypatch):
     assert lagrangian.intersection_dim(fs[0], random_frame_intersecting(rng, fs[0], 1)) == 1
     assert len(calls) == 1
     leray.souriau_m(leray.lift_of(fs[1]), leray.lift_of(fs[2], 1))
-    lagrangian.transversal_companion(fs[1], fs[2])
+    constructions.transversal_companion(fs[1], fs[2])
     assert len(calls) == 1

@@ -12,8 +12,6 @@ from maslov import (
     apply_symplectic,
     coordinate_x,
     coordinate_xstar,
-    direct_sum_frame,
-    embed_unitary,
     frame_from_graph,
     frame_from_unitary,
     frame_from_w,
@@ -25,6 +23,10 @@ from maslov import (
     omega_matrix,
     shear_path,
     souriau_w,
+)
+from maslov.constructions import (
+    direct_sum_frame,
+    embed_unitary,
     symplectic_path_from_algebra,
     transversal_companion,
     unitary_path,

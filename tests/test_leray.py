@@ -10,7 +10,6 @@ from maslov import (
     LagrangianLift,
     coordinate_x,
     coordinate_xstar,
-    deck_apply,
     frame_from_graph,
     frame_from_unitary,
     frame_from_w,
@@ -21,6 +20,7 @@ from maslov import (
     souriau_m,
 )
 from maslov import lagrangian
+from maslov.constructions import deck_apply
 from maslov.leray import companion_lift
 from maslov.random_gen import random_frame, random_frame_intersecting, random_lift
 from maslov.verify import mu_bar_via_companion

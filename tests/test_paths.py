@@ -12,11 +12,8 @@ from maslov import (
     SymplecticPath,
     Undersampled,
     apply_symplectic,
-    concat,
-    concat_symplectic,
     coordinate_x,
     coordinate_xstar,
-    deck_apply,
     frame_from_graph,
     induced_path,
     kashiwara_tau,
@@ -26,16 +23,21 @@ from maslov import (
     mu_ell,
     mu_lagrangian,
     mu_symplectic,
+    souriau_w,
+)
+from maslov import cli, constructions, lagrangian, paths
+from maslov.constructions import (
+    concat,
+    concat_symplectic,
+    deck_apply,
     path_joining,
     reverse,
     rotation_path,
-    souriau_w,
     symplectic_path_from_algebra,
     unitary_path,
 )
-from maslov import cli, lagrangian, paths
 from maslov.defaults import TOL_SYM
-from maslov.lagrangian import det_phase, unitary_frames
+from maslov.lagrangian import unitary_frames
 from maslov.paths import same_plane
 from maslov.random_gen import (
     random_frame,
@@ -74,20 +76,11 @@ def test_lift_constant_and_rotations():
 
 def test_lift_branch_and_theta_start():
     lam = rotation_path(1, 0.0, math.pi)
-    # sheet 1 is the start lift's theta on that sheet
+    # the lift starts on sheet 0, at lift_of's principal argument; sheet 1
+    # is 2 pi above it
     l0 = lift_path(lam)
-    l1 = lift_path(lam, theta_start=lift_of(lam.start(), 1).theta)
-    assert abs(l1.start.theta - l0.start.theta - 2 * math.pi) < 1e-12
-    assert abs(l1.winding() - l0.winding()) < 1e-12
-    shifted = lift_path(lam, theta_start=l0.start.theta - 2 * math.pi)
-    assert shifted.start.theta == l0.start.theta - 2 * math.pi
-    assert abs(shifted.winding() - l0.winding()) < 1e-12
-    with pytest.raises(BadInput):
-        lift_path(lam, theta_start=1.0)
-    # the start lift checks theta_start at TOL_PHASE, so lift_path itself
-    # rejects an argument that is off by 1e-7
-    with pytest.raises(BadInput):
-        lift_path(lam, theta_start=l0.start.theta + 1e-7)
+    assert l0.start.theta == lift_of(lam.start()).theta
+    assert abs(lift_of(lam.start(), 1).theta - l0.start.theta - 2 * math.pi) < 1e-12
 
 
 def _sampled_rotation(samples):
@@ -162,11 +155,6 @@ def test_end_lifts_skip_only_checks_that_would_pass(n, rng):
     assert closed.end.theta == closed.start.theta == lift_path(lam).start.theta
 
 
-def _off_theta_lift_path():
-    lam = rotation_path(1, 0.0, 1.0)
-    return lift_path(lam, theta_start=lift_path(lam).start.theta + 1e-6)
-
-
 def _off_theta_closed_form():
     # a quarter turn of w = e^{i theta} I in n = 1 changes arg det w by pi/2
     frames = lagrangian.unitary_frames(np.exp(0.5j * np.array([[[0.0]], [[math.pi / 2]]])))
@@ -175,7 +163,6 @@ def _off_theta_closed_form():
 
 
 THETA_OFF = {
-    "lift-path-theta-start": _off_theta_lift_path,
     "closed-form-phase-change": _off_theta_closed_form,
     "leray-branch-1e15": lambda: cli.compute_report(
         {
@@ -207,12 +194,17 @@ def test_undersampled_without_generator():
         keller_maslov(LagrangianPath((0.0, 1.0), (f0.frame, f1.frame)))
 
 
+def _arg_det_w(frames):
+    """arg det(u u^t) of one [X; P] frame or of each of a stack."""
+    return np.angle(np.linalg.det(lagrangian._uut(frames)))
+
+
 def _reference_lift(lam):
     """The per-sample loop the stacked lift replaced: one validated frame
-    and one det_phase per sample, each step wrapped and tested alone.
+    and one ``_arg_det_w`` per sample, each step wrapped and tested alone.
     Returns (end theta, sample count), or (None, i) for the first step i,
     from sample i - 1 to sample i, that is not below pi/2."""
-    angs = [float(det_phase(LagrangianFrame(F).frame)) for F in lam.frames]
+    angs = [float(_arg_det_w(LagrangianFrame(F).frame)) for F in lam.frames]
     theta = angs[0]
     for i in range(1, len(angs)):
         d = paths._wrap(angs[i] - angs[i - 1])
@@ -230,11 +222,12 @@ def test_stacked_lift_matches_reference_loop(n):
         for _ in range(3):
             # a random family on a grid of the given size, not certified
             ts = np.linspace(0.0, 1.0, samples)
-            lam = LagrangianPath(tuple(ts), unitary_frames(paths.unitary_family(*random_unitary_family(rng, n), ts)))
+            frames = unitary_frames(constructions.unitary_family(*random_unitary_family(rng, n), ts))
+            lam = LagrangianPath(tuple(ts), frames)
             theta, mark = _reference_lift(lam)
             if theta is not None:
                 lifted = lift_path(lam)
-                assert lifted.start.theta == float(det_phase(lam.frames[0]))
+                assert lifted.start.theta == float(_arg_det_w(lam.frames[0]))
                 assert lifted.end.theta == theta  # bit for bit
                 assert lifted.sample_count == mark == samples
                 outcomes.append("lifted")
@@ -257,18 +250,18 @@ def test_rotation_grid_matches_the_quarter_turn_formula():
     # the slack: every step 2 |da| / (N - 1) stays below target, and one
     # sample fewer would not; checked one ulp around each k target / 2
     for n in (1, 2):
-        target = paths.MAX_PHASE_STEP - paths.phase_slack(n)
-        assert 0 < paths.phase_slack(n) < 1e-8
+        target = paths.MAX_PHASE_STEP - constructions.phase_slack(n)
+        assert 0 < constructions.phase_slack(n) < 1e-8
         edges = np.arange(10**4 + 1) * target / 2
         sweeps = np.concatenate([np.nextafter(edges, -math.inf), edges, np.nextafter(edges, math.inf)])
         for da in sweeps.tolist():
-            count = paths.certified_count(2, 2 * abs(da), n)
+            count = constructions.certified_count(2, 2 * abs(da), n)
             assert count == math.floor(2 * abs(da) / target) + 2
             assert 2 * abs(da) / (count - 1) < paths.MAX_PHASE_STEP
             if count > 2:
                 assert 2 * abs(da) / (count - 2) >= target * (1 - 1e-15)
     lam = rotation_path(1, 0.0, 2.3 * math.pi, samples=2)
-    assert len(lam.times) == paths.certified_count(2, 4.6 * math.pi, 1) == 11
+    assert len(lam.times) == constructions.certified_count(2, 4.6 * math.pi, 1) == 11
 
 
 def test_keller_maslov_anchors():
@@ -470,9 +463,6 @@ SHEET_SITES = {
 #: caller scalars outside the rule (a finite int or float, not a bool; an
 #: int for counts, n and sheet numbers)
 BAD_SCALARS = {
-    # lifted from 0 through float("0.0")
-    "lift-theta-start-string": lambda: lift_path(rotation_path(1, 0.0, 1.0), theta_start="0.0"),
-    "lift-theta-start-nan": lambda: lift_path(rotation_path(1, 0.0, 1.0), theta_start=math.nan),
     # a sheet number k, read by one rule in lift_of and deck_apply: 0.5 was
     # "theta is not an argument of det w", True added 2 pi, "1" raised
     # TypeError and 10**400 OverflowError; 10**308 makes 2 pi k infinite

@@ -6,16 +6,14 @@ import pytest
 from maslov import (
     BadInput,
     IllConditioned,
-    Cochain,
     apply_symplectic,
-    coboundary,
     coordinate_x,
     coordinate_xstar,
-    direct_sum_frame,
     frame_from_graph,
     inert_index,
     kashiwara_tau,
 )
+from maslov.constructions import Cochain, coboundary, direct_sum_frame
 from maslov.signature import triple_gram
 from maslov.random_gen import random_frame, random_symmetric, random_symplectic
 

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from maslov import (
-    BadInput,
-    SymplecticMatrix,
-    SymplecticPath,
-    direct_sum_symplectic,
-    embed_unitary,
-    is_symplectic,
-    omega,
-    omega_matrix,
-)
+from maslov import BadInput, SymplecticMatrix, SymplecticPath, is_symplectic, omega, omega_matrix
+from maslov.constructions import direct_sum_symplectic, embed_unitary
 from maslov.random_gen import random_symplectic, random_unitary
 
 

@@ -3,7 +3,7 @@
 ``lagrangian._eigenbasis`` is checked against scipy's complex Schur form
 and against ``reference_joint_phase_decomposition``, the former
 decomposition of a symmetric unitary (the eigenbasis of Re w, turned within
-each cluster of its eigenvalues to diagonalise Im w); ``paths._expm``
+each cluster of its eigenvalues to diagonalise Im w); ``constructions._expm``
 against ``scipy.linalg.expm``.  scipy is a test dependency only.
 """
 
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from maslov.constructions import _expm
 from maslov.errors import IllConditioned
 from maslov.lagrangian import _eigenbasis, _widest_gap, souriau_w
-from maslov.paths import _expm
 from maslov.random_gen import (
     random_algebra_element,
     random_frame,
